@@ -21,7 +21,7 @@ from .collapses import (
 )
 from .closed_relations import ClosedRelation, verify_closed_relation
 from .errors import DomainError, ParseError
-from .homology import homology, same_homology
+from .homology import homology
 from .posets import (
     lattice_condition_witness,
     order_complex,
@@ -151,13 +151,9 @@ def _cmd_homology(args):
 
 
 def _cmd_homology_same(args):
-    a = _load("complex", args.a)
-    b = _load("complex", args.b)
-    return {
-        "same": same_homology(a, b),
-        "a": homology(a),
-        "b": homology(b),
-    }
+    a = homology(_load("complex", args.a))
+    b = homology(_load("complex", args.b))
+    return {"same": a.matches(b), "a": a, "b": b}
 
 
 def _cmd_closed_verify(args):
@@ -171,9 +167,9 @@ def _cmd_closed_verify(args):
 
 def _cmd_verify_dowker(args):
     rel = _load("relation", args.relation)
-    k = k_complex(rel)
-    l = l_complex(rel)
-    return {"k": homology(k), "l": homology(l), "same": same_homology(k, l)}
+    k = homology(k_complex(rel))
+    l = homology(l_complex(rel))
+    return {"k": k, "l": l, "same": k.matches(l)}
 
 
 def _build_parser() -> _Parser:

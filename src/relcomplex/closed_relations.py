@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Tuple
 from .collapses import greedy_collapse
 from .complexes import SimplicialComplex, cone_apex
 from .errors import EmptyFiberError, NotClosedError
-from .homology import homology, same_homology
+from .homology import homology
 from .posets import (
     Poset,
     induced_subposet,
@@ -213,32 +213,32 @@ def verify_closed_relation(rel: ClosedRelation, mode: str) -> dict:
     if mode == "quillen":
         hyp = quillen_hypothesis(rel)
         met = hyp["certified"]
-        cx = order_complex(rel.x_poset)
-        cy = order_complex(rel.y_poset)
-        equal = same_homology(cx, cy)
+        hx = homology(order_complex(rel.x_poset))
+        hy = homology(order_complex(rel.y_poset))
+        equal = hx.matches(hy)
         report = {
             "mode": "quillen",
             "hypothesis": hyp,
             "hypothesis_met": met,
-            "cx_homology": homology(cx).as_report(),
-            "cy_homology": homology(cy).as_report(),
+            "cx_homology": hx.as_report(),
+            "cy_homology": hy.as_report(),
             "same_homology": equal,
         }
         conclusion = equal
     elif mode == "weak":
         hyp = weak_hypothesis(rel)
         met = hyp["holds"]
-        kx = poset_dowker_complex(rel.x_poset, False, "k")
-        ky = poset_dowker_complex(rel.y_poset, False, "k")
-        equal = same_homology(kx, ky)
+        hx = homology(poset_dowker_complex(rel.x_poset, False, "k"))
+        hy = homology(poset_dowker_complex(rel.y_poset, False, "k"))
+        equal = hx.matches(hy)
         pre_x = preimage_facet_check(rel, "x")
         pre_y = preimage_facet_check(rel, "y")
         report = {
             "mode": "weak",
             "hypothesis": hyp,
             "hypothesis_met": met,
-            "kx_homology": homology(kx).as_report(),
-            "ky_homology": homology(ky).as_report(),
+            "kx_homology": hx.as_report(),
+            "ky_homology": hy.as_report(),
             "same_homology": equal,
             "preimages": {"x": pre_x, "y": pre_y},
         }

@@ -53,6 +53,14 @@ class UniverseMismatchError(DomainError):
         super().__init__(message)
 
 
+class AmbiguousLabelError(DomainError):
+    def __init__(self, label):
+        super().__init__(
+            f"label {label!r} contains ',', '(' or ')', so pair labels would not be unique"
+        )
+        self.label = label
+
+
 class CycleDetectedError(DomainError):
     def __init__(self, cycle):
         super().__init__(f"order pairs close into a cycle: {' <= '.join(cycle)}")

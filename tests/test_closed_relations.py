@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import relcomplex as rc
-from relcomplex.errors import EmptyFiberError, NotClosedError
+from relcomplex.errors import AmbiguousLabelError, EmptyFiberError, NotClosedError
 
 import oracles
 
@@ -144,6 +144,13 @@ class TestRelationPoset:
         q = rc.poset_from_pairs("ab", [("a", "b")])
         rel = rc.ClosedRelation(circle4, q, full_relation(circle4, q))
         assert rc.relation_poset(rel) == rc.product_poset(circle4, q)
+
+    def test_colliding_pair_labels_are_rejected(self):
+        p = rc.poset_from_pairs(["a", "a,b"], [])
+        q = rc.poset_from_pairs(["b,c", "c"], [])
+        rel = rc.ClosedRelation(p, q, [("a", "b,c"), ("a,b", "c")])
+        with pytest.raises(AmbiguousLabelError):
+            rc.relation_poset(rel)
 
     def test_single_pair(self, circle4, circle6):
         rel = rc.ClosedRelation(circle4, circle6, [("3", "d")])

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import relcomplex as rc
 from relcomplex.errors import (
+    AmbiguousLabelError,
     CycleDetectedError,
     EmptyResultError,
     InvalidTopologyError,
@@ -330,6 +331,18 @@ class TestProductAndComponents:
             for b in chain.labels():
                 expected = len(rc.down_set(circle4, a)) * len(rc.down_set(chain, b))
                 assert len(rc.down_set(prod, rc.pair_label(a, b))) == expected
+
+    def test_labels_that_would_collide_are_rejected(self):
+        # (a,b,c) would name both (a, "b,c") and ("a,b", c)
+        p = rc.poset_from_pairs(["a", "a,b"], [])
+        q = rc.poset_from_pairs(["b,c", "c"], [])
+        with pytest.raises(AmbiguousLabelError, match="'a,b'") as exc:
+            rc.product_poset(p, q)
+        assert exc.value.label == "a,b"
+        single = rc.poset_from_pairs(["x"], [])
+        for label in ("b,c", "(a", "a)"):
+            with pytest.raises(AmbiguousLabelError):
+                rc.product_poset(single, rc.poset_from_pairs([label], []))
 
     def test_components(self, circle4):
         assert rc.connected_components(circle4) == (("1", "2", "3", "4"),)
