@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,23 @@ def run(capsys, *argv):
 
 def path(data_dir, name):
     return str(data_dir / name)
+
+
+TESTS = Path(__file__).parent
+
+
+def resolve(argv):
+    """argv of a pinned table with each file name made a path.
+
+    Files in the text formats are in tests/data, which criterion 10 reads as
+    such; the steps report is beside this file.
+    """
+    return [
+        str(TESTS / "data" / a) if a.endswith((".complex", ".poset", ".relation", ".space"))
+        else str(TESTS / a) if a.endswith(".steps")
+        else a
+        for a in argv
+    ]
 
 
 class TestDowkerCommands:
@@ -294,9 +313,10 @@ class TestDeterminism:
         assert first == second and first[0] == 0
 
 
-# Stdout and exit code of the homology commands on every applicable file in
-# tests/data, recorded with the dense Smith-normal-form engine.  Any engine
-# must reproduce these bytes.
+# Stdout and exit code of every command form on files in tests/data.  The
+# homology rows were recorded with the dense Smith-normal-form engine, the
+# others before the command table replaced the hand-built parser; any engine
+# or parser must reproduce these bytes.
 GOLDEN = [
     (('homology', '--complex', 'boundary2.complex'), 0, '{"betti":[1,1],"torsion":[[],[]]}\n'),
     (('homology', '--complex', 'circle4_k.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[],[]]}\n'),
@@ -320,11 +340,84 @@ GOLDEN = [
     (('homology', 'same', '--a', 'rp2.complex', '--b', 'rp2.complex'), 0, '{"a":{"betti":[1,0,0],"torsion":[[],[2],[]]},"b":{"betti":[1,0,0],"torsion":[[],[2],[]]},"same":true}\n'),
     (('verify', 'dowker', '--relation', 'circle4_leq.relation'), 0, '{"k":{"betti":[1,0,0],"torsion":[[],[],[]]},"l":{"betti":[1,0,0],"torsion":[[],[],[]]},"same":true}\n'),
     (('verify', 'dowker', '--relation', 'crown_pairs.relation'), 0, '{"k":{"betti":[1,0,0],"torsion":[[],[],[]]},"l":{"betti":[1,0,0,0,0],"torsion":[[],[],[],[],[]]},"same":true}\n'),
+    (('dowker', 'k', '--relation', 'circle4_leq.relation'), 0, '{"facets":[["1","2","3"],["1","2","4"]]}\n'),
+    (('dowker', 'k', '--relation', 'crown_pairs.relation'), 0, '{"facets":[["1","3","4"],["2","3","4"]]}\n'),
+    (('dowker', 'l', '--relation', 'circle4_leq.relation'), 0, '{"facets":[["1","3","4"],["2","3","4"]]}\n'),
+    (('dowker', 'l', '--relation', 'crown_pairs.relation'), 0, '{"facets":[["a","d","e"],["b","c","d","e","f"]]}\n'),
+    (('dowker', 'morphism', '--from', 'circle4_leq.relation', '--to', 'circle4_leq.relation'), 0, '{"assignment":{"1":"1","2":"2","3":"3","4":"4"},"exists":true}\n'),
+    (('dowker', 'morphism', '--from', 'circle4_leq.relation', '--to', 'crown_pairs.relation'), 0, '{"assignment":null,"exists":false}\n'),
+    (('dowker', 'morphism', '--from', 'crown_pairs.relation', '--to', 'circle4_leq.relation'), 0, '{"assignment":null,"exists":false}\n'),
+    (('dowker', 'morphism', '--from', 'crown_pairs.relation', '--to', 'crown_pairs.relation'), 0, '{"assignment":{"a":"a","b":"b","c":"b","d":"d","e":"e","f":"b"},"exists":true}\n'),
+    (('dowker', 'equivalent', '--a', 'circle4_leq.relation', '--b', 'circle4_leq.relation'), 0, '{"equivalent":true}\n'),
+    (('dowker', 'equivalent', '--a', 'circle4_leq.relation', '--b', 'crown_pairs.relation'), 0, '{"equivalent":false}\n'),
+    (('dowker', 'equivalent', '--a', 'crown_pairs.relation', '--b', 'circle4_leq.relation'), 0, '{"equivalent":false}\n'),
+    (('dowker', 'equivalent', '--a', 'crown_pairs.relation', '--b', 'crown_pairs.relation'), 0, '{"equivalent":true}\n'),
+    (('dowker', 'canonical', '--complex', 'boundary2.complex'), 0, '{"pairs":[["a","a"],["a","a,b"],["a","a,c"],["b","a,b"],["b","b"],["b","b,c"],["c","a,c"],["c","b,c"],["c","c"]],"xelements":["a","b","c"],"yelements":["a","a,b","a,c","b","b,c","c"]}\n'),
+    (('dowker', 'canonical', '--complex', 'circle4_k.complex'), 0, '{"pairs":[["1","1"],["1","1,2"],["1","1,2,3"],["1","1,2,4"],["1","1,3"],["1","1,4"],["2","1,2"],["2","1,2,3"],["2","1,2,4"],["2","2"],["2","2,3"],["2","2,4"],["3","1,2,3"],["3","1,3"],["3","2,3"],["3","3"],["4","1,2,4"],["4","1,4"],["4","2,4"],["4","4"]],"xelements":["1","2","3","4"],"yelements":["1","1,2","1,2,3","1,2,4","1,3","1,4","2","2,3","2,4","3","4"]}\n'),
+    (('dowker', 'canonical', '--complex', 'rp2.complex'), 0, '{"pairs":[["1","1"],["1","1,2"],["1","1,2,5"],["1","1,2,6"],["1","1,3"],["1","1,3,4"],["1","1,3,5"],["1","1,4"],["1","1,4,6"],["1","1,5"],["1","1,6"],["2","1,2"],["2","1,2,5"],["2","1,2,6"],["2","2"],["2","2,3"],["2","2,3,4"],["2","2,3,6"],["2","2,4"],["2","2,4,5"],["2","2,5"],["2","2,6"],["3","1,3"],["3","1,3,4"],["3","1,3,5"],["3","2,3"],["3","2,3,4"],["3","2,3,6"],["3","3"],["3","3,4"],["3","3,5"],["3","3,5,6"],["3","3,6"],["4","1,3,4"],["4","1,4"],["4","1,4,6"],["4","2,3,4"],["4","2,4"],["4","2,4,5"],["4","3,4"],["4","4"],["4","4,5"],["4","4,5,6"],["4","4,6"],["5","1,2,5"],["5","1,3,5"],["5","1,5"],["5","2,4,5"],["5","2,5"],["5","3,5"],["5","3,5,6"],["5","4,5"],["5","4,5,6"],["5","5"],["5","5,6"],["6","1,2,6"],["6","1,4,6"],["6","1,6"],["6","2,3,6"],["6","2,6"],["6","3,5,6"],["6","3,6"],["6","4,5,6"],["6","4,6"],["6","5,6"],["6","6"]],"xelements":["1","2","3","4","5","6"],"yelements":["1","1,2","1,2,5","1,2,6","1,3","1,3,4","1,3,5","1,4","1,4,6","1,5","1,6","2","2,3","2,3,4","2,3,6","2,4","2,4,5","2,5","2,6","3","3,4","3,5","3,5,6","3,6","4","4,5","4,5,6","4,6","5","5,6","6"]}\n'),
+    (('poset', 'order-complex', '--poset', 'circle4.poset'), 0, '{"facets":[["1","3"],["1","4"],["2","3"],["2","4"]]}\n'),
+    (('poset', 'order-complex', '--poset', 'circle6.poset'), 0, '{"facets":[["a","d"],["a","e"],["b","d"],["b","f"],["c","e"],["c","f"]]}\n'),
+    (('poset', 'k', '--poset', 'circle4.poset'), 0, '{"facets":[["1","2","3"],["1","2","4"]]}\n'),
+    (('poset', 'k', '--poset', 'circle6.poset'), 0, '{"facets":[["a","b","d"],["a","c","e"],["b","c","f"]]}\n'),
+    (('poset', 'l', '--poset', 'circle4.poset'), 0, '{"facets":[["1","3","4"],["2","3","4"]]}\n'),
+    (('poset', 'l', '--poset', 'circle6.poset'), 0, '{"facets":[["a","d","e"],["b","d","f"],["c","e","f"]]}\n'),
+    (('poset', 'k-strict', '--poset', 'circle4.poset'), 0, '{"facets":[["1","2"]]}\n'),
+    (('poset', 'k-strict', '--poset', 'circle6.poset'), 0, '{"facets":[["a","b"],["a","c"],["b","c"]]}\n'),
+    (('poset', 'l-strict', '--poset', 'circle4.poset'), 0, '{"facets":[["3","4"]]}\n'),
+    (('poset', 'l-strict', '--poset', 'circle6.poset'), 0, '{"facets":[["d","e"],["d","f"],["e","f"]]}\n'),
+    (('poset', 'realize', '--complex', 'boundary2.complex'), 2, ''),
+    (('poset', 'realize', '--complex', 'circle4_k.complex'), 0, '{"elements":["1","2","3","4"],"less_than":[["1","3"],["1","4"],["2","3"],["2","4"]]}\n'),
+    (('poset', 'realize', '--complex', 'moore3.complex'), 2, ''),
+    (('poset', 'realize', '--complex', 'rp2.complex'), 2, ''),
+    (('poset', 'lattice-check', '--poset', 'circle4.poset'), 0, '{"lattice_condition":false,"witness":["3","4"]}\n'),
+    (('poset', 'lattice-check', '--poset', 'circle6.poset'), 0, '{"lattice_condition":true,"witness":null}\n'),
+    (('poset', 'to-topology', '--poset', 'circle4.poset'), 0, '{"opens":[[],["1"],["2"],["1","2"],["1","2","3"],["1","2","4"],["1","2","3","4"]],"points":["1","2","3","4"]}\n'),
+    (('poset', 'to-topology', '--poset', 'circle6.poset'), 0, '{"opens":[[],["a"],["b"],["c"],["a","b"],["a","c"],["b","c"],["a","b","c"],["a","b","d"],["a","c","e"],["b","c","f"],["a","b","c","d"],["a","b","c","e"],["a","b","c","f"],["a","b","c","d","e"],["a","b","c","d","f"],["a","b","c","e","f"],["a","b","c","d","e","f"]],"points":["a","b","c","d","e","f"]}\n'),
+    (('poset', 'from-topology', '--space', 'sierpinski.space'), 0, '{"elements":["1","2"],"less_than":[["1","2"]]}\n'),
+    (('collapse', 'leq-strict', '--poset', 'circle4.poset', '--side', 'k'), 0, '{"steps":[[["2","3"],["1","2","3"]],[["3"],["1","3"]],[["2","4"],["1","2","4"]],[["4"],["1","4"]]]}\n'),
+    (('collapse', 'leq-strict', '--poset', 'circle4.poset', '--side', 'l'), 0, '{"steps":[[["1","4"],["1","3","4"]],[["1"],["1","3"]],[["2","4"],["2","3","4"]],[["2"],["2","3"]]]}\n'),
+    (('collapse', 'leq-strict', '--poset', 'circle6.poset', '--side', 'k'), 0, '{"steps":[[["b","d"],["a","b","d"]],[["d"],["a","d"]],[["c","e"],["a","c","e"]],[["e"],["a","e"]],[["c","f"],["b","c","f"]],[["f"],["b","f"]]]}\n'),
+    (('collapse', 'leq-strict', '--poset', 'circle6.poset', '--side', 'l'), 0, '{"steps":[[["a","e"],["a","d","e"]],[["a"],["a","d"]],[["b","f"],["b","d","f"]],[["b"],["b","d"]],[["c","f"],["c","e","f"]],[["c"],["c","e"]]]}\n'),
+    (('collapse', 'greedy', '--complex', 'boundary2.complex'), 0, '{"core_facets":[["a","b"],["a","c"],["b","c"]],"steps":[]}\n'),
+    (('collapse', 'greedy', '--complex', 'circle4_k.complex'), 0, '{"core_facets":[["4"]],"steps":[[["1","3"],["1","2","3"]],[["1","2"],["1","2","4"]],[["1"],["1","4"]],[["3"],["2","3"]],[["2"],["2","4"]]]}\n'),
+    (('collapse', 'greedy', '--complex', 'moore3.complex'), 0, '{"core_facets":[["a","b","p0"],["a","b","p3"],["a","b","p6"],["a","c","p2"],["a","c","p5"],["a","c","p8"],["a","p0","p8"],["a","p2","p3"],["a","p5","p6"],["b","c","p1"],["b","c","p4"],["b","c","p7"],["b","p0","p1"],["b","p3","p4"],["b","p6","p7"],["c","p1","p2"],["c","p4","p5"],["c","p7","p8"],["o","p0","p1"],["o","p0","p8"],["o","p1","p2"],["o","p2","p3"],["o","p3","p4"],["o","p4","p5"],["o","p5","p6"],["o","p6","p7"],["o","p7","p8"]],"steps":[]}\n'),
+    (('collapse', 'greedy', '--complex', 'rp2.complex'), 0, '{"core_facets":[["1","2","5"],["1","2","6"],["1","3","4"],["1","3","5"],["1","4","6"],["2","3","4"],["2","3","6"],["2","4","5"],["3","5","6"],["4","5","6"]],"steps":[]}\n'),
+    (('collapse', 'verify', '--complex', 'circle4_k.complex', '--steps', 'circle4_k_strict.steps'), 0, '{"facets":[["1","2"]]}\n'),
+    (('collapse', 'verify', '--complex', 'boundary2.complex', '--steps', 'circle4_k_strict.steps'), 2, ''),
+    (('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset', '--relation', 'crown_pairs.relation', '--mode', 'quillen'), 0, '{"cx_homology":{"betti":[1,1],"torsion":[[],[]]},"cy_homology":{"betti":[1,1],"torsion":[[],[]]},"hypothesis":{"certified":true,"fibers":[{"apex":"d","certificate":"cone","element":"1","side":"x"},{"apex":"e","certificate":"cone","element":"2","side":"x"},{"certificate":"collapsible","element":"3","side":"x"},{"apex":"a","certificate":"cone","element":"4","side":"x"},{"apex":"4","certificate":"cone","element":"a","side":"y"},{"apex":"3","certificate":"cone","element":"b","side":"y"},{"apex":"3","certificate":"cone","element":"c","side":"y"},{"apex":"1","certificate":"cone","element":"d","side":"y"},{"apex":"2","certificate":"cone","element":"e","side":"y"},{"apex":"3","certificate":"cone","element":"f","side":"y"}],"hypothesis":"quillen"},"hypothesis_met":true,"mode":"quillen","same_homology":true,"verdict":"confirmed"}\n'),
+    (('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset', '--relation', 'crown_pairs.relation', '--mode', 'weak'), 0, '{"hypothesis":{"fibers":[{"element":"1","elements":["d"],"maximum":"d","side":"x"},{"element":"2","elements":["e"],"maximum":"e","side":"x"},{"element":"3","elements":["b","c","d","e","f"],"maximal":["d","e","f"],"maximum":null,"side":"x"},{"element":"4","elements":["a","d","e"],"maximal":["d","e"],"maximum":null,"side":"x"},{"element":"a","elements":["4"],"maximum":"4","side":"y"},{"element":"b","elements":["3"],"maximum":"3","side":"y"},{"element":"c","elements":["3"],"maximum":"3","side":"y"},{"element":"d","elements":["1","3","4"],"maximal":["3","4"],"maximum":null,"side":"y"},{"element":"e","elements":["2","3","4"],"maximal":["3","4"],"maximum":null,"side":"y"},{"element":"f","elements":["3"],"maximum":"3","side":"y"}],"holds":false,"hypothesis":"weak"},"hypothesis_met":false,"kx_homology":{"betti":[1,0,0],"torsion":[[],[],[]]},"ky_homology":{"betti":[1,1,0],"torsion":[[],[],[]]},"mode":"weak","preimages":{"x":{"all_full":false,"facets":[{"facet":["1","2","3"],"full_simplex":false,"vertices":["(1,d)","(2,e)","(3,b)","(3,c)","(3,d)","(3,e)","(3,f)"]},{"facet":["1","2","4"],"full_simplex":false,"vertices":["(1,d)","(2,e)","(4,a)","(4,d)","(4,e)"]}],"side":"x"},"y":{"all_full":false,"facets":[{"facet":["a","b","d"],"full_simplex":false,"vertices":["(1,d)","(3,b)","(3,d)","(4,a)","(4,d)"]},{"facet":["a","c","e"],"full_simplex":false,"vertices":["(2,e)","(3,c)","(3,e)","(4,a)","(4,e)"]},{"facet":["b","c","f"],"full_simplex":true,"vertices":["(3,b)","(3,c)","(3,f)"]}],"side":"y"}},"same_homology":false,"verdict":"hypothesis-not-met"}\n'),
 ]
 
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("argv, code, out", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-    def test_stdout_and_exit_code(self, capsys, data_dir, argv, code, out):
-        argv = [path(data_dir, a) if a.endswith((".complex", ".relation")) else a for a in argv]
-        assert run(capsys, *argv)[:2] == (code, out)
+    def test_stdout_and_exit_code(self, capsys, argv, code, out):
+        assert run(capsys, *resolve(argv))[:2] == (code, out)
+
+
+# --help at every level and the usage errors: argv, exit code, stdout and
+# stderr as lists of lines, recorded at a terminal width of 80 columns.
+# argparse words its help and errors differently from one Python minor
+# version to the next; these were recorded with Python 3.11.
+USAGE = json.loads((Path(__file__).parent / "golden_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse wording is version-specific")
+class TestGoldenUsage:
+    @pytest.mark.parametrize("row", USAGE, ids=[" ".join(r["argv"]) for r in USAGE])
+    def test_help_and_usage_errors(self, capsys, monkeypatch, row):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(resolve(row["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out.split("\n"), captured.err.split("\n")) == (
+            row["code"], row["stdout"], row["stderr"]
+        )
+
+    def test_every_subcommand_has_its_help_pinned(self):
+        # the top level, 6 groups and 20 subcommands; `homology --complex`
+        # is the 21st command and shows the homology group's help
+        pinned = {tuple(r["argv"][:-1]) for r in USAGE if r["argv"][-1] == "--help"}
+        assert len(pinned) == 1 + 6 + 20
