@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import relcomplex
+
 from . import formats
 from .collapses import (
     CollapseSequence,
@@ -22,21 +24,8 @@ from .collapses import (
 from .closed_relations import ClosedRelation, verify_closed_relation
 from .errors import DomainError, ParseError
 from .homology import homology
-from .posets import (
-    lattice_condition_witness,
-    order_complex,
-    order_to_topology,
-    poset_dowker_complex,
-    realize_as_poset_k_complex,
-    topology_to_order,
-)
-from .relations import (
-    are_equivalent,
-    canonical_relation,
-    find_morphism,
-    k_complex,
-    l_complex,
-)
+from .posets import lattice_condition_witness
+from .relations import are_equivalent, find_morphism, k_complex, l_complex
 
 
 class _UsageError(Exception):
@@ -48,38 +37,51 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load(kind: str, path: str):
+# input kind -> name of its converter in formats, looked up at call time so
+# that a converter replaced there (for tracing, say) is the one called
+_CONVERTERS = {
+    "poset": "to_poset",
+    "relation": "to_relation",
+    "complex": "to_complex",
+    "space": "to_topology",
+}
+
+
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = formats.parse(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            bad = exc.object[exc.start]
+            raise ParseError(line, f"{path}: byte 0x{bad:02x} is not UTF-8 ({exc.reason})") from None
+
+
+def _load(kind: str, path: str):
+    doc = formats.parse(_read(path))
     if doc.kind != kind:
         raise ParseError(1, f"{path}: expected a {kind} file, found {doc.kind}")
-    converters = {
-        "poset": formats.to_poset,
-        "relation": formats.to_relation,
-        "complex": formats.to_complex,
-        "space": formats.to_topology,
-    }
-    return converters[kind](doc)
+    return getattr(formats, _CONVERTERS[kind])(doc)
 
 
 def _load_steps(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"{path}: {exc.msg}") from None
+    try:
+        data = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"{path}: {exc.msg}") from None
     try:
         return [CollapseStep(tuple(free), tuple(coface)) for free, coface in data["steps"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"{path}: malformed steps report ({exc})") from None
 
 
-def _cmd_dowker_k(args):
-    return k_complex(_load("relation", args.relation))
+def _on_file(kind: str, function: str, *extra):
+    """The handler that calls the package's ``function`` on the --<kind> file."""
 
+    def handler(args):
+        return getattr(relcomplex, function)(_load(kind, getattr(args, kind)), *extra)
 
-def _cmd_dowker_l(args):
-    return l_complex(_load("relation", args.relation))
+    return handler
 
 
 def _cmd_dowker_morphism(args):
@@ -93,39 +95,12 @@ def _cmd_dowker_equivalent(args):
     return {"equivalent": are_equivalent(_load("relation", args.a), _load("relation", args.b))}
 
 
-def _cmd_dowker_canonical(args):
-    return canonical_relation(_load("complex", args.complex))
-
-
-def _cmd_poset_complex(strict: bool, side: str):
-    def run(args):
-        return poset_dowker_complex(_load("poset", args.poset), strict, side)
-
-    return run
-
-
-def _cmd_poset_order_complex(args):
-    return order_complex(_load("poset", args.poset))
-
-
-def _cmd_poset_realize(args):
-    return realize_as_poset_k_complex(_load("complex", args.complex))
-
-
 def _cmd_poset_lattice_check(args):
     witness = lattice_condition_witness(_load("poset", args.poset))
     return {
         "lattice_condition": witness is None,
         "witness": None if witness is None else list(witness),
     }
-
-
-def _cmd_poset_to_topology(args):
-    return order_to_topology(_load("poset", args.poset))
-
-
-def _cmd_poset_from_topology(args):
-    return topology_to_order(_load("space", args.space))
 
 
 def _cmd_collapse_leq_strict(args):
@@ -147,6 +122,8 @@ def _cmd_collapse_verify(args):
 
 
 def _cmd_homology(args):
+    if args.complex is None:
+        raise _UsageError("homology requires --complex")
     return homology(_load("complex", args.complex))
 
 
@@ -172,111 +149,74 @@ def _cmd_verify_dowker(args):
     return {"k": k, "l": l, "same": k.matches(l)}
 
 
+# group -> its help line, in --help order
+_GROUPS = {
+    "dowker": "complexes and morphisms of relations",
+    "poset": "order complexes and the topology dictionary",
+    "collapse": "elementary collapses and certificates",
+    "homology": "integer homology profiles",
+    "closed": "closed relations between posets",
+    "verify": "cross-checks",
+}
+
+# option -> its allowed values; every other option takes a file path
+_CHOICES = {"--side": ("k", "l"), "--mode": ("quillen", "weak")}
+
+# (group, subcommand, required options, handler, *extra).  A handler given as
+# a string names a public function of relcomplex, looked up at call time like
+# the converters; it gets the file of the one option, whose name is the file's
+# kind, followed by the extra arguments.
+_COMMANDS = [
+    ("dowker", "k", ["--relation"], "k_complex"),
+    ("dowker", "l", ["--relation"], "l_complex"),
+    ("dowker", "morphism", ["--from", "--to"], _cmd_dowker_morphism),
+    ("dowker", "equivalent", ["--a", "--b"], _cmd_dowker_equivalent),
+    ("dowker", "canonical", ["--complex"], "canonical_relation"),
+    ("poset", "order-complex", ["--poset"], "order_complex"),
+    ("poset", "k", ["--poset"], "poset_dowker_complex", False, "k"),
+    ("poset", "l", ["--poset"], "poset_dowker_complex", False, "l"),
+    ("poset", "k-strict", ["--poset"], "poset_dowker_complex", True, "k"),
+    ("poset", "l-strict", ["--poset"], "poset_dowker_complex", True, "l"),
+    ("poset", "realize", ["--complex"], "realize_as_poset_k_complex"),
+    ("poset", "lattice-check", ["--poset"], _cmd_poset_lattice_check),
+    ("poset", "to-topology", ["--poset"], "order_to_topology"),
+    ("poset", "from-topology", ["--space"], "topology_to_order"),
+    ("collapse", "leq-strict", ["--poset", "--side"], _cmd_collapse_leq_strict),
+    ("collapse", "greedy", ["--complex"], _cmd_collapse_greedy),
+    ("collapse", "verify", ["--complex", "--steps"], _cmd_collapse_verify),
+    ("homology", "same", ["--a", "--b"], _cmd_homology_same),
+    ("closed", "verify", ["--xposet", "--yposet", "--relation", "--mode"], _cmd_closed_verify),
+    ("verify", "dowker", ["--relation"], _cmd_verify_dowker),
+]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relcomplex", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
-
-    dowker = top.add_parser("dowker", help="complexes and morphisms of relations")
-    sub = dowker.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("k")
-    p.add_argument("--relation", required=True)
-    p.set_defaults(handler=_cmd_dowker_k)
-    p = sub.add_parser("l")
-    p.add_argument("--relation", required=True)
-    p.set_defaults(handler=_cmd_dowker_l)
-    p = sub.add_parser("morphism")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-    p.set_defaults(handler=_cmd_dowker_morphism)
-    p = sub.add_parser("equivalent")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(handler=_cmd_dowker_equivalent)
-    p = sub.add_parser("canonical")
-    p.add_argument("--complex", required=True)
-    p.set_defaults(handler=_cmd_dowker_canonical)
-
-    poset = top.add_parser("poset", help="order complexes and the topology dictionary")
-    sub = poset.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("order-complex")
-    p.add_argument("--poset", required=True)
-    p.set_defaults(handler=_cmd_poset_order_complex)
-    for name, strict, side in (
-        ("k", False, "k"),
-        ("l", False, "l"),
-        ("k-strict", True, "k"),
-        ("l-strict", True, "l"),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--poset", required=True)
-        p.set_defaults(handler=_cmd_poset_complex(strict, side))
-    p = sub.add_parser("realize")
-    p.add_argument("--complex", required=True)
-    p.set_defaults(handler=_cmd_poset_realize)
-    p = sub.add_parser("lattice-check")
-    p.add_argument("--poset", required=True)
-    p.set_defaults(handler=_cmd_poset_lattice_check)
-    p = sub.add_parser("to-topology")
-    p.add_argument("--poset", required=True)
-    p.set_defaults(handler=_cmd_poset_to_topology)
-    p = sub.add_parser("from-topology")
-    p.add_argument("--space", required=True)
-    p.set_defaults(handler=_cmd_poset_from_topology)
-
-    collapse = top.add_parser("collapse", help="elementary collapses and certificates")
-    sub = collapse.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("leq-strict")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--side", required=True, choices=("k", "l"))
-    p.set_defaults(handler=_cmd_collapse_leq_strict)
-    p = sub.add_parser("greedy")
-    p.add_argument("--complex", required=True)
-    p.set_defaults(handler=_cmd_collapse_greedy)
-    p = sub.add_parser("verify")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--steps", required=True)
-    p.set_defaults(handler=_cmd_collapse_verify)
-
-    hom = top.add_parser("homology", help="integer homology profiles")
-    hom.add_argument("--complex")
-    hom.set_defaults(handler=_cmd_homology)
-    sub = hom.add_subparsers(dest="subcommand")
-    p = sub.add_parser("same")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(handler=_cmd_homology_same)
-
-    closed = top.add_parser("closed", help="closed relations between posets")
-    sub = closed.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("verify")
-    p.add_argument("--xposet", required=True)
-    p.add_argument("--yposet", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--mode", required=True, choices=("quillen", "weak"))
-    p.set_defaults(handler=_cmd_closed_verify)
-
-    verify = top.add_parser("verify", help="cross-checks")
-    sub = verify.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("dowker")
-    p.add_argument("--relation", required=True)
-    p.set_defaults(handler=_cmd_verify_dowker)
-
+    groups = {}
+    for group, summary in _GROUPS.items():
+        p = top.add_parser(group, help=summary)
+        if group == "homology":  # `homology --complex F` sits beside `homology same`
+            p.add_argument("--complex")
+            p.set_defaults(handler=_cmd_homology)
+        groups[group] = p.add_subparsers(dest="subcommand", required=group != "homology")
+    for group, name, options, handler, *extra in _COMMANDS:
+        p = groups[group].add_parser(name)
+        for option in options:
+            p.add_argument(option, required=True, choices=_CHOICES.get(option))
+        if isinstance(handler, str):
+            handler = _on_file(options[0][2:], handler, *extra)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        report = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "homology" and getattr(args, "subcommand", None) is None:
-        if args.complex is None:
-            print("usage error: homology requires --complex", file=sys.stderr)
-            return 1
-    try:
-        report = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ from .posets import (
     pair_label,
     poset_dowker_complex,
     product_poset,
+    up_set,
 )
 
 
@@ -39,18 +40,11 @@ def closedness_witness(
         y_poset.elements.index(y)
         pairset.add((x, y))
     for x, y in sorted(pairset):
-        for x2 in sorted(up_labels(x_poset, x)):
-            for y2 in sorted(up_labels(y_poset, y)):
+        for x2 in sorted(up_set(x_poset, x)):
+            for y2 in sorted(up_set(y_poset, y)):
                 if (x2, y2) not in pairset:
                     return ((x, y), (x2, y2))
     return None
-
-
-def up_labels(p: Poset, x: str) -> tuple:
-    i = p.elements.index(x)
-    return tuple(
-        p.elements.label(j) for j in range(len(p)) if p.up[i] >> j & 1
-    )
 
 
 def is_closed(pairs: Iterable[Tuple[str, str]], x_poset: Poset, y_poset: Poset) -> bool:

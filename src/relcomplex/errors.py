@@ -54,10 +54,8 @@ class UniverseMismatchError(DomainError):
 
 
 class AmbiguousLabelError(DomainError):
-    def __init__(self, label):
-        super().__init__(
-            f"label {label!r} contains ',', '(' or ')', so pair labels would not be unique"
-        )
+    def __init__(self, label, reserved="',', '(' or ')'", joined="pair labels"):
+        super().__init__(f"label {label!r} contains {reserved}, so {joined} would not be unique")
         self.label = label
 
 

@@ -471,10 +471,12 @@ def membership_relation(t: FiniteTopology) -> Relation:
 
     Opens are labelled by joining their point labels with commas, so the
     L-complex of the result is the nerve of the cover and the K-complex its
-    Vietoris counterpart.
+    Vietoris counterpart.  Raises :class:`AmbiguousLabelError` for a point
+    label containing ``,``.
     """
-    if any("," in lab for lab in t.points.labels):
-        raise ValueError("point labels containing ',' cannot name open sets unambiguously")
+    for lab in t.points.labels:
+        if "," in lab:
+            raise AmbiguousLabelError(lab, "','", "open-set labels")
     named = [(",".join(o), o) for o in t.open_label_sets() if o]
     pairs = [(point, name) for name, points in named for point in points]
     return Relation(t.points, [name for name, _ in named], pairs)

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .complexes import SimplicialComplex, Universe, VertexMap
 from .errors import (
+    AmbiguousLabelError,
     EmptyComplexError,
     EmptyRelationError,
     NotCoveredError,
@@ -127,12 +128,14 @@ def canonical_relation(t: SimplicialComplex) -> Relation:
     Y is the set of faces of ``t`` (labelled by joining vertex labels with
     commas), and x R s iff x is a vertex of s.  Its K-complex is ``t``
     exactly, which makes this the canonical representative of the
-    equivalence class of relations attached to ``t``.
+    equivalence class of relations attached to ``t``.  Raises
+    :class:`AmbiguousLabelError` for a vertex label containing ``,``.
     """
     if t.is_empty:
         raise EmptyComplexError("the canonical relation needs a nonempty complex")
-    if any("," in lab for lab in t.universe.labels):
-        raise ValueError("vertex labels containing ',' cannot name faces unambiguously")
+    for lab in t.universe.labels:
+        if "," in lab:
+            raise AmbiguousLabelError(lab, "','", "face labels")
     pairs = []
     y_labels = []
     for face in sorted(t.faces):

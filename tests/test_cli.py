@@ -1,9 +1,11 @@
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from relcomplex import cli
 from relcomplex.cli import main
 
 
@@ -284,6 +286,30 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "") and "'a,b'" in err
 
+    def test_comma_in_a_vertex_label_is_a_precondition_error(self, capsys, tmp_path):
+        bad = tmp_path / "comma.complex"
+        bad.write_text("complex C\nfacet a,b c\n")
+        code, out, err = run(capsys, "dowker", "canonical", "--complex", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: label 'a,b' contains ',', so face labels would not be unique\n"
+
+    def test_input_that_is_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.complex"
+        bad.write_bytes(b"complex C\nfacet a b\nfacet \xff b\n")
+        code, out, err = run(capsys, "homology", "--complex", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"parse error: line 3: {bad}: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    def test_steps_that_are_not_utf8(self, capsys, data_dir, tmp_path):
+        bad = tmp_path / "latin1.steps"
+        bad.write_bytes(b'{"steps":\n[[["\xe9"],["1","\xe9"]]]}\n')
+        code, out, err = run(
+            capsys, "collapse", "verify",
+            "--complex", path(data_dir, "circle4_k.complex"), "--steps", str(bad),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"parse error: line 2: {bad}: byte 0xe9 is not UTF-8")
+
     def test_uncovered_morphism_input(self, capsys, tmp_path):
         rel = tmp_path / "u.relation"
         rel.write_text(
@@ -416,8 +442,35 @@ class TestGoldenUsage:
             row["code"], row["stdout"], row["stderr"]
         )
 
-    def test_every_subcommand_has_its_help_pinned(self):
-        # the top level, 6 groups and 20 subcommands; `homology --complex`
-        # is the 21st command and shows the homology group's help
-        pinned = {tuple(r["argv"][:-1]) for r in USAGE if r["argv"][-1] == "--help"}
-        assert len(pinned) == 1 + 6 + 20
+
+def readme_command_lines():
+    """The argv of each command in README's "Command line" block.
+
+    Lines split with a backslash are joined, comments dropped, and a token
+    such as ``k|l`` gives one command per alternative.
+    """
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            commands += [list(argv) for argv in itertools.product(*(t.split("|") for t in tokens))]
+    return commands
+
+
+README_COMMANDS = readme_command_lines()
+
+
+class TestReadmeCommandLine:
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a[1:3]) for a in README_COMMANDS])
+    def test_each_line_parses(self, capsys, argv):
+        assert argv[0] == "relcomplex"
+        with pytest.raises(SystemExit) as exc:
+            main(argv[1:] + ["--help"])
+        assert exc.value.code == 0
+
+    def test_every_command_is_documented(self):
+        documented = {tuple(argv[1:3]) for argv in README_COMMANDS}
+        table = {(group, name) for group, name, *_ in cli._COMMANDS}
+        assert table | {("homology", "--complex")} <= documented

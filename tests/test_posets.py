@@ -368,6 +368,11 @@ class TestMembershipRelation:
         nerve = rc.l_complex(rc.membership_relation(t))
         assert rc.homology(nerve).betti == (1, 0)
 
+    def test_comma_labels_rejected(self):
+        t = rc.FiniteTopology(rc.Universe(["a,b", "c"]), [frozenset(["a,b", "c"])])
+        with pytest.raises(AmbiguousLabelError, match="'a,b'"):
+            rc.membership_relation(t)
+
     @given(posets(max_elements=4))
     def test_nerve_and_vietoris_have_equal_homology(self, p):
         rel = rc.membership_relation(rc.order_to_topology(p))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import relcomplex as rc
 from relcomplex.errors import (
+    AmbiguousLabelError,
     EmptyRelationError,
     NotCoveredError,
     UniverseMismatchError,
@@ -160,7 +161,7 @@ class TestCanonicalRelation:
 
     def test_comma_labels_rejected(self):
         k = rc.complex_from_facets(["a,b"], [("a,b",)])
-        with pytest.raises(ValueError):
+        with pytest.raises(AmbiguousLabelError, match="'a,b'"):
             rc.canonical_relation(k)
 
     @given(st.data())
