@@ -60,8 +60,14 @@ def _read(path: str) -> str:
 def _load(kind: str, path: str):
     doc = formats.parse(_read(path))
     if doc.kind != kind:
-        raise ParseError(1, f"{path}: expected a {kind} file, found {doc.kind}")
+        raise ParseError(doc.header_line, f"{path}: expected a {kind} file, found {doc.kind}")
     return getattr(formats, _CONVERTERS[kind])(doc)
+
+
+def _step_face(value) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise TypeError(f"a face must be a list of label strings, got {json.dumps(value)}")
+    return tuple(value)
 
 
 def _load_steps(path: str):
@@ -70,7 +76,7 @@ def _load_steps(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"{path}: {exc.msg}") from None
     try:
-        return [CollapseStep(tuple(free), tuple(coface)) for free, coface in data["steps"]]
+        return [CollapseStep(_step_face(free), _step_face(coface)) for free, coface in data["steps"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"{path}: malformed steps report ({exc})") from None
 

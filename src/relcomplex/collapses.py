@@ -5,10 +5,23 @@ a downward-closed complex that forces the containment to be of codimension
 one.  An elementary collapse removes a free face together with its unique
 proper coface, which preserves the homotopy type (hence homology and the
 Euler characteristic).
+
+So a face f is free exactly when one vertex v outside f makes f + {v} a
+face: a proper coface g of higher codimension would contain f + {v} and
+f + {w} for two vertices v, w of g outside f.  Every freeness decision here
+is that count of codimension-1 cofaces.  ``verify_sequence`` replays the
+steps on one mutable face set, probing the |universe| - dim candidates
+f + {v} per step instead of rebuilding the complex.  ``greedy_collapse``
+keeps the count for every face and takes free faces from a heap in
+(descending dimension, lexicographic face) order.  Results are built
+through the unchecked ``SimplicialComplex._trusted``, since collapsing a
+free face keeps a complex downward closed.  Only an error report scans
+the whole complex, to list every proper coface of a face that is not free.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
@@ -58,9 +71,46 @@ class CollapseSequence:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-def _proper_cofaces(k: SimplicialComplex, face: tuple) -> list:
+def _cofaces(faces, face: tuple, n: int) -> list:
+    """The codimension-1 cofaces of ``face`` in ``faces``, in lexicographic order.
+
+    ``n`` is the size of the universe; each vertex not in ``face`` is probed
+    once, so the cost is O(n * dim) whatever the size of the complex.
+    """
+    found = []
+    at = 0
+    for v in range(n):
+        if at < len(face) and face[at] == v:
+            at += 1
+            continue
+        coface = face[:at] + (v,) + face[at:]
+        if coface in faces:
+            found.append(coface)
+    return found
+
+
+def _proper_cofaces(faces, face: tuple) -> list:
+    """Every proper coface of ``face``, by a scan of all faces (error reports only)."""
     fs = set(face)
-    return sorted(g for g in k.faces if fs < set(g))
+    return sorted(g for g in faces if fs < set(g))
+
+
+def _check_step(universe, faces, step: CollapseStep) -> Tuple[tuple, tuple]:
+    """The (free face, coface) index tuples of a valid step, else NotFreeError."""
+    try:
+        idx = universe.face_from_labels(step.free_face)
+    except UnknownVertexError:
+        raise NotFreeError(step.free_face, None) from None
+    if idx not in faces:
+        raise NotFreeError(step.free_face, None)
+    cofaces = _cofaces(faces, idx, len(universe))
+    if len(cofaces) != 1:
+        proper = _proper_cofaces(faces, idx)
+        raise NotFreeError(step.free_face, [universe.face_labels(c) for c in proper])
+    actual = universe.face_labels(cofaces[0])
+    if actual != step.coface:
+        raise NotFreeError(step.free_face, [actual])
+    return idx, cofaces[0]
 
 
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
@@ -71,7 +121,7 @@ def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
     idx = k.universe.face_from_labels(face)
     if idx not in k.faces:
         raise NotFreeError(tuple(face), None)
-    cofaces = _proper_cofaces(k, idx)
+    cofaces = _cofaces(k.faces, idx, len(k.universe))
     if len(cofaces) == 1:
         return k.face_labels(cofaces[0])
     return None
@@ -79,30 +129,24 @@ def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
 
 def apply_step(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove a free face and its coface; the result stays downward closed."""
-    try:
-        idx = k.universe.face_from_labels(step.free_face)
-    except UnknownVertexError:
-        raise NotFreeError(step.free_face, None) from None
-    if idx not in k.faces:
-        raise NotFreeError(step.free_face, None)
-    cofaces = _proper_cofaces(k, idx)
-    if len(cofaces) != 1:
-        raise NotFreeError(step.free_face, [k.face_labels(c) for c in cofaces])
-    actual = k.face_labels(cofaces[0])
-    if actual != step.coface:
-        raise NotFreeError(step.free_face, [actual])
-    return SimplicialComplex(k.universe, k.faces - {idx, cofaces[0]})
+    pair = _check_step(k.universe, k.faces, step)
+    return SimplicialComplex._trusted(k.universe, k.faces.difference(pair))
 
 
 def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
-    """Replay every step, failing with the index of the first invalid one."""
-    current = seq.initial
+    """Replay every step, failing with the index of the first invalid one.
+
+    The steps are replayed on one mutable face set, so each costs
+    O(|universe| * dim) rather than a rebuild of the complex.
+    """
+    universe = seq.initial.universe
+    faces = set(seq.initial.faces)
     for i, step in enumerate(seq.steps):
         try:
-            current = apply_step(current, step)
+            faces.difference_update(_check_step(universe, faces, step))
         except NotFreeError as exc:
             raise NotFreeError(exc.face, exc.cofaces, index=i) from None
-    return current
+    return SimplicialComplex._trusted(universe, faces)
 
 
 def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
@@ -159,32 +203,38 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
     dimension, lexicographic face), so the result is deterministic.  A point
     core certifies contractibility; any other core means "unknown", never
     "non-contractible".
+
+    Each face keeps its number of codimension-1 cofaces.  A face is free
+    when that number is 1, and numbers only fall, so a face becomes free at
+    most once: it is pushed on a heap keyed by the order above when it does,
+    and a popped face that was removed or is no longer free is skipped.
     """
     if k.is_empty:
         raise EmptyComplexError("cannot collapse the empty complex")
+    n = len(k.universe)
     faces = set(k.faces)
-    cofaces = {f: 0 for f in faces}
+    counts = dict.fromkeys(faces, 0)
     for t in faces:
-        for r in range(1, len(t)):
-            for sub in itertools.combinations(t, r):
-                cofaces[sub] += 1
+        for sub in itertools.combinations(t, len(t) - 1):
+            if sub:
+                counts[sub] += 1
+    heap = [(-len(f), f) for f, c in counts.items() if c == 1]
+    heapq.heapify(heap)
     steps = []
-    while True:
-        free = [f for f, c in cofaces.items() if c == 1]
-        if not free:
-            break
-        f = min(free, key=lambda s: (-len(s), s))
-        fs = set(f)
-        c = next(t for t in faces if len(t) == len(f) + 1 and fs < set(t))
+    while heap:
+        _, f = heapq.heappop(heap)
+        if f not in faces or counts[f] != 1:
+            continue
+        (c,) = _cofaces(faces, f, n)
         for gone in (f, c):
             faces.remove(gone)
-            del cofaces[gone]
-            for r in range(1, len(gone)):
-                for sub in itertools.combinations(gone, r):
-                    if sub in cofaces:
-                        cofaces[sub] -= 1
+            for sub in itertools.combinations(gone, len(gone) - 1):
+                if sub in faces:
+                    counts[sub] -= 1
+                    if counts[sub] == 1:
+                        heapq.heappush(heap, (-len(sub), sub))
         steps.append(CollapseStep(k.face_labels(f), k.face_labels(c)))
-    core = SimplicialComplex(k.universe, faces)
+    core = SimplicialComplex._trusted(k.universe, faces)
     seq = CollapseSequence(k, tuple(steps))
     if verify_sequence(seq) != core:
         raise AssertionError("greedy collapse emitted an invalid sequence")

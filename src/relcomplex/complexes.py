@@ -5,6 +5,19 @@ indices in sorted label order.  A face is a strictly increasing tuple of
 indices; a complex stores its full downward-closed face set explicitly.
 All values are immutable and all operations are pure, so they can be shared
 freely across workers.
+
+``SimplicialComplex(...)`` validates its face set, and it is how input from
+outside (complex files, user code) becomes a complex.  Builders whose face
+set is closed by construction go through the private, unchecked
+``SimplicialComplex._trusted`` instead:
+
+- ``relations.k_complex`` (and so ``l_complex``): a union of full
+  simplices, one per support, each added with all of its subsets;
+- ``posets.order_complex``: the set of all chains, and a subset of a chain
+  is a chain;
+- ``collapses.apply_step``, ``verify_sequence`` and ``greedy_collapse``:
+  each elementary collapse removes a free face and its only proper coface,
+  which is maximal, so no remaining face loses a subface.
 """
 
 from __future__ import annotations
@@ -99,6 +112,20 @@ class SimplicialComplex:
         self.faces: frozenset = faces
         self._facets = None
         self._label_faces = None
+
+    @classmethod
+    def _trusted(cls, universe: Universe, faces) -> "SimplicialComplex":
+        """A complex over ``faces`` without validation.
+
+        Only for face sets of index tuples that are downward closed by
+        construction; see the module docstring for the builders that qualify.
+        """
+        k = cls.__new__(cls)
+        k.universe = universe
+        k.faces = frozenset(faces)
+        k._facets = None
+        k._label_faces = None
+        return k
 
     @property
     def is_empty(self) -> bool:

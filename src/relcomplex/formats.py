@@ -9,7 +9,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .collapses import CollapseSequence, CollapseStep
@@ -35,6 +35,8 @@ class Document:
     kind: str
     name: str
     records: Tuple[Tuple[str, ...], ...]
+    # where the header stood in the parsed text, for error reports only
+    header_line: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.kind not in _GRAMMAR:
@@ -50,6 +52,7 @@ def parse(text: str) -> Document:
     """Parse one document, reporting the line number of any problem."""
     kind = None
     name = None
+    header_line = 1
     records = []
     declared: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -65,7 +68,7 @@ def parse(text: str) -> Document:
                 )
             if len(args) != 1:
                 raise ParseError(lineno, f"header needs exactly one name, got {args!r}")
-            kind, name = keyword, args[0]
+            kind, name, header_line = keyword, args[0], lineno
             continue
         rules = {kw: (lo, hi) for kw, lo, hi in _GRAMMAR[kind]}
         if keyword not in rules:
@@ -95,7 +98,7 @@ def parse(text: str) -> Document:
         records.append((keyword, *args))
     if kind is None:
         raise ParseError(1, "empty document")
-    return Document(kind, name, tuple(records))
+    return Document(kind, name, tuple(records), header_line)
 
 
 def serialize(doc: Document) -> str:

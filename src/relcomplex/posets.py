@@ -236,7 +236,7 @@ def order_complex(p: Poset) -> SimplicialComplex:
 
     for i in range(len(p)):
         extend(i, (i,))
-    return SimplicialComplex(p.elements, faces)
+    return SimplicialComplex._trusted(p.elements, faces)
 
 
 def poset_dowker_complex(p: Poset, strict: bool, side: str) -> SimplicialComplex:

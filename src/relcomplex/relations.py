@@ -106,7 +106,7 @@ def k_complex(rel: Relation) -> SimplicialComplex:
         s = rel._supports[y]
         for k in range(1, len(s) + 1):
             faces.update(itertools.combinations(s, k))
-    return SimplicialComplex(rel.x_universe, faces)
+    return SimplicialComplex._trusted(rel.x_universe, faces)
 
 
 def l_complex(rel: Relation) -> SimplicialComplex:

@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 
 import relcomplex as rc
+from relcomplex.errors import NotFreeError, UnknownVertexError
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles
@@ -297,6 +298,80 @@ def random_facet_family(rng, labels) -> list:
     family = {tuple(sorted(s)) for s in maximal}
     family.update((lab,) for lab in labels if lab not in covered)
     return sorted(family)
+
+
+# ---------------------------------------------------------------------------
+# collapse oracles: each step rebuilds a validated complex and scans every face
+
+
+def _all_proper_cofaces(k: rc.SimplicialComplex, face: tuple) -> list:
+    fs = set(face)
+    return sorted(g for g in k.faces if fs < set(g))
+
+
+def rebuild_apply_step(k: rc.SimplicialComplex, step: rc.CollapseStep) -> rc.SimplicialComplex:
+    """One elementary collapse, checked against all proper cofaces, as a new complex."""
+    try:
+        idx = k.universe.face_from_labels(step.free_face)
+    except UnknownVertexError:
+        raise NotFreeError(step.free_face, None) from None
+    if idx not in k.faces:
+        raise NotFreeError(step.free_face, None)
+    cofaces = _all_proper_cofaces(k, idx)
+    if len(cofaces) != 1:
+        raise NotFreeError(step.free_face, [k.face_labels(c) for c in cofaces])
+    actual = k.face_labels(cofaces[0])
+    if actual != step.coface:
+        raise NotFreeError(step.free_face, [actual])
+    return rc.SimplicialComplex(k.universe, k.faces - {idx, cofaces[0]})
+
+
+def rebuild_free_coface(k: rc.SimplicialComplex, labels) -> tuple:
+    """The only proper coface of a face given by labels, or None."""
+    cofaces = _all_proper_cofaces(k, k.universe.face_from_labels(labels))
+    return k.face_labels(cofaces[0]) if len(cofaces) == 1 else None
+
+
+def rebuild_verify_sequence(seq: rc.CollapseSequence) -> rc.SimplicialComplex:
+    """Replay by rebuilding the complex after every step."""
+    current = seq.initial
+    for i, step in enumerate(seq.steps):
+        try:
+            current = rebuild_apply_step(current, step)
+        except NotFreeError as exc:
+            raise NotFreeError(exc.face, exc.cofaces, index=i) from None
+    return current
+
+
+def scan_greedy_collapse(k: rc.SimplicialComplex):
+    """Greedy collapse that scans every face for the least free one on each step.
+
+    Counts all proper cofaces (not only codimension 1) and returns
+    (core, steps) with the steps as (free labels, coface labels) pairs.
+    """
+    faces = set(k.faces)
+    cofaces = {f: 0 for f in faces}
+    for t in faces:
+        for r in range(1, len(t)):
+            for sub in itertools.combinations(t, r):
+                cofaces[sub] += 1
+    steps = []
+    while True:
+        free = [f for f, c in cofaces.items() if c == 1]
+        if not free:
+            break
+        f = min(free, key=lambda s: (-len(s), s))
+        fs = set(f)
+        c = next(t for t in faces if len(t) == len(f) + 1 and fs < set(t))
+        for gone in (f, c):
+            faces.remove(gone)
+            del cofaces[gone]
+            for r in range(1, len(gone)):
+                for sub in itertools.combinations(gone, r):
+                    if sub in cofaces:
+                        cofaces[sub] -= 1
+        steps.append((k.face_labels(f), k.face_labels(c)))
+    return rc.SimplicialComplex(k.universe, faces), steps
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,30 @@ class TestCollapseCommands:
         )
         assert code == 2 and "not free" in err
 
+    @pytest.mark.parametrize(
+        "steps, face",
+        [
+            # one-character labels must not pass as a face written as a string
+            ('{"steps":[["23","123"],["3","13"],["24","124"],["4","14"]]}', '"23"'),
+            ('{"steps":[[[1],[1,2]]]}', "[1]"),
+        ],
+    )
+    def test_verify_rejects_faces_that_are_not_label_lists(
+        self, capsys, data_dir, tmp_path, steps, face
+    ):
+        steps_file = tmp_path / "steps.json"
+        steps_file.write_text(steps)
+        code, out, err = run(
+            capsys, "collapse", "verify",
+            "--complex", path(data_dir, "circle4_k.complex"),
+            "--steps", str(steps_file),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"parse error: line 1: {steps_file}: malformed steps report "
+            f"(a face must be a list of label strings, got {face})\n"
+        )
+
     def test_singleton_component_exit_code(self, capsys, tmp_path):
         poset_file = tmp_path / "anti.poset"
         poset_file.write_text("poset A\nelement x\nelement y\n")
@@ -254,7 +278,9 @@ class TestExitCodes:
         code, _, err = run(
             capsys, "poset", "k", "--poset", path(data_dir, "boundary2.complex")
         )
-        assert code == 1 and "expected a poset" in err
+        assert code == 1
+        # the header follows a comment, on the file's second line
+        assert err.startswith("parse error: line 2: ") and "expected a poset" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "poset", "k", "--poset", "/nonexistent")

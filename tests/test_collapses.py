@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -169,3 +170,96 @@ class TestGreedyCollapse:
             assert rc.verify_sequence(seq) == core
             assert len(k.faces) - 2 * len(seq.steps) == len(core.faces)
             assert rc.same_homology(k, core)
+
+
+def _replay(verify, seq):
+    """The complex a replay returns, or the NotFreeError it raises, comparably."""
+    try:
+        return verify(seq)
+    except NotFreeError as exc:
+        return (exc.face, exc.cofaces, exc.index, str(exc))
+
+
+def _corrupted(rng, k, steps):
+    """Sequences that break at a random step, one per way a step can be wrong."""
+    labels = list(k.universe.labels)
+    i = rng.randrange(len(steps) + 1)
+    prefix = list(steps[:i])
+    current = oracles.rebuild_verify_sequence(rc.CollapseSequence(k, tuple(prefix)))
+    faces = sorted(current.label_faces(), key=lambda f: (len(f), f))
+    out = []
+    if prefix:  # a face that an earlier step removed
+        out.append(prefix + [prefix[rng.randrange(i)]])
+    absent = [
+        f for r in range(1, len(labels))
+        for f in itertools.combinations(labels, r)
+        if f not in current.label_faces()
+    ]
+    if absent:  # a label set that is not a face
+        free = rng.choice(absent)
+        extra = rng.choice([v for v in labels if v not in free])
+        out.append(prefix + [rc.CollapseStep(free, free + (extra,))])
+    stuck = [f for f in faces if oracles.rebuild_free_coface(current, f) is None]
+    if stuck:  # a face with no or several proper cofaces
+        free = rng.choice(stuck)
+        extra = rng.choice([v for v in labels + ["zz"] if v not in free])
+        out.append(prefix + [rc.CollapseStep(free, free + (extra,))])
+    if i < len(steps):  # the right free face with another coface
+        step = steps[i]
+        others = [v for v in labels + ["zz"] if v not in step.coface]
+        if others:
+            wrong = step.free_face + (rng.choice(others),)
+            out.append(prefix + [rc.CollapseStep(step.free_face, wrong)])
+    out.append(prefix + [rc.CollapseStep(("zz",), ("zz", labels[0]))])  # outside the universe
+    tail = list(steps[i + 1:])
+    return [bad + tail for bad in out]
+
+
+class TestAgainstRebuildingOracles:
+    """The incremental engine against the rebuild-per-step and scanning references."""
+
+    def test_random_complexes(self):
+        rng = random.Random(20261018)
+        errors = 0
+        for trial in range(300):
+            labels = "abcdefg"[: rng.randint(2, 7)]
+            k = oracles.random_complex(rng, labels, max_facets=5)
+            core, seq = rc.greedy_collapse(k)
+            want_core, want_steps = oracles.scan_greedy_collapse(k)
+            assert core == want_core
+            assert [(s.free_face, s.coface) for s in seq.steps] == want_steps
+            assert rc.SimplicialComplex(core.universe, core.faces) == core
+            sequences = [list(seq.steps), list(seq.steps[: rng.randint(0, len(seq.steps))])]
+            sequences.extend(_corrupted(rng, k, seq.steps))
+            for steps in sequences:
+                s = rc.CollapseSequence(k, tuple(steps))
+                got = _replay(rc.verify_sequence, s)
+                assert got == _replay(oracles.rebuild_verify_sequence, s)
+                if isinstance(got, rc.SimplicialComplex):
+                    assert rc.SimplicialComplex(got.universe, got.faces) == got
+                else:
+                    errors += 1
+            if trial % 10 == 0:  # apply_step and free_coface, one step at a time
+                current = k
+                for step in rng.choice(sequences):
+                    for face in current.label_faces():
+                        assert rc.free_coface(current, face) == oracles.rebuild_free_coface(
+                            current, face
+                        )
+                    got = _replay(lambda c: rc.apply_step(c, step), current)
+                    assert got == _replay(lambda c: oracles.rebuild_apply_step(c, step), current)
+                    if not isinstance(got, rc.SimplicialComplex):
+                        break
+                    assert rc.SimplicialComplex(got.universe, got.faces) == got
+                    current = got
+        assert errors > 1000
+
+    def test_poset_collapses(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            p = oracles.random_poset(rng, [str(i) for i in range(1, rng.randint(3, 8))])
+            if any(len(c) == 1 for c in rc.connected_components(p)):
+                continue
+            for side in ("k", "l"):
+                seq = rc.collapse_leq_to_strict(p, side)
+                assert rc.verify_sequence(seq) == oracles.rebuild_verify_sequence(seq)

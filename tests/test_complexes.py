@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +82,20 @@ class TestConstruction:
     @given(complexes())
     def test_facet_round_trip(self, k):
         assert rc.complex_from_facets(k.universe, k.facet_labels()) == k
+
+
+class TestUncheckedBuilders:
+    """Builders that skip validation give complexes the validating constructor accepts."""
+
+    def test_dowker_and_order_complexes_are_downward_closed(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            xs = "abcdef"[: rng.randint(1, 6)]
+            ys = "uvwxyz"[: rng.randint(1, 6)]
+            rel = oracles.random_covered_relation(rng, xs, ys)
+            p = oracles.random_poset(rng, [str(i) for i in range(1, rng.randint(2, 8))])
+            for k in (rc.k_complex(rel), rc.l_complex(rel), rc.order_complex(p)):
+                assert rc.SimplicialComplex(k.universe, k.faces) == k
 
 
 class TestFullComplex:

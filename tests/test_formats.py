@@ -45,6 +45,13 @@ class TestParse:
         doc = formats.parse("# heading\n\nposet P # name\nelement 1  # one\n")
         assert doc.name == "P" and doc.records == (("element", "1"),)
 
+    def test_header_line_is_kept_but_not_compared(self):
+        doc = formats.parse("# heading\n\nposet P\nelement 1\n")
+        assert doc.header_line == 3
+        plain = formats.parse("poset P\nelement 1\n")
+        assert plain.header_line == 1
+        assert doc == plain and hash(doc) == hash(plain)
+
     def test_empty_document(self):
         with pytest.raises(ParseError):
             formats.parse("# nothing here\n")
