@@ -171,26 +171,22 @@ def preimage_facet_check(rel: ClosedRelation, side: str) -> dict:
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-    base = rel.x_poset if side == "x" else rel.y_poset
-    base_k = poset_dowker_complex(base, False, "k")
+    base_k = poset_dowker_complex(rel.x_poset if side == "x" else rel.y_poset, False, "k")
     kr = poset_dowker_complex(relation_poset(rel), False, "k")
+    return _preimage_facets(rel, side, base_k, kr)
+
+
+def _preimage_facets(rel, side, base_k, kr) -> dict:
+    """``preimage_facet_check`` given the side's K-complex and the relation poset's."""
+    at = 0 if side == "x" else 1
     facets = []
     all_full = True
-    for facet in base_k.facets():
-        members = set(base_k.face_labels(facet))
-        if side == "x":
-            vertices = sorted(pair_label(x, y) for x, y in rel.pairs if x in members)
-        else:
-            vertices = sorted(pair_label(x, y) for x, y in rel.pairs if y in members)
+    for labels in base_k.facet_labels():
+        members = set(labels)
+        vertices = sorted(pair_label(*pair) for pair in rel.pairs if pair[at] in members)
         full = bool(vertices) and kr.has_face_labels(vertices)
         all_full = all_full and full
-        facets.append(
-            {
-                "facet": list(base_k.face_labels(facet)),
-                "vertices": vertices,
-                "full_simplex": full,
-            }
-        )
+        facets.append({"facet": list(labels), "vertices": vertices, "full_simplex": full})
     return {"side": side, "all_full": all_full, "facets": facets}
 
 
@@ -222,11 +218,13 @@ def verify_closed_relation(rel: ClosedRelation, mode: str) -> dict:
     elif mode == "weak":
         hyp = weak_hypothesis(rel)
         met = hyp["holds"]
-        hx = homology(poset_dowker_complex(rel.x_poset, False, "k"))
-        hy = homology(poset_dowker_complex(rel.y_poset, False, "k"))
+        kx = poset_dowker_complex(rel.x_poset, False, "k")
+        ky = poset_dowker_complex(rel.y_poset, False, "k")
+        kr = poset_dowker_complex(relation_poset(rel), False, "k")
+        hx, hy = homology(kx), homology(ky)
         equal = hx.matches(hy)
-        pre_x = preimage_facet_check(rel, "x")
-        pre_y = preimage_facet_check(rel, "y")
+        pre_x = _preimage_facets(rel, "x", kx, kr)
+        pre_y = _preimage_facets(rel, "y", ky, kr)
         report = {
             "mode": "weak",
             "hypothesis": hyp,

@@ -54,7 +54,12 @@ class CollapseStep:
         coface = tuple(sorted(self.coface))
         object.__setattr__(self, "free_face", free)
         object.__setattr__(self, "coface", coface)
-        if not set(free) < set(coface) or len(coface) != len(free) + 1:
+        free_set = set(free)
+        if len(free_set) != len(free):
+            raise ValueError(f"face {free} repeats a label")
+        # a coface that repeats a label has too few distinct labels to hold
+        # the free face and one more, so the next check rejects it
+        if not free_set < set(coface) or len(coface) != len(free) + 1:
             raise ValueError(
                 f"coface {coface} must properly contain {free} with one extra vertex"
             )

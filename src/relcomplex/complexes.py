@@ -18,6 +18,12 @@ set is closed by construction go through the private, unchecked
 - ``collapses.apply_step``, ``verify_sequence`` and ``greedy_collapse``:
   each elementary collapse removes a free face and its only proper coface,
   which is maximal, so no remaining face loses a subface.
+
+``complex_from_facets`` (so every parsed file) and ``k_complex`` set their
+facets: the maximal input facets and the maximal distinct supports.  Both
+come from ``_closure``, which takes faces largest first and keeps those not
+yet inside an earlier one, so no kept face lies in another.  Every other
+complex gets the linear marking scan of ``facets()``.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ class SimplicialComplex:
     reachable value satisfies it.
     """
 
-    __slots__ = ("universe", "faces", "_facets", "_label_faces")
+    __slots__ = ("universe", "faces", "_facets", "_graded", "_label_faces")
 
     def __init__(self, universe: Universe, faces: Iterable[Face]):
         faces = frozenset(tuple(f) for f in faces)
@@ -111,19 +117,23 @@ class SimplicialComplex:
         self.universe = universe
         self.faces: frozenset = faces
         self._facets = None
+        self._graded = None
         self._label_faces = None
 
     @classmethod
-    def _trusted(cls, universe: Universe, faces) -> "SimplicialComplex":
+    def _trusted(cls, universe: Universe, faces, facets=None) -> "SimplicialComplex":
         """A complex over ``faces`` without validation.
 
         Only for face sets of index tuples that are downward closed by
         construction; see the module docstring for the builders that qualify.
+        ``facets``, when given, must be the inclusion-maximal faces in
+        lexicographic order.
         """
         k = cls.__new__(cls)
         k.universe = universe
         k.faces = frozenset(faces)
-        k._facets = None
+        k._facets = facets
+        k._graded = None
         k._label_faces = None
         return k
 
@@ -135,32 +145,44 @@ class SimplicialComplex:
     def is_point(self) -> bool:
         return len(self.faces) == 1 and self.dimension() == 0
 
+    def _by_dimension(self) -> tuple:
+        """The faces of each dimension 0..dim in lexicographic order, computed once."""
+        if self._graded is None:
+            sized = {}
+            for face in self.faces:
+                sized.setdefault(len(face), []).append(face)
+            self._graded = tuple(tuple(sorted(sized[n])) for n in range(1, len(sized) + 1))
+        return self._graded
+
     def dimension(self) -> int:
         """Max face dimension; -1 for the empty complex."""
-        if not self.faces:
-            return -1
-        return max(len(f) for f in self.faces) - 1
+        return len(self._by_dimension()) - 1
 
     def vertices(self) -> tuple:
         """Sorted indices of the 0-faces."""
-        return tuple(sorted(f[0] for f in self.faces if len(f) == 1))
+        return tuple(v for (v,) in self.n_faces(0))
 
     def vertex_labels(self) -> tuple:
         return tuple(self.universe.label(i) for i in self.vertices())
 
     def n_faces(self, n: int) -> tuple:
         """All n-dimensional faces in lexicographic order."""
-        return tuple(sorted(f for f in self.faces if len(f) == n + 1))
+        graded = self._by_dimension()
+        return graded[n] if 0 <= n < len(graded) else ()
 
     def facets(self) -> tuple:
-        """Inclusion-maximal faces in lexicographic order."""
+        """Inclusion-maximal faces in lexicographic order.
+
+        Every face marks its codimension-1 subfaces, and the unmarked faces
+        are the facets, in O(|faces| * dim).  This is exact by downward
+        closure: a face f inside a larger face g has the coface f + {v} for
+        any v in g outside f, and that face marks f.
+        """
         if self._facets is None:
-            maximal = []
+            marked = set()
             for face in self.faces:
-                fs = set(face)
-                if not any(fs < set(g) for g in self.faces):
-                    maximal.append(face)
-            self._facets = tuple(sorted(maximal))
+                marked.update(itertools.combinations(face, len(face) - 1))
+            self._facets = tuple(sorted(self.faces.difference(marked)))
         return self._facets
 
     def facet_labels(self) -> tuple:
@@ -234,6 +256,23 @@ class VertexMap:
         return f"VertexMap({self.mapping!r})"
 
 
+def _closure(tops) -> tuple:
+    """The faces spanned by ``tops``, and the maximal distinct tops, sorted.
+
+    Tops go largest first: one already present lies in an equal or larger
+    earlier top and adds nothing, and a kept top lies in no other.
+    """
+    faces = set()
+    maximal = []
+    for top in sorted(tops, key=len, reverse=True):
+        if top in faces:
+            continue
+        maximal.append(top)
+        for k in range(1, len(top) + 1):
+            faces.update(itertools.combinations(top, k))
+    return faces, tuple(sorted(maximal))
+
+
 def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> SimplicialComplex:
     """Build the downward closure of the given facets.
 
@@ -242,14 +281,13 @@ def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> Simplicial
     """
     if not isinstance(universe, Universe):
         universe = Universe(universe)
-    faces = set()
-    for facet in facets:
-        face = universe.face_from_labels(facet)
-        if not face:
-            raise ValueError("facets must be nonempty")
-        for k in range(1, len(face) + 1):
-            faces.update(itertools.combinations(face, k))
-    return SimplicialComplex(universe, faces)
+    tops = [universe.face_from_labels(facet) for facet in facets]
+    if () in tops:
+        raise ValueError("facets must be nonempty")
+    faces, maximal = _closure(tops)
+    k = SimplicialComplex(universe, faces)
+    k._facets = maximal
+    return k
 
 
 def full_complex(universe) -> SimplicialComplex:
@@ -280,7 +318,7 @@ def apply_simplicial_map(
         if v not in f.mapping:
             raise ValueError(f"map is not total on the source vertices: missing {v!r}")
     image = set()
-    for face in sorted(source.faces, key=lambda s: (len(s), s)):
+    for face in itertools.chain.from_iterable(source._by_dimension()):
         img = tuple(
             sorted({target.universe.index(f[source.universe.label(i)]) for i in face})
         )

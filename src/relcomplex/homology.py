@@ -43,7 +43,7 @@ class IntegerMatrix:
         return all(v == 0 for row in self.entries for v in row)
 
 
-def _boundary_columns(faces: list) -> list:
+def _boundary_columns(faces) -> list:
     """The boundary of each face as a sparse column {(n-1)-face: +-1}."""
     return [
         {face[:pos] + face[pos + 1 :]: -1 if pos % 2 else 1 for pos in range(len(face))}
@@ -58,19 +58,14 @@ def boundary_matrices(k: SimplicialComplex) -> List[IntegerMatrix]:
     along the canonical vertex order, so d_{n-1} d_n = 0.
     """
     out = []
-    below = {f: i for i, f in enumerate(k.n_faces(0))}
-    n = 1
-    while True:
+    for n in range(1, k.dimension() + 1):
+        below = {f: i for i, f in enumerate(k.n_faces(n - 1))}
         here = k.n_faces(n)
-        if not here:
-            break
         rows = [[0] * len(here) for _ in below]
         for j, column in enumerate(_boundary_columns(here)):
             for sub, sign in column.items():
                 rows[below[sub]][j] = sign
         out.append(IntegerMatrix(len(below), len(here), tuple(map(tuple, rows))))
-        below = {f: i for i, f in enumerate(here)}
-        n += 1
     return out
 
 
@@ -246,16 +241,11 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     the Smith diagonal of d_{n+1} exceeding 1.  The empty complex gets the
     empty profile.
     """
-    if k.is_empty:
-        return HomologyProfile((), ())
-    graded = [[] for _ in range(k.dimension() + 1)]
-    for face in k.faces:
-        graded[len(face) - 1].append(face)
-    dim = len(graded) - 1
+    dim = k.dimension()
+    graded = [k.n_faces(n) for n in range(dim + 1)]
     ranks = [0] * (dim + 2)
     torsion = [()] * (dim + 1)
     for n in range(1, dim + 1):
-        graded[n].sort()
         ranks[n], torsion[n - 1] = _reduce(_boundary_columns(graded[n]))
     betti = tuple(len(graded[n]) - ranks[n] - ranks[n + 1] for n in range(dim + 1))
     return HomologyProfile(betti, tuple(torsion))

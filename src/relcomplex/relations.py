@@ -9,11 +9,10 @@ needs that, so infinite ground sets are out of scope.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, Universe, VertexMap
+from .complexes import SimplicialComplex, Universe, VertexMap, _closure
 from .errors import (
     AmbiguousLabelError,
     EmptyComplexError,
@@ -97,16 +96,12 @@ def k_complex(rel: Relation) -> SimplicialComplex:
 
     Equals the union of full simplices on the supports S_y; its universe is
     the whole of X even when some x is related to nothing (such x are simply
-    not vertices).
+    not vertices).  Its facets are the inclusion-maximal distinct supports.
     """
     if not rel.pairs:
         raise EmptyRelationError()
-    faces = set()
-    for y in rel.y_universe:
-        s = rel._supports[y]
-        for k in range(1, len(s) + 1):
-            faces.update(itertools.combinations(s, k))
-    return SimplicialComplex._trusted(rel.x_universe, faces)
+    faces, facets = _closure(s for s in rel._supports.values() if s)
+    return SimplicialComplex._trusted(rel.x_universe, faces, facets)
 
 
 def l_complex(rel: Relation) -> SimplicialComplex:

@@ -141,6 +141,20 @@ def oracle_betti(k: rc.SimplicialComplex) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# complex oracles
+
+
+def scan_facets(k: rc.SimplicialComplex) -> tuple:
+    """Inclusion-maximal faces, testing each face against every other face."""
+    maximal = []
+    for face in k.faces:
+        fs = set(face)
+        if not any(fs < set(g) for g in k.faces):
+            maximal.append(face)
+    return tuple(sorted(maximal))
+
+
+# ---------------------------------------------------------------------------
 # combinatorial oracles
 
 

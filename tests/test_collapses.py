@@ -74,6 +74,12 @@ class TestApplyStep:
         with pytest.raises(ValueError):
             rc.CollapseStep(("a",), ("b", "c"))
 
+    def test_step_rejects_a_repeated_label(self):
+        with pytest.raises(ValueError, match=r"face \('2', '2'\) repeats a label"):
+            rc.CollapseStep(("2", "2"), ("1", "2", "3"))
+        with pytest.raises(ValueError, match="must properly contain"):
+            rc.CollapseStep(("1", "2"), ("1", "2", "2"))
+
 
 class TestVerifySequence:
     def test_empty_sequence_is_identity(self, boundary2):

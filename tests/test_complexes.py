@@ -98,6 +98,84 @@ class TestUncheckedBuilders:
                 assert rc.SimplicialComplex(k.universe, k.faces) == k
 
 
+def _nested_supports(rng, labels, count):
+    """Supports drawn from a few bases, with repeats and proper subsets of them."""
+    bases = [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(rng.randint(1, 3))]
+    out = []
+    for _ in range(count):
+        base = rng.choice(bases)
+        out.append(rng.sample(base, rng.randint(1, len(base))) if rng.random() < 0.5 else base)
+    return out
+
+
+def _assert_derived_data(k):
+    """Facets (cached and rescanned) and the per-dimension grouping against plain scans."""
+    want = oracles.scan_facets(k)
+    assert k.facets() == want
+    assert rc.SimplicialComplex(k.universe, k.faces).facets() == want
+    dim = max((len(f) for f in k.faces), default=0) - 1
+    assert k.dimension() == dim
+    for n in range(-1, dim + 2):
+        assert k.n_faces(n) == tuple(sorted(f for f in k.faces if len(f) == n + 1))
+    assert k.vertices() == tuple(sorted(f[0] for f in k.faces if len(f) == 1))
+
+
+class TestDerivedDataAgainstScans:
+    """facets(), n_faces(), dimension() and vertices() against scans of every face."""
+
+    def test_random_complexes_and_redundant_facets(self):
+        rng = random.Random(611)
+        for _ in range(300):
+            labels = "abcdef"[: rng.randint(1, 6)]
+            _assert_derived_data(oracles.random_complex(rng, labels, max_facets=6))
+            facets = _nested_supports(rng, labels, rng.randint(1, 8))
+            rng.shuffle(facets)
+            _assert_derived_data(rc.complex_from_facets(labels, facets))
+
+    def test_dowker_complexes_with_repeated_and_nested_supports(self):
+        rng = random.Random(612)
+        for _ in range(300):
+            xs = list("abcdef"[: rng.randint(1, 6)])
+            ys = [f"y{i}" for i in range(rng.randint(1, 7))]
+            supports = _nested_supports(rng, xs, len(ys))
+            rel = rc.Relation(xs, ys, [(x, y) for y, s in zip(ys, supports) for x in s])
+            _assert_derived_data(rc.k_complex(rel))
+            _assert_derived_data(rc.l_complex(rel))
+
+    def test_order_complexes(self):
+        rng = random.Random(613)
+        for _ in range(200):
+            p = oracles.random_poset(rng, [str(i) for i in range(1, rng.randint(2, 8))])
+            _assert_derived_data(rc.order_complex(p))
+            _assert_derived_data(rc.poset_dowker_complex(p, False, "k"))
+
+    def test_collapse_results(self):
+        rng = random.Random(614)
+        for _ in range(200):
+            k = oracles.random_complex(rng, "abcdef"[: rng.randint(2, 6)], max_facets=5)
+            core, seq = rc.greedy_collapse(k)
+            _assert_derived_data(core)
+            prefix = seq.steps[: rng.randint(0, len(seq.steps))]
+            _assert_derived_data(rc.verify_sequence(rc.CollapseSequence(k, prefix)))
+            if prefix:
+                _assert_derived_data(rc.apply_step(k, prefix[0]))
+
+    def test_empty_complex(self):
+        k = rc.SimplicialComplex(rc.Universe("ab"), [])
+        assert k.facets() == ()
+        _assert_derived_data(k)
+
+    def test_builders_that_know_their_facets_set_them(self):
+        rel = rc.Relation("abc", "uvw", [("a", "u"), ("a", "v"), ("b", "v"), ("c", "v"), ("a", "w")])
+        built = [
+            rc.k_complex(rel),
+            rc.l_complex(rel),
+            rc.complex_from_facets("abc", [("a",), ("c", "a"), ("a", "c"), ("b",)]),
+        ]
+        assert [k._facets for k in built] == [((0, 1, 2),), ((0, 1, 2),), ((0, 2), (1,))]
+        assert rc.cone_apex(built[0]) == "a"
+
+
 class TestFullComplex:
     def test_point(self):
         assert rc.full_complex("a").is_point
