@@ -47,11 +47,6 @@ def closedness_witness(
     return None
 
 
-def is_closed(pairs: Iterable[Tuple[str, str]], x_poset: Poset, y_poset: Poset) -> bool:
-    """True iff the pair set is upward closed in the product order."""
-    return closedness_witness(pairs, x_poset, y_poset) is None
-
-
 class ClosedRelation:
     """A validated closed relation between two posets."""
 

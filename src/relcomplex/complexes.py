@@ -6,13 +6,16 @@ indices; a complex stores its full downward-closed face set explicitly.
 All values are immutable and all operations are pure, so they can be shared
 freely across workers.
 
-``SimplicialComplex(...)`` validates its face set, and it is how input from
-outside (complex files, user code) becomes a complex.  Builders whose face
-set is closed by construction go through the private, unchecked
-``SimplicialComplex._trusted`` instead:
+``SimplicialComplex(...)`` validates a face set of index tuples given from
+outside.  Builders whose face set is closed by construction go through the
+private, unchecked ``SimplicialComplex._trusted`` instead; the labels they
+take in are checked by ``Universe``:
 
-- ``relations.k_complex`` (and so ``l_complex``): a union of full
-  simplices, one per support, each added with all of its subsets;
+- ``complex_from_facets`` and ``relations.k_complex`` (and so
+  ``l_complex``): a union of full simplices, one per facet or support, each
+  added with all of its subsets;
+- ``apply_simplicial_map``: every subset of an image f(s) is the image of a
+  subface of s;
 - ``posets.order_complex``: the set of all chains, and a subset of a chain
   is a chain;
 - ``collapses.apply_step``, ``verify_sequence`` and ``greedy_collapse``:
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional
 
-from .errors import EmptyComplexError, NotSimplicialError, UnknownVertexError
+from .errors import NotSimplicialError, UnknownVertexError
 
 Face = tuple  # strictly increasing tuple of vertex indices
 
@@ -197,9 +200,6 @@ class SimplicialComplex:
             self._label_faces = frozenset(self.universe.face_labels(f) for f in self.faces)
         return self._label_faces
 
-    def has_face(self, face: Face) -> bool:
-        return tuple(face) in self.faces
-
     def has_face_labels(self, labels: Iterable[str]) -> bool:
         try:
             return self.universe.face_from_labels(labels) in self.faces
@@ -285,18 +285,7 @@ def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> Simplicial
     if () in tops:
         raise ValueError("facets must be nonempty")
     faces, maximal = _closure(tops)
-    k = SimplicialComplex(universe, faces)
-    k._facets = maximal
-    return k
-
-
-def full_complex(universe) -> SimplicialComplex:
-    """The complex whose faces are all nonempty subsets of the universe."""
-    if not isinstance(universe, Universe):
-        universe = Universe(universe)
-    if len(universe) == 0:
-        raise EmptyComplexError("a full complex needs a nonempty universe")
-    return complex_from_facets(universe, [universe.labels])
+    return SimplicialComplex._trusted(universe, faces, maximal)
 
 
 def is_subcomplex(t: SimplicialComplex, k: SimplicialComplex) -> bool:
@@ -325,7 +314,7 @@ def apply_simplicial_map(
         if img not in target.faces:
             raise NotSimplicialError(source.face_labels(face))
         image.add(img)
-    return SimplicialComplex(target.universe, image)
+    return SimplicialComplex._trusted(target.universe, image)
 
 
 def are_contiguous(

@@ -19,12 +19,13 @@ from .homology import HomologyProfile, IntegerMatrix
 from .posets import FiniteTopology, Poset, poset_from_pairs
 from .relations import Relation
 
-# keyword -> (min arity, max arity or None); listed in canonical record order
+# kind -> keyword -> (min arity, max arity or None); keywords are listed in
+# canonical record order
 _GRAMMAR = {
-    "poset": (("element", 1, 1), ("le", 2, 2)),
-    "relation": (("xelement", 1, 1), ("yelement", 1, 1), ("pair", 2, 2)),
-    "complex": (("facet", 1, None),),
-    "space": (("point", 1, 1), ("open", 1, None)),
+    "poset": {"element": (1, 1), "le": (2, 2)},
+    "relation": {"xelement": (1, 1), "yelement": (1, 1), "pair": (2, 2)},
+    "complex": {"facet": (1, None)},
+    "space": {"point": (1, 1), "open": (1, None)},
 }
 
 
@@ -41,7 +42,7 @@ class Document:
     def __post_init__(self):
         if self.kind not in _GRAMMAR:
             raise ValueError(f"unknown document kind {self.kind!r}")
-        order = {kw: i for i, (kw, _, _) in enumerate(_GRAMMAR[self.kind])}
+        order = {kw: i for i, kw in enumerate(_GRAMMAR[self.kind])}
         normalized = sorted(
             set(self.records), key=lambda rec: (order[rec[0]], rec[1:])
         )
@@ -69,8 +70,8 @@ def parse(text: str) -> Document:
             if len(args) != 1:
                 raise ParseError(lineno, f"header needs exactly one name, got {args!r}")
             kind, name, header_line = keyword, args[0], lineno
+            rules = _GRAMMAR[kind]
             continue
-        rules = {kw: (lo, hi) for kw, lo, hi in _GRAMMAR[kind]}
         if keyword not in rules:
             raise ParseError(lineno, f"unknown keyword {keyword!r} in a {kind} file")
         lo, hi = rules[keyword]

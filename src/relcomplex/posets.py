@@ -204,22 +204,12 @@ def maximal_elements(p: Poset) -> tuple:
     )
 
 
-def minimal_elements(p: Poset) -> tuple:
-    return tuple(
-        p.elements.label(i) for i in range(len(p)) if p.down[i] == 1 << i
-    )
-
-
 def maximum(p: Poset) -> Optional[str]:
     """The greatest element if it exists, else None."""
     tops = maximal_elements(p)
     if len(tops) == 1 and p.down[p.elements.index(tops[0])] == (1 << len(p)) - 1:
         return tops[0]
     return None
-
-
-def has_maximum(p: Poset) -> bool:
-    return maximum(p) is not None
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -257,13 +247,12 @@ def poset_dowker_complex(p: Poset, strict: bool, side: str) -> SimplicialComplex
     return k_complex(rel) if side == "k" else l_complex(rel)
 
 
-def lattice_condition(p: Poset) -> bool:
-    """True iff every U_x intersect U_y is empty or some U_z."""
-    return lattice_condition_witness(p) is None
-
-
 def lattice_condition_witness(p: Poset) -> Optional[Tuple[str, str]]:
-    """The least (x, y) whose down-set intersection is neither empty nor a down-set."""
+    """The least (x, y) whose down-set intersection is neither empty nor a down-set.
+
+    None when the lattice condition holds: every U_x intersect U_y is empty
+    or some U_z.
+    """
     downs = set(p.down)
     for i in range(len(p)):
         for j in range(i + 1, len(p)):
@@ -359,17 +348,6 @@ def singleton_component_witness(p: Poset) -> Optional[str]:
     return None
 
 
-def is_up_set(p: Poset, labels: Iterable[str]) -> bool:
-    """True iff the label set is upward closed in the order."""
-    mask = 0
-    for lab in labels:
-        mask |= 1 << p.elements.index(lab)
-    for i in _bits(mask):
-        if p.up[i] & ~mask:
-            return False
-    return True
-
-
 class FiniteTopology:
     """A finite topological space with every open set stored explicitly."""
 
@@ -425,9 +403,6 @@ class FiniteTopology:
                 if mins[i] == mins[j]:
                     return (self.points.label(i), self.points.label(j))
         return None
-
-    def is_t0(self) -> bool:
-        return self.t0_witness() is None
 
     def __eq__(self, other) -> bool:
         return (

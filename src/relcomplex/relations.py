@@ -52,11 +52,6 @@ class Relation:
         self.y_universe.index(y)
         return self.x_universe.face_labels(self._supports[y])
 
-    def support_face(self, y: str) -> tuple:
-        """Support of ``y`` as an index tuple over the x universe."""
-        self.y_universe.index(y)
-        return self._supports[y]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Relation)
@@ -107,14 +102,6 @@ def k_complex(rel: Relation) -> SimplicialComplex:
 def l_complex(rel: Relation) -> SimplicialComplex:
     """Subsets of Y whose members share a related x; the K-complex of the transpose."""
     return k_complex(transpose(rel))
-
-
-def support_simplex(rel: Relation, y: str) -> tuple:
-    """The support S_y as a face (sorted label tuple) of the K-complex."""
-    face = rel.support_face(y)
-    if not face:
-        raise NotCoveredError(y)
-    return rel.x_universe.face_labels(face)
 
 
 def canonical_relation(t: SimplicialComplex) -> Relation:
@@ -187,13 +174,11 @@ def find_morphism(rel: Relation, rel2: Relation) -> Optional[Dict[str, str]]:
         raise UniverseMismatchError()
     require_covered(rel)
     require_covered(rel2)
+    supports2 = [(z, set(rel2._supports[z])) for z in rel2.y_universe]
     assignment = {}
     for y in rel.y_universe:
         sy = set(rel._supports[y])
-        z = next(
-            (z for z in rel2.y_universe if sy <= set(rel2._supports[z])),
-            None,
-        )
+        z = next((z for z, sz in supports2 if sy <= sz), None)
         if z is None:
             return None
         assignment[y] = z

@@ -45,7 +45,7 @@ def boundary2():
 
 @pytest.fixture
 def full2():
-    return rc.full_complex("abc")
+    return oracles.full_complex("abc")
 
 
 def _corpus():
@@ -57,8 +57,8 @@ def _corpus():
         rc.complex_from_facets("ab", [("a", "b")]),
         rc.complex_from_facets("abc", [("a", "b"), ("b", "c")]),
         rc.complex_from_facets("abc", [("a", "b"), ("a", "c"), ("b", "c")]),
-        rc.full_complex("abc"),
-        rc.full_complex("abcd"),
+        oracles.full_complex("abc"),
+        oracles.full_complex("abcd"),
         oracles.boundary_simplex("abcd"),
         oracles.projective_plane(),
         rc.poset_dowker_complex(circle4, False, "k"),

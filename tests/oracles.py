@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 import relcomplex as rc
-from relcomplex.errors import NotFreeError, UnknownVertexError
+from relcomplex.errors import EmptyComplexError, NotFreeError, UnknownVertexError
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles
@@ -253,6 +253,12 @@ def all_up_set_masks(p: rc.Poset) -> list:
     return out
 
 
+def is_up_set(p: rc.Poset, labels) -> bool:
+    """True iff the label set holds the up-set of each of its members."""
+    labels = set(labels)
+    return all(rc.up_set(p, lab) <= labels for lab in labels)
+
+
 def mask_labels(p: rc.Poset, mask: int) -> list:
     return [p.elements.label(i) for i in range(len(p)) if mask >> i & 1]
 
@@ -457,6 +463,15 @@ CROWN_PAIRS = (
 def crown_closed_relation() -> rc.ClosedRelation:
     """The 10-pair closed relation between circle4 and circle6."""
     return rc.ClosedRelation(circle4_poset(), circle6_poset(), CROWN_PAIRS)
+
+
+def full_complex(universe) -> rc.SimplicialComplex:
+    """The complex whose faces are all nonempty subsets of the universe."""
+    if not isinstance(universe, rc.Universe):
+        universe = rc.Universe(universe)
+    if len(universe) == 0:
+        raise EmptyComplexError("a full complex needs a nonempty universe")
+    return rc.complex_from_facets(universe, [universe.labels])
 
 
 def boundary_simplex(labels) -> rc.SimplicialComplex:

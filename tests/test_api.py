@@ -1,0 +1,64 @@
+"""The public surface: every export is documented, and every name looked up at run time resolves.
+
+The CLI calls some package functions by name (``cli._COMMANDS``), and the
+benchmark wraps functions by module and name (``bench/spans.py``), so a
+rename that the imports do not catch would only show at run time.
+"""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import relcomplex as rc
+from relcomplex import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _library_api_names() -> set:
+    """The backticked names in the README's "Library API" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([\w.]+)`", section))
+
+
+def _resolve(name: str):
+    parts = name.split(".")
+    value = rc
+    for part in parts[1:] if parts[0] == "relcomplex" else parts:
+        value = getattr(value, part)
+    return value
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_export_is_in_the_readme_library_api():
+    assert sorted(set(rc.__all__) - _library_api_names()) == []
+
+
+def test_every_readme_library_api_name_resolves():
+    for name in sorted(_library_api_names()):
+        _resolve(name)
+
+
+def test_benchmark_span_functions_resolve():
+    spans = _bench_spans()
+    for module, names in spans.FUNCTIONS.values():
+        mod = importlib.import_module(f"relcomplex.{module}")
+        for name in names:
+            assert callable(getattr(mod, name)), f"{module}.{name}"
+    for method in spans.METHODS.values():
+        assert callable(getattr(rc.SimplicialComplex, method))
+
+
+def test_cli_string_handlers_resolve():
+    names = [handler for _, _, _, handler, *_ in cli._COMMANDS if isinstance(handler, str)]
+    assert names
+    for name in names:
+        assert callable(getattr(rc, name)), name

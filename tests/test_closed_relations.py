@@ -14,13 +14,13 @@ def full_relation(p, q):
 
 class TestClosedness:
     def test_crown_relation_is_closed(self, circle4, circle6):
-        assert rc.is_closed(oracles.CROWN_PAIRS, circle4, circle6)
+        assert rc.closedness_witness(oracles.CROWN_PAIRS, circle4, circle6) is None
 
     def test_full_relation_is_closed(self, circle4, circle6):
-        assert rc.is_closed(full_relation(circle4, circle6), circle4, circle6)
+        assert rc.closedness_witness(full_relation(circle4, circle6), circle4, circle6) is None
 
     def test_single_low_pair_is_not_closed(self, circle4, circle6):
-        assert not rc.is_closed([("1", "a")], circle4, circle6)
+        assert rc.closedness_witness([("1", "a")], circle4, circle6) is not None
         with pytest.raises(NotClosedError) as exc:
             rc.ClosedRelation(circle4, circle6, [("1", "a")])
         assert exc.value.lower == ("1", "a")
@@ -37,8 +37,8 @@ class TestClosedness:
             [("1", "y"), ("3", "y")],
         ]
         for pairs in pair_sets:
-            direct = rc.is_closed(pairs, circle4, q)
-            upset = rc.is_up_set(prod, [rc.pair_label(x, y) for x, y in pairs])
+            direct = rc.closedness_witness(pairs, circle4, q) is None
+            upset = oracles.is_up_set(prod, [rc.pair_label(x, y) for x, y in pairs])
             assert direct == upset
 
 

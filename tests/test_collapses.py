@@ -152,7 +152,7 @@ class TestOrderCollapse:
 class TestGreedyCollapse:
     def test_full_simplices_collapse_to_a_point(self):
         for labels in ("a", "ab", "abc", "abcd", "abcde"):
-            core, seq = rc.greedy_collapse(rc.full_complex(labels))
+            core, seq = rc.greedy_collapse(oracles.full_complex(labels))
             assert core.is_point
             assert len(seq.steps) == (2 ** len(labels) - 2) // 2
 

@@ -94,7 +94,17 @@ class TestUncheckedBuilders:
             ys = "uvwxyz"[: rng.randint(1, 6)]
             rel = oracles.random_covered_relation(rng, xs, ys)
             p = oracles.random_poset(rng, [str(i) for i in range(1, rng.randint(2, 8))])
-            for k in (rc.k_complex(rel), rc.l_complex(rel), rc.order_complex(p)):
+            source = oracles.random_complex(rng, xs)
+            target = oracles.full_complex(ys)
+            f = rc.VertexMap(source.universe, target.universe, {x: rng.choice(ys) for x in xs})
+            built = (
+                rc.k_complex(rel),
+                rc.l_complex(rel),
+                rc.order_complex(p),
+                source,
+                rc.apply_simplicial_map(f, source, target),
+            )
+            for k in built:
                 assert rc.SimplicialComplex(k.universe, k.faces) == k
 
 
@@ -178,21 +188,21 @@ class TestDerivedDataAgainstScans:
 
 class TestFullComplex:
     def test_point(self):
-        assert rc.full_complex("a").is_point
+        assert oracles.full_complex("a").is_point
 
     def test_three_vertices(self):
-        k = rc.full_complex("123")
+        k = oracles.full_complex("123")
         assert len(k.faces) == 7
         assert k.facet_labels() == (("1", "2", "3"),)
 
     def test_four_vertices(self):
-        k = rc.full_complex("1234")
+        k = oracles.full_complex("1234")
         assert len(k.faces) == 15
         assert k.dimension() == 3
 
     def test_empty_universe_rejected(self):
         with pytest.raises(EmptyComplexError):
-            rc.full_complex("")
+            oracles.full_complex("")
 
 
 class TestSubcomplex:
@@ -207,8 +217,8 @@ class TestSubcomplex:
 
     def test_different_universes_compared_by_labels(self):
         edge = rc.complex_from_facets("ab", [("a", "b")])
-        assert rc.is_subcomplex(edge, rc.full_complex("abc"))
-        assert not rc.is_subcomplex(rc.full_complex("abc"), edge)
+        assert rc.is_subcomplex(edge, oracles.full_complex("abc"))
+        assert not rc.is_subcomplex(oracles.full_complex("abc"), edge)
 
     @pytest.mark.parametrize("k", corpus_cases())
     def test_reflexive(self, k):
@@ -265,8 +275,8 @@ class TestContiguity:
 
     @given(st.dictionaries(st.sampled_from("abc"), st.sampled_from("xyz"), min_size=0))
     def test_any_maps_into_full_complex(self, partial):
-        source = rc.full_complex("abc")
-        target = rc.full_complex("xyz")
+        source = oracles.full_complex("abc")
+        target = oracles.full_complex("xyz")
         mapping = {l: partial.get(l, "x") for l in "abc"}
         other = {l: "y" for l in "abc"}
         f = rc.VertexMap(source.universe, target.universe, mapping)
@@ -326,7 +336,7 @@ class TestEuler:
     @pytest.mark.parametrize(
         "k, expected",
         [
-            (rc.full_complex("a"), 1),
+            (oracles.full_complex("a"), 1),
             (rc.complex_from_facets("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 0),
             (oracles.projective_plane(), 1),
         ],

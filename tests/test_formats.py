@@ -129,7 +129,7 @@ class TestRoundTrips:
 
 class TestReports:
     def test_point_profile(self):
-        assert formats.write_report(rc.homology(rc.full_complex("a"))) == \
+        assert formats.write_report(rc.homology(oracles.full_complex("a"))) == \
             '{"betti":[1],"torsion":[[]]}'
 
     def test_circle4_chain_complex_profile(self, circle4):

@@ -30,7 +30,7 @@ class TestBoundaryMatrices:
         assert oracles.rational_rank(d1.entries) == 2
 
     def test_point_has_no_matrices(self):
-        assert rc.boundary_matrices(rc.full_complex("a")) == []
+        assert rc.boundary_matrices(oracles.full_complex("a")) == []
 
     @pytest.mark.parametrize("k", corpus_cases())
     def test_boundary_of_boundary_is_zero(self, k):
@@ -80,7 +80,7 @@ class TestSmithNormalForm:
 
 class TestHomology:
     def test_point(self):
-        assert rc.homology(rc.full_complex("a")) == rc.HomologyProfile((1,), ((),))
+        assert rc.homology(oracles.full_complex("a")) == rc.HomologyProfile((1,), ((),))
 
     def test_triangle_boundary_is_a_circle(self, boundary2):
         assert rc.homology(boundary2) == rc.HomologyProfile((1, 1), ((), ()))
@@ -247,7 +247,7 @@ class TestSameHomology:
         )
 
     def test_padding_across_dimensions(self):
-        point = rc.full_complex("a")
+        point = oracles.full_complex("a")
         edge = rc.complex_from_facets("ab", [("a", "b")])
         assert rc.same_homology(point, edge)
 

@@ -121,26 +121,25 @@ class TestLComplex:
 
 class TestSupport:
     def test_circle4_support(self, circle4):
-        assert rc.support_simplex(leq_relation(circle4), "3") == ("1", "2", "3")
+        assert leq_relation(circle4).support("3") == ("1", "2", "3")
 
     def test_singleton_support(self):
         r = rc.Relation("ab", "uv", [("a", "u"), ("a", "v"), ("b", "v")])
-        assert rc.support_simplex(r, "u") == ("a",)
+        assert r.support("u") == ("a",)
 
     def test_full_column(self):
         r = rc.Relation("abc", "u", [(x, "u") for x in "abc"])
-        assert rc.support_simplex(r, "u") == ("a", "b", "c")
+        assert r.support("u") == ("a", "b", "c")
 
-    def test_uncovered_rejected(self):
+    def test_uncovered_support_is_empty(self):
         r = rc.Relation("a", "uv", [("a", "u")])
-        with pytest.raises(NotCoveredError):
-            rc.support_simplex(r, "v")
+        assert r.support("v") == ()
 
     def test_support_is_a_face(self, circle4):
         r = leq_relation(circle4)
         k = rc.k_complex(r)
         for y in r.y_universe:
-            assert k.has_face_labels(rc.support_simplex(r, y))
+            assert k.has_face_labels(r.support(y))
 
 
 class TestCanonicalRelation:
@@ -154,7 +153,7 @@ class TestCanonicalRelation:
         assert rc.k_complex(r) == boundary2
 
     def test_full_simplex(self):
-        k = rc.full_complex("123")
+        k = oracles.full_complex("123")
         r = rc.canonical_relation(k)
         assert len(r.y_universe) == 7
         assert rc.k_complex(r) == k
@@ -258,7 +257,7 @@ class TestFindMorphism:
 
     def test_edge_into_full_simplex_one_way(self):
         edge = rc.Relation("abc", "e", [("a", "e"), ("b", "e")])
-        full = rc.canonical_relation(rc.full_complex("abc"))
+        full = rc.canonical_relation(oracles.full_complex("abc"))
         # x universes must match for the correspondence
         full = rc.Relation("abc", full.y_universe, full.pairs)
         assert rc.find_morphism(edge, full) is not None
