@@ -75,6 +75,8 @@ def _load_steps(path: str):
         data = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"{path}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(1, f"{path}: nested too deeply") from None
     try:
         return [CollapseStep(_step_face(free), _step_face(coface)) for free, coface in data["steps"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -134,6 +136,8 @@ def _cmd_homology(args):
 
 
 def _cmd_homology_same(args):
+    if args.complex is not None:
+        raise _UsageError("homology --complex takes no subcommand")
     a = homology(_load("complex", args.a))
     b = homology(_load("complex", args.b))
     return {"same": a.matches(b), "a": a, "b": b}
@@ -196,17 +200,28 @@ _COMMANDS = [
 ]
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """The parser for ``argv``: only the group and subcommand that ``argv[:2]``
+    names when they are a row of the table, since a subcommand's help and
+    errors do not depend on its siblings; else the whole tree, whose help and
+    errors list the choices."""
+    named = tuple(argv[:2])
+    if named not in {(group, name) for group, name, *_ in _COMMANDS}:
+        named = None
     parser = _Parser(prog="relcomplex", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for group, summary in _GROUPS.items():
+        if named and group != named[0]:
+            continue
         p = top.add_parser(group, help=summary)
         if group == "homology":  # `homology --complex F` sits beside `homology same`
             p.add_argument("--complex")
             p.set_defaults(handler=_cmd_homology)
         groups[group] = p.add_subparsers(dest="subcommand", required=group != "homology")
     for group, name, options, handler, *extra in _COMMANDS:
+        if named and (group, name) != named:
+            continue
         p = groups[group].add_parser(name)
         for option in options:
             p.add_argument(option, required=True, choices=_CHOICES.get(option))
@@ -217,8 +232,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         report = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

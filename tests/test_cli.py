@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -244,6 +246,11 @@ class TestHomologyCommands:
         code, _, err = run(capsys, "homology")
         assert code == 1 and "complex" in err
 
+    def test_complex_with_a_subcommand_is_a_usage_error(self, capsys, data_dir):
+        rp2 = path(data_dir, "rp2.complex")
+        code, out, err = run(capsys, "homology", "--complex", rp2, "same", "--a", rp2, "--b", rp2)
+        assert (code, out, err) == (1, "", "usage error: homology --complex takes no subcommand\n")
+
 
 class TestClosedAndVerify:
     def test_closed_verify_weak(self, capsys, data_dir):
@@ -349,6 +356,15 @@ class TestExitCodes:
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"parse error: line 2: {bad}: byte 0xe9 is not UTF-8")
+
+    def test_steps_nested_too_deeply(self, capsys, data_dir, tmp_path):
+        deep = tmp_path / "deep.steps"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(
+            capsys, "collapse", "verify",
+            "--complex", path(data_dir, "circle4_k.complex"), "--steps", str(deep),
+        )
+        assert (code, out, err) == (1, "", f"parse error: line 1: {deep}: nested too deeply\n")
 
     def test_uncovered_morphism_input(self, capsys, tmp_path):
         rel = tmp_path / "u.relation"
@@ -514,3 +530,85 @@ class TestReadmeCommandLine:
         documented = {tuple(argv[1:3]) for argv in README_COMMANDS}
         table = {(group, name) for group, name, *_ in cli._COMMANDS}
         assert table | {("homology", "--complex")} <= documented
+
+
+def calls(handler):
+    """What a handler calls: its code and, for one made by ``cli._on_file``,
+    the kind, function name and extra arguments it closes over."""
+    return handler.__code__, tuple(cell.cell_contents for cell in handler.__closure__ or ())
+
+
+def parse(parser, argv):
+    """The namespace, usage error or exit (after help on stdout) that
+    ``parser`` gives argv."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+    return "namespace", {**args, "handler": calls(args["handler"])}
+
+
+def command_argv(options):
+    """Each option with a valid value: its first choice, or a file name that
+    is never opened, since only parsing happens here."""
+    return [word for option in options for word in (option, cli._CHOICES.get(option, ("F",))[0])]
+
+
+def argv_forms(group, name, options):
+    """argv of one table row: complete, with each required option dropped,
+    with each choice invalid, with an unknown trailing option, and -h."""
+    complete = command_argv(options)
+    forms = [complete]
+    forms += [command_argv(o for o in options if o != dropped) for dropped in options]
+    forms += [
+        command_argv(o for o in options if o != bad) + [bad, "x"] for bad in options if bad in cli._CHOICES
+    ]
+    forms += [complete + ["--bogus"], ["-h"]]
+    return [[group, name, *form] for form in forms]
+
+
+ROWS = [(group, name, options) for group, name, options, *_ in cli._COMMANDS]
+
+
+class TestReducedParser:
+    """A parser built for one command parses that command as the whole tree
+    does, and nothing else."""
+
+    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
+    def test_same_outcome_as_the_whole_tree(self, capsys, monkeypatch, group, name, options):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in argv_forms(group, name, options):
+            reduced = parse(cli._build_parser(argv), argv), capsys.readouterr()
+            whole = parse(cli._build_parser(()), argv), capsys.readouterr()
+            assert reduced == whole, argv
+
+    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
+    def test_rejects_every_other_command(self, group, name, options):
+        parser = cli._build_parser([group, name, *command_argv(options)])
+        for other in ROWS:
+            if other[:2] != (group, name):
+                argv = [*other[:2], *command_argv(other[2])]
+                assert parse(parser, argv)[0] == "usage error", argv
+
+
+SRC = TESTS.parent / "src"
+
+
+def test_fresh_process_matches_in_process(capsys, monkeypatch, data_dir):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in (
+        ["verify", "dowker", "--relation", path(data_dir, "circle4_leq.relation")],
+        ["collapse", "greedy", "--help"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "relcomplex.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), argv
