@@ -49,11 +49,11 @@ class Universe:
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels: Iterable[str]):
-        unique = sorted(set(labels))
+        unique = set(labels)
         for lab in unique:
             if not isinstance(lab, str) or not lab:
                 raise ValueError(f"vertex labels must be nonempty strings, got {lab!r}")
-        self.labels: tuple = tuple(unique)
+        self.labels: tuple = tuple(sorted(unique))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:

@@ -5,20 +5,34 @@ first, each adding a 1 to the Smith diagonal; only the block that has no
 unit entry left goes through the exact dense Smith normal form, which
 yields the torsion (after Dumas, Heckenbach, Saunders and Welker, 2003).
 Entries are arbitrary-precision Python integers, so everything is exact.
+
+The maps are reduced from the top, d_dim first, with clearing (the "twist"
+of Chen and Kerber, Persistent homology computation with a twist, 2011):
+an n-face that was the row of a unit pivot of d_{n+1} gets no column in
+d_n.  This is exact over Z.  Let c_1, ..., c_k be the pivot columns of
+d_{n+1}, each as it was when pivoted, with unit pivot rows r_1, ..., r_k.
+Only column operations touch a live column, so each c_i is an integer
+vector in im d_{n+1} and d_n(c_i) = 0.  Once row r_i is cleared every later
+column is 0 there, so the c_i restricted to the rows r_1, ..., r_k form a
+unit-triangular matrix, and C_n = span(c_i) + span(e_s : s not a pivot row)
+is a unimodular direct sum.  Hence d_n has the same image lattice as its
+restriction to the uncleared faces: the same rank and the same nonzero
+Smith invariants.  Rows of a residual block with no unit entry are never
+cleared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .complexes import SimplicialComplex
 
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """An immutable integer matrix, row-major."""
+    """An immutable integer matrix, row-major; every entry must be an ``int``."""
 
     rows: int
     cols: int
@@ -29,9 +43,12 @@ class IntegerMatrix:
             len(r) != self.cols for r in self.entries
         ):
             raise ValueError("entry grid does not match the declared dimensions")
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(v) for v in r) for r in self.entries)
-        )
+        entries = tuple(tuple(r) for r in self.entries)
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                if type(v) is not int:
+                    raise TypeError(f"matrix entry ({i}, {j}) is not an int: {v!r}")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: List[List[int]]) -> "IntegerMatrix":
@@ -172,15 +189,17 @@ class HomologyProfile:
         )
 
 
-def _reduce(columns: list) -> Tuple[int, Tuple[int, ...]]:
+def _reduce(columns: list, cleared: Optional[set] = None) -> Tuple[int, Tuple[int, ...]]:
     """Rank and torsion of a sparse integer matrix, given by its columns.
 
     A unit entry v = +-1 at (r, j) is a pivot: adding multiples of column j
     clears row r from every other column, and row r then clears column j,
     so the matrix is equivalent to [v] plus the matrix without row r and
-    column j.  Columns that still have no unit entry after a pass are
-    retried once some pivot has changed them; what is left goes to the
-    dense Smith normal form.  The columns are consumed.
+    column j.  Of the unit entries of a column, the one whose row is in the
+    fewest columns is taken.  Columns that still have no unit entry after a
+    pass are retried once some pivot has changed them; what is left goes to
+    the dense Smith normal form.  The columns are consumed, and the row of
+    every unit pivot is added to ``cleared`` when it is given.
     """
     rows = {}  # row -> the columns with a nonzero entry in that row
     for j, col in enumerate(columns):
@@ -192,12 +211,20 @@ def _reduce(columns: list) -> Tuple[int, Tuple[int, ...]]:
         stuck = []
         for j in todo:
             col = columns[j]
-            units = [r for r, v in col.items() if v == 1 or v == -1]
-            if not units:
+            r = None
+            for s, v in col.items():
+                if v == 1 or v == -1:
+                    count = len(rows[s])
+                    if r is None or count < fewest:
+                        r, fewest = s, count
+                        if count == 1:  # row r holds column j only
+                            break
+            if r is None:
                 if col:
                     stuck.append(j)
                 continue
-            r = min(units, key=lambda u: len(rows[u]))
+            if cleared is not None:
+                cleared.add(r)
             sign = col[r]
             for i in rows.pop(r):
                 if i == j:
@@ -238,15 +265,20 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     """Integer homology: betti_n and the torsion coefficients of dimension n.
 
     betti_n = #n-faces - rank d_n - rank d_{n+1}; torsion_n is the part of
-    the Smith diagonal of d_{n+1} exceeding 1.  The empty complex gets the
+    the Smith diagonal of d_{n+1} exceeding 1.  The maps are reduced from
+    d_dim down, and d_n gets no column for an n-face that was a unit pivot
+    row of d_{n+1} (see the module docstring).  The empty complex gets the
     empty profile.
     """
     dim = k.dimension()
     graded = [k.n_faces(n) for n in range(dim + 1)]
     ranks = [0] * (dim + 2)
     torsion = [()] * (dim + 1)
-    for n in range(1, dim + 1):
-        ranks[n], torsion[n - 1] = _reduce(_boundary_columns(graded[n]))
+    cleared = set()
+    for n in range(dim, 0, -1):
+        faces = [f for f in graded[n] if f not in cleared]
+        cleared = set()
+        ranks[n], torsion[n - 1] = _reduce(_boundary_columns(faces), cleared)
     betti = tuple(len(graded[n]) - ranks[n] - ranks[n + 1] for n in range(dim + 1))
     return HomologyProfile(betti, tuple(torsion))
 

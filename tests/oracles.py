@@ -497,3 +497,13 @@ def projective_plane() -> rc.SimplicialComplex:
         "125", "126", "134", "135", "146", "234", "236", "245", "356", "456",
     ]
     return rc.complex_from_facets("123456", [tuple(f) for f in facets])
+
+
+def suspension(k: rc.SimplicialComplex) -> rc.SimplicialComplex:
+    """Two cones on k glued along k: each facet is joined to each of two new apexes."""
+    north, south = f"north{len(k.universe)}", f"south{len(k.universe)}"
+    facets = k.facet_labels()
+    return rc.complex_from_facets(
+        k.universe.labels + (north, south),
+        [f + (apex,) for f in facets for apex in (north, south)],
+    )

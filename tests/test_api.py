@@ -1,13 +1,16 @@
-"""The public surface: every export is documented, and every name looked up at run time resolves.
+"""The public surface: every export is documented, every name looked up at run time resolves,
+and the package imports nothing outside the standard library.
 
 The CLI calls some package functions by name (``cli._COMMANDS``), and the
 benchmark wraps functions by module and name (``bench/spans.py``), so a
 rename that the imports do not catch would only show at run time.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import relcomplex as rc
@@ -62,3 +65,20 @@ def test_cli_string_handlers_resolve():
     assert names
     for name in names:
         assert callable(getattr(rc, name)), name
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "relcomplex").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay inside the package
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "relcomplex", (
+                    f"{path.name} imports {name}"
+                )

@@ -38,6 +38,13 @@ class TestUniverse:
         with pytest.raises(UnknownVertexError):
             rc.Universe("ab").index("z")
 
+    @pytest.mark.parametrize("labels", [["a", 1], [1, 2]])
+    def test_non_string_label_is_a_value_error(self, labels):
+        with pytest.raises(
+            ValueError, match="^vertex labels must be nonempty strings, got 1$"
+        ):
+            rc.Universe(labels)
+
 
 class TestConstruction:
     def test_triangle_boundary_from_facets(self):

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,39 @@ class TestSparseEngine:
         assert residuals and all(m.rows * m.cols < d2.rows * d2.cols for m in residuals)
         assert [smith_normal_form(m)[-1] for m in residuals] == [torsion]
 
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "build, torsion",
+        [(oracles.projective_plane, 2), (oracles.moore_space_3, 3)],
+    )
+    def test_clearing_is_exact_across_residual_blocks(self, build, torsion, times):
+        # suspension moves the torsion up, so a residual block of d_{n+1} sits
+        # above a d_n whose columns were cleared
+        k = build()
+        for _ in range(times):
+            k = oracles.suspension(k)
+        profile = rc.homology(k)
+        assert profile == oracles.dense_homology(k)
+        assert profile.betti == (1,) + (0,) * (2 + times)
+        assert profile.torsion == tuple(
+            (torsion,) if n == 1 + times else () for n in range(3 + times)
+        )
+
+    def test_faces_paired_above_get_no_column(self, monkeypatch):
+        built = []
+        boundary_columns = homology_module._boundary_columns
+
+        def recording_columns(faces):
+            columns = boundary_columns(faces)
+            built.append(len(columns))
+            return columns
+
+        monkeypatch.setattr(homology_module, "_boundary_columns", recording_columns)
+        k = oracles.full_complex("abcdef")
+        assert rc.homology(k) == rc.HomologyProfile((1, 0, 0, 0, 0, 0), ((),) * 6)
+        # d_5 down to d_1; without clearing d_n has a column for every n-face
+        assert built == [1, 5, 10, 10, 5]
+
     def test_field_ranks_see_the_torsion(self):
         k = oracles.moore_space_3()
         d1, d2 = rc.boundary_matrices(k)
@@ -267,6 +301,11 @@ class TestIntegerMatrix:
                 rc.IntegerMatrix.from_rows([[1, 2]]),
                 rc.IntegerMatrix.from_rows([[1, 2]]),
             )
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, False, None])
+    def test_entries_must_be_ints(self, bad):
+        with pytest.raises(TypeError, match=rf"\(1, 0\).*{re.escape(repr(bad))}"):
+            rc.IntegerMatrix(2, 2, ((1, 0), (bad, 1)))
 
     def test_product(self):
         a = rc.IntegerMatrix.from_rows([[1, 2], [3, 4]])
