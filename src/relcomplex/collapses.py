@@ -8,15 +8,21 @@ Euler characteristic).
 
 So a face f is free exactly when one vertex v outside f makes f + {v} a
 face: a proper coface g of higher codimension would contain f + {v} and
-f + {w} for two vertices v, w of g outside f.  Every freeness decision here
-is that count of codimension-1 cofaces.  ``verify_sequence`` replays the
-steps on one mutable face set, probing the |universe| - dim candidates
-f + {v} per step instead of rebuilding the complex.  ``greedy_collapse``
+f + {w} for two vertices v, w of g outside f.  Every step is judged by one
+replay loop, ``_replay``, on (free, coface) pairs of index tuples and one
+mutable face set: the free face must be present and ``coface`` must be its
+only codimension-1 coface, found by probing the |universe| - dim candidates
+f + {v} instead of rebuilding the complex.  ``verify_sequence`` (and so
+``apply_step``) feeds it the steps' labels, converted one step at a time.
+The engines work on index pairs from start to finish: ``greedy_collapse``
 keeps the count for every face and takes free faces from a heap in
-(descending dimension, lexicographic face) order.  Results are built
-through the unchecked ``SimplicialComplex._trusted``, since collapsing a
-free face keeps a complex downward closed.  Only an error report scans
-the whole complex, to list every proper coface of a face that is not free.
+(descending dimension, lexicographic face) order, and
+``collapse_leq_to_strict`` lists the cone of every maximal element.  Each
+replays its pairs on a fresh copy of the initial faces as a self-check, and
+only then makes the labels of each step, once.  Results are built through
+the unchecked ``SimplicialComplex._trusted``, since collapsing a free face
+keeps a complex downward closed.  Only an error report scans the whole
+complex, to list every proper coface of a face that is not free.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _require_labels
 from .errors import (
     EmptyComplexError,
     NotFreeError,
@@ -50,6 +56,7 @@ class CollapseStep:
     coface: tuple
 
     def __post_init__(self):
+        _require_labels((*self.free_face, *self.coface))
         free = tuple(sorted(self.free_face))
         coface = tuple(sorted(self.coface))
         object.__setattr__(self, "free_face", free)
@@ -63,6 +70,18 @@ class CollapseStep:
             raise ValueError(
                 f"coface {coface} must properly contain {free} with one extra vertex"
             )
+
+    @classmethod
+    def _trusted(cls, free_face: tuple, coface: tuple) -> "CollapseStep":
+        """A step without checks, for the labels of an index pair of a replayed step.
+
+        A strictly increasing index tuple over a universe, whose labels are
+        sorted, has sorted and distinct labels.
+        """
+        step = cls.__new__(cls)
+        object.__setattr__(step, "free_face", free_face)
+        object.__setattr__(step, "coface", coface)
+        return step
 
 
 @dataclass(frozen=True)
@@ -100,22 +119,51 @@ def _proper_cofaces(faces, face: tuple) -> list:
     return sorted(g for g in faces if fs < set(g))
 
 
-def _check_step(universe, faces, step: CollapseStep) -> Tuple[tuple, tuple]:
-    """The (free face, coface) index tuples of a valid step, else NotFreeError."""
+def _replay(universe, faces: set, pairs, steps=None) -> None:
+    """Remove each (free, coface) index pair from ``faces``, in order.
+
+    This is the one test of a step: the free face is in ``faces`` and
+    ``coface`` is its only codimension-1 coface there.  The first step that
+    fails raises NotFreeError with its index.  A face of None names a label
+    outside the universe.  The error names the free face by the labels of
+    ``steps[i]`` when the pairs were read from ``steps``.
+    """
+    n = len(universe)
+    for i, (free, coface) in enumerate(pairs):
+        found = _cofaces(faces, free, n) if free in faces else None
+        if found == [coface]:
+            faces.remove(free)
+            faces.remove(coface)
+            continue
+        face = universe.face_labels(free) if steps is None else steps[i].free_face
+        if found is None:
+            raise NotFreeError(face, None, index=i)
+        if len(found) != 1:
+            found = _proper_cofaces(faces, free)
+        raise NotFreeError(face, [universe.face_labels(c) for c in found], index=i)
+
+
+def _face_or_none(universe, labels) -> Optional[tuple]:
     try:
-        idx = universe.face_from_labels(step.free_face)
+        return universe.face_from_labels(labels)
     except UnknownVertexError:
-        raise NotFreeError(step.free_face, None) from None
-    if idx not in faces:
-        raise NotFreeError(step.free_face, None)
-    cofaces = _cofaces(faces, idx, len(universe))
-    if len(cofaces) != 1:
-        proper = _proper_cofaces(faces, idx)
-        raise NotFreeError(step.free_face, [universe.face_labels(c) for c in proper])
-    actual = universe.face_labels(cofaces[0])
-    if actual != step.coface:
-        raise NotFreeError(step.free_face, [actual])
-    return idx, cofaces[0]
+        return None
+
+
+def _certified(initial: SimplicialComplex, pairs: list, final, message: str) -> CollapseSequence:
+    """An engine's self-check, then its result: the labelled sequence of ``pairs``.
+
+    The pairs are replayed on a fresh copy of the initial faces and must end
+    on the face set ``final``; else AssertionError with ``message``.
+    """
+    faces = set(initial.faces)
+    _replay(initial.universe, faces, pairs)
+    if faces != final:
+        raise AssertionError(message)
+    labels = initial.universe.face_labels
+    return CollapseSequence(
+        initial, tuple(CollapseStep._trusted(labels(f), labels(c)) for f, c in pairs)
+    )
 
 
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
@@ -134,8 +182,10 @@ def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
 
 def apply_step(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove a free face and its coface; the result stays downward closed."""
-    pair = _check_step(k.universe, k.faces, step)
-    return SimplicialComplex._trusted(k.universe, k.faces.difference(pair))
+    try:
+        return verify_sequence(CollapseSequence(k, (step,)))
+    except NotFreeError as exc:
+        raise NotFreeError(exc.face, exc.cofaces) from None
 
 
 def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
@@ -146,11 +196,11 @@ def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     """
     universe = seq.initial.universe
     faces = set(seq.initial.faces)
-    for i, step in enumerate(seq.steps):
-        try:
-            faces.difference_update(_check_step(universe, faces, step))
-        except NotFreeError as exc:
-            raise NotFreeError(exc.face, exc.cofaces, index=i) from None
+    pairs = (
+        (_face_or_none(universe, s.free_face), _face_or_none(universe, s.coface))
+        for s in seq.steps
+    )
+    _replay(universe, faces, pairs, seq.steps)
     return SimplicialComplex._trusted(universe, faces)
 
 
@@ -164,7 +214,8 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     least element below y, and emitting the pairs in decreasing dimension
     removes the whole cone by elementary collapses.  Maximal elements are
     processed in ascending index order; their face families are disjoint, so
-    the interleaving stays legal.
+    the interleaving stays legal.  Both complexes and the dual share the
+    poset's universe, so the pairs are index tuples of the initial complex.
     """
     if side not in ("k", "l"):
         raise ValueError(f"side must be 'k' or 'l', got {side!r}")
@@ -174,8 +225,7 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     initial = poset_dowker_complex(p, False, side)
     target = poset_dowker_complex(p, True, side)
     q = p if side == "k" else dual_poset(p)
-    labels = q.elements.labels
-    steps = []
+    pairs = []
     for y_label in maximal_elements(q):
         y = q.elements.index(y_label)
         below = [i for i in range(len(q)) if q.up[i] >> y & 1 and i != y]
@@ -187,18 +237,10 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
                 free = tuple(sorted(subset + (y,)))
                 coface = tuple(sorted(subset + (y, x0)))
                 level.append((free, coface))
-            for free, coface in sorted(level):
-                steps.append(
-                    CollapseStep(
-                        tuple(labels[i] for i in free),
-                        tuple(labels[i] for i in coface),
-                    )
-                )
-    seq = CollapseSequence(initial, tuple(steps))
-    final = verify_sequence(seq)
-    if final != target:
-        raise AssertionError("collapse construction missed the strict complex")
-    return seq
+            pairs.extend(sorted(level))
+    return _certified(
+        initial, pairs, target.faces, "collapse construction missed the strict complex"
+    )
 
 
 def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSequence]:
@@ -225,7 +267,7 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
                 counts[sub] += 1
     heap = [(-len(f), f) for f, c in counts.items() if c == 1]
     heapq.heapify(heap)
-    steps = []
+    pairs = []
     while heap:
         _, f = heapq.heappop(heap)
         if f not in faces or counts[f] != 1:
@@ -238,9 +280,6 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
                     counts[sub] -= 1
                     if counts[sub] == 1:
                         heapq.heappush(heap, (-len(sub), sub))
-        steps.append(CollapseStep(k.face_labels(f), k.face_labels(c)))
+        pairs.append((f, c))
     core = SimplicialComplex._trusted(k.universe, faces)
-    seq = CollapseSequence(k, tuple(steps))
-    if verify_sequence(seq) != core:
-        raise AssertionError("greedy collapse emitted an invalid sequence")
-    return core, seq
+    return core, _certified(k, pairs, core.faces, "greedy collapse emitted an invalid sequence")

@@ -18,9 +18,10 @@ take in are checked by ``Universe``:
   subface of s;
 - ``posets.order_complex``: the set of all chains, and a subset of a chain
   is a chain;
-- ``collapses.apply_step``, ``verify_sequence`` and ``greedy_collapse``:
-  each elementary collapse removes a free face and its only proper coface,
-  which is maximal, so no remaining face loses a subface.
+- ``collapses.verify_sequence`` (so ``apply_step``) and
+  ``greedy_collapse``: each elementary collapse removes a free face and its
+  only proper coface, which is maximal, so no remaining face loses a
+  subface.
 
 ``complex_from_facets`` (so every parsed file) and ``k_complex`` set their
 facets: the maximal input facets and the maximal distinct supports.  Both
@@ -39,6 +40,13 @@ from .errors import NotSimplicialError, UnknownVertexError
 Face = tuple  # strictly increasing tuple of vertex indices
 
 
+def _require_labels(labels) -> None:
+    """Raise ValueError for the first label that is not a nonempty string."""
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise ValueError(f"vertex labels must be nonempty strings, got {lab!r}")
+
+
 class Universe:
     """An immutable vertex label set with a label <-> dense index bijection.
 
@@ -49,11 +57,9 @@ class Universe:
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels: Iterable[str]):
-        unique = set(labels)
-        for lab in unique:
-            if not isinstance(lab, str) or not lab:
-                raise ValueError(f"vertex labels must be nonempty strings, got {lab!r}")
-        self.labels: tuple = tuple(sorted(unique))
+        labels = tuple(labels)
+        _require_labels(labels)
+        self.labels: tuple = tuple(sorted(set(labels)))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:

@@ -170,7 +170,13 @@ def topology_to_document(t: FiniteTopology, name: str) -> Document:
 
 
 def to_jsonable(value):
-    """Convert library values into canonical JSON-ready structures."""
+    """Convert library values into canonical JSON-ready structures.
+
+    Step labels are emitted as they are: ``CollapseStep`` admits only
+    nonempty strings.
+    """
+    if isinstance(value, (str, int)) or value is None:  # bool is an int
+        return value
     if isinstance(value, HomologyProfile):
         return value.as_report()
     if isinstance(value, CollapseStep):
@@ -201,8 +207,6 @@ def to_jsonable(value):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 

@@ -32,13 +32,16 @@ from .complexes import SimplicialComplex
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """An immutable integer matrix, row-major; every entry must be an ``int``."""
+    """An immutable integer matrix, row-major; the shape and every entry must be ``int``."""
 
     rows: int
     cols: int
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        for name, v in (("rows", self.rows), ("cols", self.cols)):
+            if type(v) is not int:
+                raise TypeError(f"matrix {name} is not an int: {v!r}")
         if len(self.entries) != self.rows or any(
             len(r) != self.cols for r in self.entries
         ):

@@ -9,6 +9,7 @@ agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import relcomplex as rc
@@ -392,6 +393,56 @@ def scan_greedy_collapse(k: rc.SimplicialComplex):
                         cofaces[sub] -= 1
         steps.append((k.face_labels(f), k.face_labels(c)))
     return rc.SimplicialComplex(k.universe, faces), steps
+
+
+# ---------------------------------------------------------------------------
+# report oracle: the report converter that walks every label
+
+
+def walking_to_jsonable(value):
+    """A reference for ``formats.to_jsonable`` that takes no short cut.
+
+    Library types are tested before scalars, and a step's labels are
+    emitted as lists that are walked again, one label at a time.
+    """
+    if isinstance(value, rc.HomologyProfile):
+        return value.as_report()
+    if isinstance(value, rc.CollapseStep):
+        return [list(value.free_face), list(value.coface)]
+    if isinstance(value, rc.CollapseSequence):
+        return {"steps": [walking_to_jsonable(s) for s in value.steps]}
+    if isinstance(value, rc.SimplicialComplex):
+        return {"facets": [list(labels) for labels in value.facet_labels()]}
+    if isinstance(value, rc.Poset):
+        return {
+            "elements": list(value.labels()),
+            "less_than": [list(p) for p in sorted(value.strict_pairs())],
+        }
+    if isinstance(value, rc.Relation):
+        return {
+            "xelements": list(value.x_universe),
+            "yelements": list(value.y_universe),
+            "pairs": [list(p) for p in sorted(value.pairs)],
+        }
+    if isinstance(value, rc.FiniteTopology):
+        return {
+            "points": list(value.points),
+            "opens": [list(o) for o in value.open_label_sets()],
+        }
+    if isinstance(value, rc.IntegerMatrix):
+        return {"rows": value.rows, "cols": value.cols, "entries": [list(r) for r in value.entries]}
+    if isinstance(value, dict):
+        return {str(k): walking_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [walking_to_jsonable(v) for v in value]
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def walking_report(value) -> str:
+    """Canonical JSON text of ``value`` through ``walking_to_jsonable``."""
+    return json.dumps(walking_to_jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,20 @@ class TestCollapseCommands:
             f"(face ('2', '2') repeats a label)\n"
         )
 
+    def test_verify_rejects_an_empty_label(self, capsys, data_dir, tmp_path):
+        steps_file = tmp_path / "steps.json"
+        steps_file.write_text('{"steps":[[[""],["","1"]]]}')
+        code, out, err = run(
+            capsys, "collapse", "verify",
+            "--complex", path(data_dir, "circle4_k.complex"),
+            "--steps", str(steps_file),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"parse error: line 1: {steps_file}: malformed steps report "
+            f"(vertex labels must be nonempty strings, got '')\n"
+        )
+
     def test_singleton_component_exit_code(self, capsys, tmp_path):
         poset_file = tmp_path / "anti.poset"
         poset_file.write_text("poset A\nelement x\nelement y\n")

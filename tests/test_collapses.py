@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import relcomplex as rc
+from relcomplex import collapses
 from relcomplex.errors import (
     EmptyComplexError,
     NotFreeError,
@@ -73,6 +74,22 @@ class TestApplyStep:
             rc.CollapseStep(("a",), ("a", "b", "c"))
         with pytest.raises(ValueError):
             rc.CollapseStep(("a",), ("b", "c"))
+
+    @pytest.mark.parametrize(
+        "free, coface, bad",
+        [
+            ((1.5,), (1.5, 2.5), "1.5"),
+            (("a",), ("a", 2), "2"),
+            (("",), ("", "b"), "''"),
+            (("a",), ("a", None), "None"),
+            ((["a"],), (["a"], "b"), r"\['a'\]"),
+        ],
+    )
+    def test_step_labels_must_be_nonempty_strings(self, free, coface, bad):
+        with pytest.raises(
+            ValueError, match=f"^vertex labels must be nonempty strings, got {bad}$"
+        ):
+            rc.CollapseStep(free, coface)
 
     def test_step_rejects_a_repeated_label(self):
         with pytest.raises(ValueError, match=r"face \('2', '2'\) repeats a label"):
@@ -269,3 +286,50 @@ class TestAgainstRebuildingOracles:
             for side in ("k", "l"):
                 seq = rc.collapse_leq_to_strict(p, side)
                 assert rc.verify_sequence(seq) == oracles.rebuild_verify_sequence(seq)
+
+
+def _sabotage(monkeypatch, change):
+    """Let ``change`` edit an engine's pair list just before its self-check replays it."""
+    replay = collapses._replay
+
+    def sabotaged(universe, faces, pairs, steps=None):
+        change(pairs)
+        return replay(universe, faces, pairs, steps)
+
+    monkeypatch.setattr(collapses, "_replay", sabotaged)
+
+
+class TestSelfChecksCannotVanish:
+    """Corrupt the engines' index pairs: their replay against the expected end must raise."""
+
+    def test_greedy_with_a_dropped_step(self, monkeypatch):
+        _sabotage(monkeypatch, lambda pairs: pairs.pop())
+        with pytest.raises(AssertionError, match="greedy collapse emitted an invalid sequence"):
+            rc.greedy_collapse(oracles.full_complex("abcd"))
+
+    def test_greedy_with_a_step_that_is_not_free(self, monkeypatch):
+        # the first pair again: its faces are gone by then
+        _sabotage(monkeypatch, lambda pairs: pairs.append(pairs[0]))
+        with pytest.raises(NotFreeError) as exc:
+            rc.greedy_collapse(oracles.full_complex("abcd"))
+        assert exc.value.index == 7 and exc.value.cofaces is None
+
+    def test_greedy_with_a_free_step_past_the_core(self, monkeypatch):
+        # a vertex of the point core is in no other face, so it is not free
+        _sabotage(monkeypatch, lambda pairs: pairs.append(((1,), (1, 2))))
+        with pytest.raises(NotFreeError) as exc:
+            rc.greedy_collapse(oracles.full_complex("abc"))
+        assert exc.value.index == 3
+
+    def test_leq_strict_with_a_dropped_step(self, monkeypatch, circle4):
+        _sabotage(monkeypatch, lambda pairs: pairs.pop())
+        with pytest.raises(AssertionError, match="missed the strict complex"):
+            rc.collapse_leq_to_strict(circle4, "k")
+
+    def test_leq_strict_with_a_step_that_is_not_free(self, monkeypatch, circle4):
+        # {1} lies in {1,3} and {1,4} of the K-complex, so it has two cofaces
+        _sabotage(monkeypatch, lambda pairs: pairs.insert(0, ((0,), (0, 2))))
+        with pytest.raises(NotFreeError) as exc:
+            rc.collapse_leq_to_strict(circle4, "k")
+        assert exc.value.index == 0 and exc.value.face == ("1",)
+        assert len(exc.value.cofaces) > 1

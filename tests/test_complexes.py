@@ -45,6 +45,14 @@ class TestUniverse:
         ):
             rc.Universe(labels)
 
+    @pytest.mark.parametrize("bad", [["a"], {"a": 1}, {"a"}])
+    def test_unhashable_label_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="^vertex labels must be nonempty strings, got "):
+            rc.Universe(["b", bad])
+
+    def test_labels_from_a_generator(self):
+        assert rc.Universe(lab for lab in "bab").labels == ("a", "b")
+
 
 class TestConstruction:
     def test_triangle_boundary_from_facets(self):

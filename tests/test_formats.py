@@ -1,8 +1,11 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 import relcomplex as rc
-from relcomplex import formats
+from relcomplex import cli, formats
 from relcomplex.errors import ParseError
 
 import oracles
@@ -160,6 +163,37 @@ class TestReports:
         b = formats.write_report(rc.verify_closed_relation(crown_relation, "quillen"))
         assert a == b
 
-    def test_unknown_value_rejected(self):
-        with pytest.raises(TypeError):
-            formats.write_report(object())
+    @pytest.mark.parametrize("value", [object(), 1.5, float("nan"), {"a"}, b"a"])
+    def test_unknown_value_rejected(self, value):
+        with pytest.raises(TypeError, match="no JSON form"):
+            formats.write_report(value)
+
+
+class TestReportsAgainstTheWalkingConverter:
+    """write_report is byte-identical to the converter that walks every label."""
+
+    def test_greedy_cli_reports(self, monkeypatch):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            k = oracles.random_complex(rng, "abcdefg"[: rng.randint(1, 7)], max_facets=5)
+            monkeypatch.setattr(cli, "_load", lambda kind, path: k)
+            report = cli._cmd_collapse_greedy(SimpleNamespace(complex="in.complex"))
+            core, seq = rc.greedy_collapse(k)
+            before = {  # the report dict as the CLI built it with the walking converter
+                "core_facets": [list(labels) for labels in core.facet_labels()],
+                "steps": oracles.walking_to_jsonable(seq)["steps"],
+            }
+            assert formats.write_report(report) == oracles.walking_report(before)
+            assert formats.write_report(report) == oracles.walking_report(report)
+
+    def test_leq_strict_sequences(self):
+        rng = random.Random(44)
+        checked = 0
+        while checked < 100:
+            p = oracles.random_poset(rng, [f"e{i}" for i in range(rng.randint(2, 8))])
+            if any(len(c) == 1 for c in rc.connected_components(p)):
+                continue
+            for side in ("k", "l"):
+                seq = rc.collapse_leq_to_strict(p, side)
+                assert formats.write_report(seq) == oracles.walking_report(seq)
+            checked += 1

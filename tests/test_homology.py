@@ -307,6 +307,13 @@ class TestIntegerMatrix:
         with pytest.raises(TypeError, match=rf"\(1, 0\).*{re.escape(repr(bad))}"):
             rc.IntegerMatrix(2, 2, ((1, 0), (bad, 1)))
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    @pytest.mark.parametrize("name", ["rows", "cols"])
+    def test_shape_must_be_ints(self, name, bad):
+        shape = {"rows": 1, "cols": 1, name: bad}
+        with pytest.raises(TypeError, match=f"^matrix {name} is not an int: {re.escape(repr(bad))}$"):
+            rc.IntegerMatrix(shape["rows"], shape["cols"], ((1,),))
+
     def test_product(self):
         a = rc.IntegerMatrix.from_rows([[1, 2], [3, 4]])
         b = rc.IntegerMatrix.from_rows([[0, 1], [1, 0]])
