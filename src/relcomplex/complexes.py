@@ -11,9 +11,9 @@ outside.  Builders whose face set is closed by construction go through the
 private, unchecked ``SimplicialComplex._trusted`` instead; the labels they
 take in are checked by ``Universe``:
 
-- ``complex_from_facets`` and ``relations.k_complex`` (and so
-  ``l_complex``): a union of full simplices, one per facet or support, each
-  added with all of its subsets;
+- ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``: a
+  union of full simplices, one per facet or support, each added with all of
+  its subsets;
 - ``apply_simplicial_map``: every subset of an image f(s) is the image of a
   subface of s;
 - ``posets.order_complex``: the set of all chains, and a subset of a chain
@@ -23,10 +23,10 @@ take in are checked by ``Universe``:
   only proper coface, which is maximal, so no remaining face loses a
   subface.
 
-``complex_from_facets`` (so every parsed file) and ``k_complex`` set their
-facets: the maximal input facets and the maximal distinct supports.  Both
-come from ``_closure``, which takes faces largest first and keeps those not
-yet inside an earlier one, so no kept face lies in another.  Every other
+``complex_from_facets`` (so every parsed file), ``k_complex`` and ``l_complex``
+set their facets: the maximal input facets and the maximal distinct supports.
+All come from ``_closure``, which takes faces largest first and keeps those
+not yet inside an earlier one, so no kept face lies in another.  Every other
 complex gets the linear marking scan of ``facets()``.
 """
 

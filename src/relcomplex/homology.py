@@ -19,10 +19,16 @@ is a unimodular direct sum.  Hence d_n has the same image lattice as its
 restriction to the uncleared faces: the same rank and the same nonzero
 Smith invariants.  Rows of a residual block with no unit entry are never
 cleared.
+
+d_1 is never reduced.  On the edges that d_2 left uncleared it is the
+incidence matrix of a graph, which is totally unimodular: H_0 has no
+torsion, and the rank is vertices less components, the number of merges a
+union-find makes over those edges.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -64,11 +70,11 @@ class IntegerMatrix:
 
 
 def _boundary_columns(faces) -> list:
-    """The boundary of each face as a sparse column {(n-1)-face: +-1}."""
-    return [
-        {face[:pos] + face[pos + 1 :]: -1 if pos % 2 else 1 for pos in range(len(face))}
-        for face in faces
-    ]
+    """The boundary of each face, all of n vertices, as a sparse column {(n-1)-face: +-1}."""
+    n = len(faces[0]) if faces else 0
+    # combinations drops the last position first, so the signs (-1)^pos run backwards
+    signs = tuple(-1 if pos % 2 else 1 for pos in reversed(range(n)))
+    return [dict(zip(itertools.combinations(face, n - 1), signs)) for face in faces]
 
 
 def boundary_matrices(k: SimplicialComplex) -> List[IntegerMatrix]:
@@ -264,24 +270,39 @@ def _reduce(columns: list, cleared: Optional[set] = None) -> Tuple[int, Tuple[in
     return pivots + len(diagonal), tuple(d for d in diagonal if d > 1)
 
 
+def _merges(edges) -> int:
+    """How many edges join two components; each merge makes one root a key of ``parent``."""
+    parent = {}
+    for a, b in edges:
+        while a in parent:  # path halving: point a at its grandparent and step there
+            parent[a] = a = parent.get(parent[a], parent[a])
+        while b in parent:
+            parent[b] = b = parent.get(parent[b], parent[b])
+        if a != b:
+            parent[a] = b
+    return len(parent)
+
+
 def homology(k: SimplicialComplex) -> HomologyProfile:
     """Integer homology: betti_n and the torsion coefficients of dimension n.
 
     betti_n = #n-faces - rank d_n - rank d_{n+1}; torsion_n is the part of
     the Smith diagonal of d_{n+1} exceeding 1.  The maps are reduced from
     d_dim down, and d_n gets no column for an n-face that was a unit pivot
-    row of d_{n+1} (see the module docstring).  The empty complex gets the
-    empty profile.
+    row of d_{n+1}; rank d_1 is counted by a union-find over the edges left
+    (see the module docstring).  The empty complex gets the empty profile.
     """
     dim = k.dimension()
     graded = [k.n_faces(n) for n in range(dim + 1)]
     ranks = [0] * (dim + 2)
     torsion = [()] * (dim + 1)
     cleared = set()
-    for n in range(dim, 0, -1):
+    for n in range(dim, 1, -1):
         faces = [f for f in graded[n] if f not in cleared]
         cleared = set()
         ranks[n], torsion[n - 1] = _reduce(_boundary_columns(faces), cleared)
+    if dim >= 1:
+        ranks[1] = _merges(e for e in graded[1] if e not in cleared)
     betti = tuple(len(graded[n]) - ranks[n] - ranks[n + 1] for n in range(dim + 1))
     return HomologyProfile(betti, tuple(torsion))
 

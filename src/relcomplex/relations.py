@@ -100,8 +100,19 @@ def k_complex(rel: Relation) -> SimplicialComplex:
 
 
 def l_complex(rel: Relation) -> SimplicialComplex:
-    """Subsets of Y whose members share a related x; the K-complex of the transpose."""
-    return k_complex(transpose(rel))
+    """Subsets of Y whose members share a related x; the K-complex of the transpose.
+
+    The supports of each x are read off the checked supports of each y, in
+    increasing y order, so they come out sorted and no relation is built.
+    """
+    if not rel.pairs:
+        raise EmptyRelationError()
+    supports = [[] for _ in rel.x_universe]
+    for j, y in enumerate(rel.y_universe):
+        for i in rel._supports[y]:
+            supports[i].append(j)
+    faces, facets = _closure(tuple(s) for s in supports if s)
+    return SimplicialComplex._trusted(rel.y_universe, faces, facets)
 
 
 def canonical_relation(t: SimplicialComplex) -> Relation:

@@ -12,6 +12,8 @@ import itertools
 import json
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 import relcomplex as rc
 from relcomplex.errors import EmptyComplexError, NotFreeError, UnknownVertexError
 
@@ -477,6 +479,21 @@ def random_complex(rng, labels, max_facets=4) -> rc.SimplicialComplex:
         rng.sample(labels, rng.randint(1, len(labels)))
         for _ in range(rng.randint(1, max_facets))
     ]
+    return rc.complex_from_facets(labels, facets)
+
+
+@st.composite
+def complexes(draw, max_vertices=5, max_facets=4):
+    """A Hypothesis strategy: facets drawn over a universe of up to ``max_vertices`` labels."""
+    n = draw(st.integers(1, max_vertices))
+    labels = [str(i) for i in range(1, n + 1)]
+    facets = draw(
+        st.lists(
+            st.sets(st.sampled_from(labels), min_size=1).map(tuple),
+            min_size=1,
+            max_size=max_facets,
+        )
+    )
     return rc.complex_from_facets(labels, facets)
 
 

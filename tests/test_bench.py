@@ -9,11 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_poset_collapse_reports_pass_the_benchmark_checks():
-    argv = ["--workload", "poset-collapse", "--seed", "1", "--seconds", "0.5", "--trace", "0"]
+@pytest.mark.parametrize("workload", ["poset-collapse", "dowker-homology"])
+def test_reports_pass_the_benchmark_checks(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.5", "--trace", "0"]
     run = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
         cwd=ROOT,

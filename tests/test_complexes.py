@@ -11,20 +11,6 @@ import oracles
 from conftest import corpus_cases
 
 
-@st.composite
-def complexes(draw, max_vertices=5, max_facets=4):
-    n = draw(st.integers(1, max_vertices))
-    labels = [str(i) for i in range(1, n + 1)]
-    facets = draw(
-        st.lists(
-            st.sets(st.sampled_from(labels), min_size=1).map(tuple),
-            min_size=1,
-            max_size=max_facets,
-        )
-    )
-    return rc.complex_from_facets(labels, facets)
-
-
 class TestUniverse:
     def test_interning_is_sorted_bijection(self):
         u = rc.Universe(["b", "a", "c", "a"])
@@ -90,11 +76,11 @@ class TestConstruction:
         k = rc.SimplicialComplex(rc.Universe("ab"), [])
         assert k.is_empty and k.dimension() == -1
 
-    @given(complexes())
+    @given(oracles.complexes())
     def test_constructor_output_downward_closed(self, k):
         assert oracles.is_downward_closed(k.label_faces())
 
-    @given(complexes())
+    @given(oracles.complexes())
     def test_facet_round_trip(self, k):
         assert rc.complex_from_facets(k.universe, k.facet_labels()) == k
 
@@ -340,7 +326,7 @@ class TestConeApex:
             core, _ = rc.greedy_collapse(k)
             assert core.is_point
 
-    @given(complexes(max_vertices=5))
+    @given(oracles.complexes(max_vertices=5))
     def test_apex_implies_greedy_collapse_random(self, k):
         if rc.cone_apex(k) is not None:
             core, _ = rc.greedy_collapse(k)

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given
 
 import relcomplex as rc
 
@@ -221,8 +222,77 @@ class TestSparseEngine:
         monkeypatch.setattr(homology_module, "_boundary_columns", recording_columns)
         k = oracles.full_complex("abcdef")
         assert rc.homology(k) == rc.HomologyProfile((1, 0, 0, 0, 0, 0), ((),) * 6)
-        # d_5 down to d_1; without clearing d_n has a column for every n-face
-        assert built == [1, 5, 10, 10, 5]
+        # d_5 down to d_2; without clearing d_n has a column for every n-face,
+        # and d_1 is counted by the union-find, not built
+        assert built == [1, 5, 10, 10]
+
+    def test_union_find_sees_only_the_uncleared_edges(self, monkeypatch):
+        seen = []
+        merges = homology_module._merges
+
+        def recording_merges(edges):
+            edges = list(edges)
+            seen.append(edges)
+            return merges(edges)
+
+        monkeypatch.setattr(homology_module, "_merges", recording_merges)
+        k = oracles.full_complex("abcdef")
+        rc.homology(k)
+        # d_2 clears 10 of the 15 edges; the 5 left form a spanning tree
+        assert [len(edges) for edges in seen] == [5]
+        assert merges(seen[0]) == 5
+
+    @pytest.mark.parametrize(
+        "k, betti",
+        [
+            (rc.SimplicialComplex(rc.Universe("a"), []), ()),
+            (rc.complex_from_facets("abcd", ["a", "b", "c", "d"]), (4,)),
+            # two triangles, a path and a point: 4 components, 2 cycles
+            (rc.complex_from_facets("abcdefghi", ["ab", "bc", "ac", "de", "ef", "df", "gh", "i"]), (4, 2)),
+            # K4 and a separate square
+            (rc.complex_from_facets("abcdwxyz", ["ab", "ac", "ad", "bc", "bd", "cd", "wx", "xy", "yz", "wz"]), (2, 4)),
+            # a star, a long path and a long cycle, so the union-find follows long chains
+            (rc.complex_from_facets(
+                [f"v{i}" for i in range(30)],
+                [("v0", f"v{i}") for i in range(1, 8)]
+                + [(f"v{i}", f"v{i + 1}") for i in range(8, 18)]
+                + [(f"v{i}", f"v{i + 1}") for i in range(19, 29)] + [("v19", "v29")],
+            ), (3, 1)),
+            # an x related to nothing is in the universe but is no vertex
+            (rc.k_complex(rc.Relation("abcde", "uvw", [
+                ("a", "u"), ("b", "u"), ("b", "v"), ("c", "v"), ("a", "w"), ("c", "w"), ("d", "w"),
+            ])), (1, 1, 0)),
+        ],
+        ids=["empty", "points", "graph", "k4-and-square", "long-chains", "k-with-unrelated-x"],
+    )
+    def test_rank_d1_matches_dense_reference(self, k, betti):
+        profile = rc.homology(k)
+        assert profile == oracles.dense_homology(k)
+        assert profile == rc.HomologyProfile(betti, ((),) * len(betti))
+
+    def test_disjoint_union_of_rp2_and_moore3(self):
+        # two components; Z/2 + Z/3 = Z/6 in the one residual block of d_2
+        rp2, moore = oracles.projective_plane(), oracles.moore_space_3()
+        k = rc.complex_from_facets(
+            rp2.universe.labels + moore.universe.labels,
+            rp2.facet_labels() + moore.facet_labels(),
+        )
+        profile = rc.homology(k)
+        assert profile == oracles.dense_homology(k)
+        assert profile == rc.HomologyProfile((2, 0, 0), ((), (6,), ()))
+
+    def test_random_graphs_match_dense_reference(self):
+        rng = random.Random(1101)
+        labels = [f"v{i}" for i in range(12)]
+        for _ in range(150):
+            edges = [tuple(rng.sample(labels, 2)) for _ in range(rng.randint(1, 16))]
+            points = [(lab,) for lab in rng.sample(labels, rng.randint(0, 3))]
+            k = rc.complex_from_facets(labels, edges + points)
+            assert rc.homology(k) == oracles.dense_homology(k)
+
+    @given(oracles.complexes(max_vertices=7, max_facets=6))
+    def test_matches_dense_reference_on_generated_complexes(self, k):
+        assert rc.homology(k) == oracles.dense_homology(k)
 
     def test_field_ranks_see_the_torsion(self):
         k = oracles.moore_space_3()

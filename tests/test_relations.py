@@ -98,10 +98,17 @@ class TestKComplex:
 
     @given(covered_relations())
     def test_l_complex_is_k_of_transpose(self, r):
-        assert rc.l_complex(r) == rc.k_complex(rc.transpose(r))
+        l = rc.l_complex(r)
+        k_of_transpose = rc.k_complex(rc.transpose(r))
+        assert l == k_of_transpose
+        assert l.facets() == k_of_transpose.facets() == oracles.scan_facets(l)
 
 
 class TestLComplex:
+    def test_empty_relation_rejected(self):
+        with pytest.raises(EmptyRelationError):
+            rc.l_complex(rc.Relation("a", "u", []))
+
     def test_circle4_facets(self, circle4):
         l = rc.l_complex(leq_relation(circle4))
         assert l.facet_labels() == (("1", "3", "4"), ("2", "3", "4"))
