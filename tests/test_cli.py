@@ -380,6 +380,29 @@ class TestExitCodes:
         )
         assert (code, out, err) == (1, "", f"parse error: line 1: {deep}: nested too deeply\n")
 
+    @pytest.mark.parametrize(
+        "points, opens, err",
+        [
+            # no open holds both points
+            ("12", ["1"], "error: the whole point set must be open\n"),
+            # {1} | {2} is missing; every intersection is present
+            ("123", ["1", "2", "1 2 3"], "error: open sets must be closed under union\n"),
+            # {1,2} & {2,3} is missing; every union is present
+            ("123", ["1 2", "2 3", "1 2 3"],
+             "error: open sets must be closed under intersection\n"),
+            # both {1,2,3} and {2} are missing; union is named
+            ("1234", ["1 2", "2 3", "1 2 3 4"], "error: open sets must be closed under union\n"),
+        ],
+    )
+    def test_invalid_space_is_a_precondition_error(self, capsys, tmp_path, points, opens, err):
+        bad = tmp_path / "bad.space"
+        bad.write_text(
+            "space S\n"
+            + "".join(f"point {x}\n" for x in points)
+            + "".join(f"open {o}\n" for o in opens)
+        )
+        assert run(capsys, "poset", "from-topology", "--space", str(bad)) == (2, "", err)
+
     def test_uncovered_morphism_input(self, capsys, tmp_path):
         rel = tmp_path / "u.relation"
         rel.write_text(
