@@ -141,8 +141,7 @@ def to_relation(doc: Document) -> Relation:
 def to_topology(doc: Document) -> FiniteTopology:
     _require_kind(doc, "space")
     points = [lab for (lab,) in _args(doc, "point")]
-    opens = [frozenset(o) for o in _args(doc, "open")]
-    return FiniteTopology(Universe(points), opens)
+    return FiniteTopology(Universe(points), _args(doc, "open"))
 
 
 def complex_to_document(k: SimplicialComplex, name: str) -> Document:

@@ -5,10 +5,32 @@ closure, so all derived data (down-sets, components, products) is a few
 bit operations.  The order <-> topology dictionary identifies each element
 with its minimal open set (its down-set) and each T0 topology with the
 order it induces.
+
+``FiniteTopology`` checks a family of opens (with the empty set added, and
+the whole point set required) in O(|opens| * n): it takes each minimal open
+U_x as the intersection of the opens that contain x, and requires
+``o | U_x`` to be open for every open o and point x.  The family is then a
+topology, and only then:
+
+- every open O equals the union of U_x over x in O;
+- from the empty set, one U_x at a time, every union of U_x's is open, so
+  the family is closed under union;
+- for opens A and B each z in A & B has U_z inside A & B, so A & B is a
+  union of U_z's and the family is closed under intersection;
+- conversely a topology holds each U_x and is closed under union.
+
+On a family that fails, the pairwise scan over its opens names the first
+pair whose union or intersection is missing.  ``order_to_topology`` is the
+one builder that skips the check, through ``FiniteTopology._trusted``: the
+unions of the down-sets are a topology by construction, with the down-sets
+as its minimal opens.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations, product
+from operator import and_
 from typing import Iterable, Optional, Tuple
 
 from .complexes import SimplicialComplex, Universe
@@ -349,11 +371,11 @@ def singleton_component_witness(p: Poset) -> Optional[str]:
 
 
 class FiniteTopology:
-    """A finite topological space with every open set stored explicitly."""
+    """A finite space with every open set, and each point's minimal open, stored as masks."""
 
-    __slots__ = ("points", "opens")
+    __slots__ = ("points", "opens", "_mins")
 
-    def __init__(self, points: Universe, opens: Iterable[frozenset]):
+    def __init__(self, points: Universe, opens: Iterable[Iterable[str]]):
         if not isinstance(points, Universe):
             points = Universe(points)
         n = len(points)
@@ -367,41 +389,45 @@ class FiniteTopology:
         masks.add(0)
         if whole not in masks:
             raise InvalidTopologyError("the whole point set must be open")
-        for a in masks:
-            for b in masks:
+        mins = [reduce(and_, [o for o in masks if o >> i & 1], whole) for i in range(n)]
+        if any(not {o | u for o in masks} <= masks for u in set(mins)):
+            # name the first pair, in set order, whose union or intersection is missing
+            for a, b in product(masks, repeat=2):
                 if a | b not in masks:
                     raise InvalidTopologyError("open sets must be closed under union")
                 if a & b not in masks:
-                    raise InvalidTopologyError(
-                        "open sets must be closed under intersection"
-                    )
+                    raise InvalidTopologyError("open sets must be closed under intersection")
         self.points = points
         self.opens = frozenset(masks)
+        self._mins = tuple(mins)
+
+    @classmethod
+    def _trusted(cls, points: Universe, masks, mins) -> "FiniteTopology":
+        """A topology over ``masks``, known by construction, with minimal opens ``mins``."""
+        t = cls.__new__(cls)
+        t.points = points
+        t.opens = frozenset(masks)
+        t._mins = tuple(mins)
+        return t
 
     def open_label_sets(self) -> tuple:
         """All opens as sorted label tuples, smallest first."""
-        outs = []
-        for mask in self.opens:
-            outs.append(tuple(self.points.label(i) for i in _bits(mask)))
+        labels = self.points.labels
+        outs = [tuple(labels[i] for i in _bits(mask)) for mask in self.opens]
         return tuple(sorted(outs, key=lambda t: (len(t), t)))
 
     def minimal_open_mask(self, index: int) -> int:
-        mask = (1 << len(self.points)) - 1
-        for o in self.opens:
-            if o >> index & 1:
-                mask &= o
-        return mask
+        return self._mins[index]
 
     def minimal_open(self, label: str) -> frozenset:
-        i = self.points.index(label)
-        return frozenset(self.points.label(j) for j in _bits(self.minimal_open_mask(i)))
+        labels = self.points.labels
+        return frozenset(labels[j] for j in _bits(self._mins[self.points.index(label)]))
 
     def t0_witness(self) -> Optional[Tuple[str, str]]:
-        mins = [self.minimal_open_mask(i) for i in range(len(self.points))]
-        for i in range(len(mins)):
-            for j in range(i + 1, len(mins)):
-                if mins[i] == mins[j]:
-                    return (self.points.label(i), self.points.label(j))
+        mins = self._mins
+        for i, j in combinations(range(len(mins)), 2):
+            if mins[i] == mins[j]:
+                return (self.points.label(i), self.points.label(j))
         return None
 
     def __eq__(self, other) -> bool:
@@ -423,9 +449,7 @@ def order_to_topology(p: Poset) -> FiniteTopology:
     masks = {0}
     for d in p.down:
         masks |= {m | d for m in masks}
-    labels = p.elements.labels
-    opens = [frozenset(labels[i] for i in _bits(m)) for m in masks]
-    return FiniteTopology(p.elements, opens)
+    return FiniteTopology._trusted(p.elements, masks, p.down)
 
 
 def topology_to_order(t: FiniteTopology) -> Poset:
@@ -434,10 +458,7 @@ def topology_to_order(t: FiniteTopology) -> Poset:
     if witness is not None:
         raise NotT0Error(witness)
     labels = t.points.labels
-    pairs = []
-    for j, y in enumerate(labels):
-        m = t.minimal_open_mask(j)
-        pairs.extend((labels[i], y) for i in _bits(m))
+    pairs = [(labels[i], y) for j, y in enumerate(labels) for i in _bits(t._mins[j])]
     return poset_from_pairs(labels, pairs)
 
 

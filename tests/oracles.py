@@ -15,7 +15,12 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 import relcomplex as rc
-from relcomplex.errors import EmptyComplexError, NotFreeError, UnknownVertexError
+from relcomplex.errors import (
+    EmptyComplexError,
+    InvalidTopologyError,
+    NotFreeError,
+    UnknownVertexError,
+)
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles
@@ -194,6 +199,47 @@ def is_downward_closed(label_faces) -> bool:
                 if tuple(sub) not in faces:
                     return False
     return True
+
+
+def pairwise_topology(points, opens) -> frozenset:
+    """The opens of a finite topology as masks, checking every pair of opens.
+
+    The quadratic reference for ``FiniteTopology``: it builds the mask set in
+    the same order and raises :class:`InvalidTopologyError` with the message
+    of the first pair, in the set's iteration order, whose union or
+    intersection is missing.
+    """
+    if not isinstance(points, rc.Universe):
+        points = rc.Universe(points)
+    n = len(points)
+    whole = (1 << n) - 1
+    masks = set()
+    for o in opens:
+        mask = 0
+        for lab in o:
+            mask |= 1 << points.index(lab)
+        masks.add(mask)
+    masks.add(0)
+    if whole not in masks:
+        raise InvalidTopologyError("the whole point set must be open")
+    for a in masks:
+        for b in masks:
+            if a | b not in masks:
+                raise InvalidTopologyError("open sets must be closed under union")
+            if a & b not in masks:
+                raise InvalidTopologyError(
+                    "open sets must be closed under intersection"
+                )
+    return frozenset(masks)
+
+
+def rescan_minimal_open(t: rc.FiniteTopology, index: int) -> int:
+    """The intersection of every open of ``t`` that holds point ``index``."""
+    mask = (1 << len(t.points)) - 1
+    for o in t.opens:
+        if o >> index & 1:
+            mask &= o
+    return mask
 
 
 _POSET_CACHE: dict = {}

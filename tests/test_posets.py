@@ -1,8 +1,9 @@
 import itertools
 import random
+from operator import and_, or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import relcomplex as rc
 from relcomplex.errors import (
@@ -129,6 +130,67 @@ class TestTopologyDictionary:
     def test_round_trip_from_topology(self, p):
         t = rc.order_to_topology(p)
         assert rc.order_to_topology(rc.topology_to_order(t)) == t
+
+
+@st.composite
+def open_families(draw, max_points=6):
+    """Points and a list of label sets over them, with the whole set among them.
+
+    A raw draw is seldom a topology, so a draw may instead close its sets
+    under union and intersection, and then drop one of them: valid families
+    and near misses of each kind come up too.
+    """
+    n = draw(st.integers(0, max_points))
+    labels = [str(i) for i in range(1, n + 1)]
+    subsets = st.frozensets(st.sampled_from(labels)) if n else st.just(frozenset())
+    family = draw(st.lists(subsets, min_size=2, max_size=12)) + [frozenset(labels)]
+    mode = draw(st.sampled_from(["raw", "closed", "near miss"]))
+    if mode != "raw":
+        closed = set(family)
+        while True:
+            more = {op(a, b) for a in closed for b in closed for op in (or_, and_)}
+            if more <= closed:
+                break
+            closed |= more
+        family = draw(st.permutations(sorted(closed, key=sorted)))
+        if mode == "near miss":
+            del family[draw(st.integers(0, len(family) - 1))]
+    return labels, family
+
+
+class TestTopologyCheck:
+    @settings(max_examples=400)
+    @given(open_families())
+    def test_matches_the_pairwise_check(self, drawn):
+        points, family = drawn
+        try:
+            expected = oracles.pairwise_topology(points, family)
+        except InvalidTopologyError as exc:
+            with pytest.raises(InvalidTopologyError) as got:
+                rc.FiniteTopology(points, family)
+            assert str(got.value) == str(exc)
+        else:
+            t = rc.FiniteTopology(points, family)
+            assert t.opens == expected
+            assert [t.minimal_open_mask(i) for i in range(len(points))] == [
+                oracles.rescan_minimal_open(t, i) for i in range(len(points))
+            ]
+
+    @given(posets(max_elements=6))
+    def test_order_topology_is_the_validated_one(self, p):
+        t = rc.order_to_topology(p)
+        assert t == rc.FiniteTopology(p.elements, t.open_label_sets())
+        assert [t.minimal_open_mask(i) for i in range(len(p))] == [
+            oracles.rescan_minimal_open(t, i) for i in range(len(p))
+        ]
+
+    def test_twelve_element_antichain(self):
+        p = rc.poset_from_pairs([f"a{i:02}" for i in range(12)], [])
+        t = rc.order_to_topology(p)
+        assert len(t.opens) == 4096
+        text = rc.formats.serialize(rc.formats.topology_to_document(t, "A"))
+        assert rc.formats.to_topology(rc.formats.parse(text)) == t
+        assert rc.topology_to_order(t) == p
 
 
 class TestOrderComplex:
