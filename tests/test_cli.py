@@ -177,6 +177,15 @@ class TestCollapseCommands:
         )
         assert code == 2 and "not free" in err
 
+    def test_verify_names_every_proper_coface(self, capsys):
+        argv = ("collapse", "verify", "--complex", "tetra_circle.complex",
+                "--steps", "tetra_circle_not_free.steps")
+        assert run(capsys, *resolve(argv)) == (2, "", (
+            "error: step 1: face ('4',) is not free: it has 9 proper cofaces: "
+            "[('1', '2', '4'), ('1', '3', '4'), ('1', '4'), ('2', '3', '4'), ('2', '4'), "
+            "('3', '4'), ('4', '5'), ('4', '5', '6'), ('4', '6')]\n"
+        ))
+
     @pytest.mark.parametrize(
         "steps, face",
         [
@@ -501,8 +510,10 @@ GOLDEN = [
     (('collapse', 'greedy', '--complex', 'circle4_k.complex'), 0, '{"core_facets":[["4"]],"steps":[[["1","3"],["1","2","3"]],[["1","2"],["1","2","4"]],[["1"],["1","4"]],[["3"],["2","3"]],[["2"],["2","4"]]]}\n'),
     (('collapse', 'greedy', '--complex', 'moore3.complex'), 0, '{"core_facets":[["a","b","p0"],["a","b","p3"],["a","b","p6"],["a","c","p2"],["a","c","p5"],["a","c","p8"],["a","p0","p8"],["a","p2","p3"],["a","p5","p6"],["b","c","p1"],["b","c","p4"],["b","c","p7"],["b","p0","p1"],["b","p3","p4"],["b","p6","p7"],["c","p1","p2"],["c","p4","p5"],["c","p7","p8"],["o","p0","p1"],["o","p0","p8"],["o","p1","p2"],["o","p2","p3"],["o","p3","p4"],["o","p4","p5"],["o","p5","p6"],["o","p6","p7"],["o","p7","p8"]],"steps":[]}\n'),
     (('collapse', 'greedy', '--complex', 'rp2.complex'), 0, '{"core_facets":[["1","2","5"],["1","2","6"],["1","3","4"],["1","3","5"],["1","4","6"],["2","3","4"],["2","3","6"],["2","4","5"],["3","5","6"],["4","5","6"]],"steps":[]}\n'),
+    (('collapse', 'greedy', '--complex', 'tetra_circle.complex'), 0, '{"core_facets":[["7","8"],["7","9"],["8","9"]],"steps":[[["1","2","3"],["1","2","3","4"]],[["1","2"],["1","2","4"]],[["1","3"],["1","3","4"]],[["2","3"],["2","3","4"]],[["4","5"],["4","5","6"]],[["1"],["1","4"]],[["10"],["10","9"]],[["2"],["2","4"]],[["3"],["3","4"]],[["4"],["4","6"]],[["5"],["5","6"]],[["6"],["6","7"]]]}\n'),
     (('collapse', 'verify', '--complex', 'circle4_k.complex', '--steps', 'circle4_k_strict.steps'), 0, '{"facets":[["1","2"]]}\n'),
     (('collapse', 'verify', '--complex', 'boundary2.complex', '--steps', 'circle4_k_strict.steps'), 2, ''),
+    (('collapse', 'verify', '--complex', 'tetra_circle.complex', '--steps', 'tetra_circle_not_free.steps'), 2, ''),
     (('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset', '--relation', 'crown_pairs.relation', '--mode', 'quillen'), 0, '{"cx_homology":{"betti":[1,1],"torsion":[[],[]]},"cy_homology":{"betti":[1,1],"torsion":[[],[]]},"hypothesis":{"certified":true,"fibers":[{"apex":"d","certificate":"cone","element":"1","side":"x"},{"apex":"e","certificate":"cone","element":"2","side":"x"},{"certificate":"collapsible","element":"3","side":"x"},{"apex":"a","certificate":"cone","element":"4","side":"x"},{"apex":"4","certificate":"cone","element":"a","side":"y"},{"apex":"3","certificate":"cone","element":"b","side":"y"},{"apex":"3","certificate":"cone","element":"c","side":"y"},{"apex":"1","certificate":"cone","element":"d","side":"y"},{"apex":"2","certificate":"cone","element":"e","side":"y"},{"apex":"3","certificate":"cone","element":"f","side":"y"}],"hypothesis":"quillen"},"hypothesis_met":true,"mode":"quillen","same_homology":true,"verdict":"confirmed"}\n'),
     (('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset', '--relation', 'crown_pairs.relation', '--mode', 'weak'), 0, '{"hypothesis":{"fibers":[{"element":"1","elements":["d"],"maximum":"d","side":"x"},{"element":"2","elements":["e"],"maximum":"e","side":"x"},{"element":"3","elements":["b","c","d","e","f"],"maximal":["d","e","f"],"maximum":null,"side":"x"},{"element":"4","elements":["a","d","e"],"maximal":["d","e"],"maximum":null,"side":"x"},{"element":"a","elements":["4"],"maximum":"4","side":"y"},{"element":"b","elements":["3"],"maximum":"3","side":"y"},{"element":"c","elements":["3"],"maximum":"3","side":"y"},{"element":"d","elements":["1","3","4"],"maximal":["3","4"],"maximum":null,"side":"y"},{"element":"e","elements":["2","3","4"],"maximal":["3","4"],"maximum":null,"side":"y"},{"element":"f","elements":["3"],"maximum":"3","side":"y"}],"holds":false,"hypothesis":"weak"},"hypothesis_met":false,"kx_homology":{"betti":[1,0,0],"torsion":[[],[],[]]},"ky_homology":{"betti":[1,1,0],"torsion":[[],[],[]]},"mode":"weak","preimages":{"x":{"all_full":false,"facets":[{"facet":["1","2","3"],"full_simplex":false,"vertices":["(1,d)","(2,e)","(3,b)","(3,c)","(3,d)","(3,e)","(3,f)"]},{"facet":["1","2","4"],"full_simplex":false,"vertices":["(1,d)","(2,e)","(4,a)","(4,d)","(4,e)"]}],"side":"x"},"y":{"all_full":false,"facets":[{"facet":["a","b","d"],"full_simplex":false,"vertices":["(1,d)","(3,b)","(3,d)","(4,a)","(4,d)"]},{"facet":["a","c","e"],"full_simplex":false,"vertices":["(2,e)","(3,c)","(3,e)","(4,a)","(4,e)"]},{"facet":["b","c","f"],"full_simplex":true,"vertices":["(3,b)","(3,c)","(3,f)"]}],"side":"y"}},"same_homology":false,"verdict":"hypothesis-not-met"}\n'),
 ]
