@@ -8,27 +8,41 @@ Euler characteristic).
 
 So a face f is free exactly when one vertex v outside f makes f + {v} a
 face: a proper coface g of higher codimension would contain f + {v} and
-f + {w} for two vertices v, w of g outside f.  Every step is judged by one
-replay loop, ``_replay``, on (free, coface) pairs of index tuples and one
-mutable face set: the free face must be present and ``coface`` must be its
-only codimension-1 coface, found by probing the |universe| - dim candidates
-f + {v} instead of rebuilding the complex.  ``verify_sequence`` (and so
-``apply_step``) feeds it the steps' labels, converted one step at a time.
-The engines work on index pairs from start to finish: ``greedy_collapse``
-keeps the count for every face and takes free faces from a heap in
-(descending dimension, lexicographic face) order, and
-``collapse_leq_to_strict`` lists the cone of every maximal element.  Each
-replays its pairs on a fresh copy of the initial faces as a self-check, and
-only then makes the labels of each step, once.  Results are built through
-the unchecked ``SimplicialComplex._trusted``, since collapsing a free face
-keeps a complex downward closed.  Only an error report scans the whole
-complex, to list every proper coface of a face that is not free.
+f + {w} for two vertices v, w of g outside f.
+
+The engines work on int masks.  Over a universe of n vertices, vertex i is
+bit n - 1 - i.  Each entry point encodes the index tuples of its initial
+complex once, into a dict from mask to tuple (``_encoding``), and labels go
+to bits through one label-to-bit dict.  Then f + {v} is ``f | bit``, a
+sub-face is f with one bit cleared, and ``_cofaces``, the one coface probe,
+tries each of the |universe| - dim bits outside f, lowest first, instead of
+rebuilding the complex.  Among faces of one size, lexicographic tuple order
+is descending mask order: the first vertex where two faces differ is the
+highest bit where their masks do, and the face that holds it is the
+lexicographically smaller one.  So the greedy heap key, which orders as
+(-popcount, -mask), pops the face that (-dimension, tuple) names, and
+``collapse_leq_to_strict``, which lists each level of a cone in descending
+mask order, emits its pairs in the order the tuples had.
+
+Every step is judged by one replay loop, ``_replay``, on (free, coface)
+mask pairs and one mutable mask set: the free face must be present and
+``coface`` must be its only codimension-1 coface.  ``verify_sequence``
+(and so ``apply_step``) feeds it the steps' labels, turned into masks one
+step at a time.  ``greedy_collapse`` keeps the count for every face and
+takes free faces from a heap, and ``collapse_leq_to_strict`` lists the
+cone of every maximal element.  Each engine replays its pairs on a fresh
+copy of the initial masks as a self-check, and only then decodes, through
+its entry dict: the end state to index tuples, and each face of a step to
+labels, once.  Results are built through the unchecked
+``SimplicialComplex._trusted``, on index tuples, since collapsing a free
+face keeps a complex downward closed.  Only an error report scans the
+whole complex, to list every proper coface of a face that is not free; it
+names a mask by its bits, since universe labels are sorted.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -37,7 +51,6 @@ from .errors import (
     EmptyComplexError,
     NotFreeError,
     SingletonComponentError,
-    UnknownVertexError,
 )
 from .posets import (
     Poset,
@@ -95,88 +108,117 @@ class CollapseSequence:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-def _cofaces(faces, face: tuple, n: int) -> list:
-    """The codimension-1 cofaces of ``face`` in ``faces``, in lexicographic order.
+def _bits(n: int) -> list:
+    """The mask bit of each vertex of an n-vertex universe: vertex i is bit n - 1 - i."""
+    return [1 << i for i in range(n - 1, -1, -1)]
 
-    ``n`` is the size of the universe; each vertex not in ``face`` is probed
-    once, so the cost is O(n * dim) whatever the size of the complex.
+
+def _encoding(faces, n: int) -> dict:
+    """The mask of each index tuple in ``faces``, mapped to the tuple, in the same order."""
+    bits = _bits(n)
+    return {sum(map(bits.__getitem__, f)): f for f in faces}
+
+
+def _cofaces(faces, f: int, full: int) -> list:
+    """The codimension-1 cofaces of the mask ``f`` in the mask set ``faces``.
+
+    ``full`` has the bit of every vertex of the universe; each vertex not in
+    ``f`` is probed once, so the cost is O(|universe|) whatever the size of
+    the complex.
     """
     found = []
-    at = 0
-    for v in range(n):
-        if at < len(face) and face[at] == v:
-            at += 1
-            continue
-        coface = face[:at] + (v,) + face[at:]
-        if coface in faces:
-            found.append(coface)
+    rest = full & ~f
+    while rest:
+        bit = rest & -rest
+        if f | bit in faces:
+            found.append(f | bit)
+        rest ^= bit
     return found
 
 
-def _proper_cofaces(faces, face: tuple) -> list:
-    """Every proper coface of ``face``, by a scan of all faces (error reports only)."""
-    fs = set(face)
-    return sorted(g for g in faces if fs < set(g))
+def _labels(universe, mask: int) -> tuple:
+    """The labels of a mask's vertices, in order (error reports only)."""
+    n = len(universe)
+    return tuple(lab for i, lab in enumerate(universe.labels) if mask >> (n - 1 - i) & 1)
+
+
+def _proper_cofaces(universe, faces, f: int) -> list:
+    """The labels of every proper coface of ``f``, by a scan of all faces (error reports only).
+
+    Universe labels are sorted, so label tuples sort as their index tuples do.
+    """
+    return sorted(_labels(universe, g) for g in faces if g & f == f and g != f)
 
 
 def _replay(universe, faces: set, pairs, steps=None) -> None:
-    """Remove each (free, coface) index pair from ``faces``, in order.
+    """Remove each (free, coface) mask pair from ``faces``, in order.
 
     This is the one test of a step: the free face is in ``faces`` and
     ``coface`` is its only codimension-1 coface there.  The first step that
-    fails raises NotFreeError with its index.  A face of None names a label
+    fails raises NotFreeError with its index.  A mask of None names a label
     outside the universe.  The error names the free face by the labels of
     ``steps[i]`` when the pairs were read from ``steps``.
     """
-    n = len(universe)
+    full = (1 << len(universe)) - 1
     for i, (free, coface) in enumerate(pairs):
-        found = _cofaces(faces, free, n) if free in faces else None
+        found = _cofaces(faces, free, full) if free in faces else None
         if found == [coface]:
             faces.remove(free)
             faces.remove(coface)
             continue
-        face = universe.face_labels(free) if steps is None else steps[i].free_face
+        face = _labels(universe, free) if steps is None else steps[i].free_face
         if found is None:
             raise NotFreeError(face, None, index=i)
-        if len(found) != 1:
-            found = _proper_cofaces(faces, free)
-        raise NotFreeError(face, [universe.face_labels(c) for c in found], index=i)
+        if len(found) == 1:
+            raise NotFreeError(face, [_labels(universe, found[0])], index=i)
+        raise NotFreeError(face, _proper_cofaces(universe, faces, free), index=i)
 
 
-def _face_or_none(universe, labels) -> Optional[tuple]:
+def _mask_or_none(bit, labels) -> Optional[int]:
+    """The mask of distinct labels, by their bits in ``bit``; None for a label outside it."""
     try:
-        return universe.face_from_labels(labels)
-    except UnknownVertexError:
+        return sum(map(bit.__getitem__, labels))
+    except KeyError:
         return None
 
 
-def _certified(initial: SimplicialComplex, pairs: list, final, message: str) -> CollapseSequence:
+def _certified(
+    initial: SimplicialComplex, decode: dict, pairs: list, final, message: str
+) -> CollapseSequence:
     """An engine's self-check, then its result: the labelled sequence of ``pairs``.
 
-    The pairs are replayed on a fresh copy of the initial faces and must end
-    on the face set ``final``; else AssertionError with ``message``.
+    ``decode`` maps the mask of each initial face to its index tuple.  The
+    mask pairs are replayed on a fresh copy of its keys, and the index
+    tuples of the end state must be the face set ``final``; else
+    AssertionError with ``message``.  Each face of a pair is then labelled
+    once.
     """
-    faces = set(initial.faces)
+    faces = set(decode)
     _replay(initial.universe, faces, pairs)
-    if faces != final:
+    if {decode[m] for m in faces} != final:
         raise AssertionError(message)
-    labels = initial.universe.face_labels
-    return CollapseSequence(
-        initial, tuple(CollapseStep._trusted(labels(f), labels(c)) for f, c in pairs)
-    )
+    label = initial.universe.labels.__getitem__
+    return CollapseSequence(initial, tuple(
+        CollapseStep._trusted(tuple(map(label, decode[f])), tuple(map(label, decode[c])))
+        for f, c in pairs
+    ))
 
 
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
     """The unique proper coface of ``face`` if there is exactly one, else None.
 
-    ``face`` is given by labels and must be a face of ``k``.
+    ``face`` is given by labels and must be a face of ``k``.  The faces of
+    ``k`` are encoded on each call, so it costs O(|faces|), as
+    ``apply_step`` does.
     """
-    idx = k.universe.face_from_labels(face)
-    if idx not in k.faces:
+    n = len(k.universe)
+    (f,) = _encoding((k.universe.face_from_labels(face),), n)
+    decode = _encoding(k.faces, n)
+    if f not in decode:
         raise NotFreeError(tuple(face), None)
-    cofaces = _cofaces(k.faces, idx, len(k.universe))
+    cofaces = _cofaces(decode, f, (1 << n) - 1)
     if len(cofaces) == 1:
-        return k.face_labels(cofaces[0])
+        return k.face_labels(decode[cofaces[0]])
     return None
 
 
@@ -192,16 +234,16 @@ def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     """Replay every step, failing with the index of the first invalid one.
 
     The steps are replayed on one mutable face set, so each costs
-    O(|universe| * dim) rather than a rebuild of the complex.
+    O(|universe|) rather than a rebuild of the complex.
     """
     universe = seq.initial.universe
-    faces = set(seq.initial.faces)
-    pairs = (
-        (_face_or_none(universe, s.free_face), _face_or_none(universe, s.coface))
-        for s in seq.steps
-    )
+    n = len(universe)
+    decode = _encoding(seq.initial.faces, n)
+    bit = dict(zip(universe.labels, _bits(n)))
+    faces = set(decode)
+    pairs = ((_mask_or_none(bit, s.free_face), _mask_or_none(bit, s.coface)) for s in seq.steps)
     _replay(universe, faces, pairs, seq.steps)
-    return SimplicialComplex._trusted(universe, faces)
+    return SimplicialComplex._trusted(universe, map(decode.__getitem__, faces))
 
 
 def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
@@ -215,7 +257,8 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     removes the whole cone by elementary collapses.  Maximal elements are
     processed in ascending index order; their face families are disjoint, so
     the interleaving stays legal.  Both complexes and the dual share the
-    poset's universe, so the pairs are index tuples of the initial complex.
+    poset's universe, so the pairs are masks of the initial complex, and
+    each level, listed in descending mask order, is in lexicographic order.
     """
     if side not in ("k", "l"):
         raise ValueError(f"side must be 'k' or 'l', got {side!r}")
@@ -225,21 +268,24 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     initial = poset_dowker_complex(p, False, side)
     target = poset_dowker_complex(p, True, side)
     q = p if side == "k" else dual_poset(p)
+    bits = _bits(len(q))
     pairs = []
     for y_label in maximal_elements(q):
         y = q.elements.index(y_label)
-        below = [i for i in range(len(q)) if q.up[i] >> y & 1 and i != y]
-        x0 = below[0]
-        others = below[1:]
-        for size in range(len(others), -1, -1):
-            level = []
-            for subset in itertools.combinations(others, size):
-                free = tuple(sorted(subset + (y,)))
-                coface = tuple(sorted(subset + (y, x0)))
-                level.append((free, coface))
-            pairs.extend(sorted(level))
+        below = [bits[i] for i in range(len(q)) if q.up[i] >> y & 1 and i != y]
+        x0, others = below[0], sum(below[1:])
+        levels = [[] for _ in below]
+        subset = others
+        while True:  # every subset of the others, in descending mask order
+            levels[subset.bit_count()].append(subset | bits[y])
+            if not subset:
+                break
+            subset = (subset - 1) & others
+        for level in reversed(levels):
+            pairs.extend((free, free | x0) for free in level)
     return _certified(
-        initial, pairs, target.faces, "collapse construction missed the strict complex"
+        initial, _encoding(initial.faces, len(q)), pairs, target.faces,
+        "collapse construction missed the strict complex",
     )
 
 
@@ -253,33 +299,47 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
 
     Each face keeps its number of codimension-1 cofaces.  A face is free
     when that number is 1, and numbers only fall, so a face becomes free at
-    most once: it is pushed on a heap keyed by the order above when it does,
-    and a popped face that was removed or is no longer free is skipped.
+    most once: it is pushed on a heap when it does, and a popped face that
+    was removed or is no longer free is skipped.  The heap key is
+    -(popcount << n | mask); a mask is below 2**n, so it orders as
+    (-popcount, -mask), the order above.
     """
     if k.is_empty:
         raise EmptyComplexError("cannot collapse the empty complex")
     n = len(k.universe)
-    faces = set(k.faces)
+    decode = _encoding(k.faces, n)
+    faces = set(decode)
     counts = dict.fromkeys(faces, 0)
-    for t in faces:
-        for sub in itertools.combinations(t, len(t) - 1):
-            if sub:
-                counts[sub] += 1
-    heap = [(-len(f), f) for f, c in counts.items() if c == 1]
+    for g in faces:
+        rest = g
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if g != bit:  # a vertex has no nonempty sub-face
+                counts[g ^ bit] += 1
+    heap = [-(f.bit_count() << n | f) for f, c in counts.items() if c == 1]
     heapq.heapify(heap)
+    full = (1 << n) - 1
     pairs = []
     while heap:
-        _, f = heapq.heappop(heap)
+        f = -heapq.heappop(heap) & full
         if f not in faces or counts[f] != 1:
             continue
-        (c,) = _cofaces(faces, f, n)
+        (c,) = _cofaces(faces, f, full)
         for gone in (f, c):
             faces.remove(gone)
-            for sub in itertools.combinations(gone, len(gone) - 1):
+            rest = gone
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                sub = gone ^ bit
                 if sub in faces:
-                    counts[sub] -= 1
-                    if counts[sub] == 1:
-                        heapq.heappush(heap, (-len(sub), sub))
+                    left = counts[sub] - 1
+                    counts[sub] = left
+                    if left == 1:
+                        heapq.heappush(heap, -(sub.bit_count() << n | sub))
         pairs.append((f, c))
-    core = SimplicialComplex._trusted(k.universe, faces)
-    return core, _certified(k, pairs, core.faces, "greedy collapse emitted an invalid sequence")
+    core = SimplicialComplex._trusted(k.universe, map(decode.__getitem__, faces))
+    return core, _certified(
+        k, decode, pairs, core.faces, "greedy collapse emitted an invalid sequence"
+    )

@@ -289,7 +289,7 @@ class TestAgainstRebuildingOracles:
 
 
 def _sabotage(monkeypatch, change):
-    """Let ``change`` edit an engine's pair list just before its self-check replays it."""
+    """Let ``change`` edit an engine's mask pair list just before its self-check replays it."""
     replay = collapses._replay
 
     def sabotaged(universe, faces, pairs, steps=None):
@@ -299,8 +299,13 @@ def _sabotage(monkeypatch, change):
     monkeypatch.setattr(collapses, "_replay", sabotaged)
 
 
+def _masks(n, free, coface):
+    """An index-tuple pair as an engine's masks, made by the engines' own encoder."""
+    return tuple(collapses._encoding((free, coface), n))
+
+
 class TestSelfChecksCannotVanish:
-    """Corrupt the engines' index pairs: their replay against the expected end must raise."""
+    """Corrupt the engines' mask pairs: their replay against the expected end must raise."""
 
     def test_greedy_with_a_dropped_step(self, monkeypatch):
         _sabotage(monkeypatch, lambda pairs: pairs.pop())
@@ -316,7 +321,8 @@ class TestSelfChecksCannotVanish:
 
     def test_greedy_with_a_free_step_past_the_core(self, monkeypatch):
         # a vertex of the point core is in no other face, so it is not free
-        _sabotage(monkeypatch, lambda pairs: pairs.append(((1,), (1, 2))))
+        pair = _masks(3, (1,), (1, 2))
+        _sabotage(monkeypatch, lambda pairs: pairs.append(pair))
         with pytest.raises(NotFreeError) as exc:
             rc.greedy_collapse(oracles.full_complex("abc"))
         assert exc.value.index == 3
@@ -328,7 +334,8 @@ class TestSelfChecksCannotVanish:
 
     def test_leq_strict_with_a_step_that_is_not_free(self, monkeypatch, circle4):
         # {1} lies in {1,3} and {1,4} of the K-complex, so it has two cofaces
-        _sabotage(monkeypatch, lambda pairs: pairs.insert(0, ((0,), (0, 2))))
+        pair = _masks(4, (0,), (0, 2))
+        _sabotage(monkeypatch, lambda pairs: pairs.insert(0, pair))
         with pytest.raises(NotFreeError) as exc:
             rc.collapse_leq_to_strict(circle4, "k")
         assert exc.value.index == 0 and exc.value.face == ("1",)
