@@ -42,6 +42,7 @@ from .errors import (
     InvalidTopologyError,
     NotRealizableError,
     NotT0Error,
+    UnknownVertexError,
 )
 from .relations import Relation, k_complex, l_complex
 
@@ -380,11 +381,15 @@ class FiniteTopology:
             points = Universe(points)
         n = len(points)
         whole = (1 << n) - 1
+        bit = {lab: 1 << i for i, lab in enumerate(points.labels)}
         masks = set()
         for o in opens:
             mask = 0
             for lab in o:
-                mask |= 1 << points.index(lab)
+                try:
+                    mask |= bit[lab]
+                except KeyError:
+                    raise UnknownVertexError(lab) from None
             masks.add(mask)
         masks.add(0)
         if whole not in masks:

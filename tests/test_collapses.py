@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 import relcomplex as rc
 from relcomplex import collapses
@@ -340,3 +341,140 @@ class TestSelfChecksCannotVanish:
             rc.collapse_leq_to_strict(circle4, "k")
         assert exc.value.index == 0 and exc.value.face == ("1",)
         assert len(exc.value.cofaces) > 1
+
+
+@st.composite
+def universes_and_faces(draw):
+    n = draw(st.integers(1, 70))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=30))
+    return n, sorted({tuple(sorted(s)) for s in sets})
+
+
+class TestMaskEncoding:
+    @given(universes_and_faces())
+    def test_heap_order_is_dimension_then_lexicographic(self, case):
+        n, faces = case
+        decode = collapses._encoding(faces, n)
+        assert all(m == sum(1 << (n - 1 - i) for i in f) for m, f in decode.items())
+        by_mask = sorted(decode, key=lambda m: (-m.bit_count(), -m))
+        assert [decode[m] for m in by_mask] == sorted(faces, key=lambda f: (-len(f), f))
+        # the greedy heap packs that key into one int
+        assert sorted(decode, key=lambda m: -(m.bit_count() << n | m)) == by_mask
+
+
+class TestWideUniverses:
+    """More than 64 vertices, so the masks are wider than a machine word."""
+
+    def test_complexes(self):
+        rng = random.Random(64)
+        labels = [str(i) for i in range(1, 71)]
+        for _ in range(4):
+            facets = [rng.sample(labels, rng.randint(1, 4)) for _ in range(40)]
+            k = rc.complex_from_facets(labels, facets + [["1", "70"], ["2", "70"], ["1", "2"]])
+            core, seq = rc.greedy_collapse(k)
+            want_core, want_steps = oracles.scan_greedy_collapse(k)
+            assert seq.steps and core == want_core and not core.is_point
+            assert [(s.free_face, s.coface) for s in seq.steps] == want_steps
+            assert rc.verify_sequence(seq) == oracles.rebuild_verify_sequence(seq) == core
+            # a step again once its faces are gone, and a vertex of the core
+            vertex = rc.CollapseStep(("1",), ("1", "70"))
+            for bad in (seq.steps + seq.steps[:1], seq.steps + (vertex,)):
+                s = rc.CollapseSequence(k, bad)
+                assert _replay(rc.verify_sequence, s) == _replay(oracles.rebuild_verify_sequence, s)
+
+    def test_poset(self):
+        # a crown of 35 maxima over 35 minima, each maximum over two or three minima
+        lows = [f"a{i:02}" for i in range(35)]
+        highs = [f"b{i:02}" for i in range(35)]
+        pairs = [(lows[i], highs[i]) for i in range(35)]
+        pairs += [(lows[(i + 1) % 35], highs[i]) for i in range(35)]
+        pairs += [(lows[(i + 2) % 35], highs[i]) for i in range(0, 35, 5)]
+        p = rc.poset_from_pairs(lows + highs, pairs)
+        for side in ("k", "l"):
+            seq = rc.collapse_leq_to_strict(p, side)
+            assert rc.verify_sequence(seq) == oracles.rebuild_verify_sequence(seq)
+            assert rc.verify_sequence(seq) == rc.poset_dowker_complex(p, True, side)
+            k = seq.initial
+            core, greedy = rc.greedy_collapse(k)
+            want_core, want_steps = oracles.scan_greedy_collapse(k)
+            assert core == want_core
+            assert [(s.free_face, s.coface) for s in greedy.steps] == want_steps
+
+
+class ReplayMachine(RuleBasedStateMachine):
+    """Steps of four kinds on one complex, each judged by the engine and by the rebuilding oracles.
+
+    ``current`` is the initial complex after the free steps taken so far.
+    Every step is checked twice: alone by ``apply_step`` on ``current``,
+    and after those free steps by ``verify_sequence`` on the initial
+    complex; either gives the oracles' complex or their error's face,
+    cofaces and index.
+    """
+
+    @initialize(k=oracles.complexes(max_vertices=6, max_facets=4))
+    def start(self, k):
+        self.initial = self.current = k
+        self.steps = ()
+
+    def _judge(self, step):
+        got = _replay(lambda c: rc.apply_step(c, step), self.current)
+        assert got == _replay(lambda c: oracles.rebuild_apply_step(c, step), self.current)
+        seq = rc.CollapseSequence(self.initial, self.steps + (step,))
+        assert _replay(rc.verify_sequence, seq) == _replay(oracles.rebuild_verify_sequence, seq)
+        return got
+
+    def _faces(self, free):
+        """The faces of ``current`` that are free, or that are not."""
+        return [
+            f for f in self.current.label_faces()
+            if (oracles.rebuild_free_coface(self.current, f) is not None) == free
+        ]
+
+    def _outside(self, face):
+        return [v for v in self.current.universe.labels if v not in face]
+
+    @precondition(lambda self: self._faces(True))
+    @rule(data=st.data())
+    def free_step(self, data):
+        free = data.draw(st.sampled_from(self._faces(True)))
+        step = rc.CollapseStep(free, oracles.rebuild_free_coface(self.current, free))
+        self.current = self._judge(step)
+        assert isinstance(self.current, rc.SimplicialComplex)
+        self.steps += (step,)
+
+    @precondition(lambda self: any(self._outside(f) for f in self._faces(False)))
+    @rule(data=st.data())
+    def step_that_is_not_free(self, data):
+        free = data.draw(st.sampled_from([f for f in self._faces(False) if self._outside(f)]))
+        extra = data.draw(st.sampled_from(self._outside(free)))
+        got = self._judge(rc.CollapseStep(free, free + (extra,)))
+        assert got[0] == free and got[2] is None
+
+    @precondition(lambda self: self._faces(True))
+    @rule(data=st.data())
+    def wrong_coface(self, data):
+        free = data.draw(st.sampled_from(self._faces(True)))
+        coface = oracles.rebuild_free_coface(self.current, free)
+        others = [v for v in self._outside(free) if v not in coface]
+        if not others:
+            return
+        extra = data.draw(st.sampled_from(others))
+        got = self._judge(rc.CollapseStep(free, free + (extra,)))
+        assert got[:3] == (free, (coface,), None)
+
+    @rule(data=st.data(), where=st.sampled_from(["free face", "coface"]))
+    def unknown_label(self, data, where):
+        labels = self.current.universe.labels
+        if where == "free face":
+            step = rc.CollapseStep(("zz",), (data.draw(st.sampled_from(labels)), "zz"))
+        else:
+            face = data.draw(st.sampled_from(sorted(self.current.label_faces())))
+            step = rc.CollapseStep(face, face + ("zz",))
+        got = self._judge(step)
+        assert not isinstance(got, rc.SimplicialComplex)
+
+
+TestReplayMachine = ReplayMachine.TestCase
+TestReplayMachine.settings = settings(
+    derandomize=True, max_examples=50, stateful_step_count=20, deadline=5000
+)

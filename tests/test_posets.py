@@ -13,6 +13,7 @@ from relcomplex.errors import (
     InvalidTopologyError,
     NotRealizableError,
     NotT0Error,
+    UnknownVertexError,
 )
 
 import oracles
@@ -121,6 +122,13 @@ class TestTopologyDictionary:
                 rc.Universe("123"),
                 [frozenset("12"), frozenset("23"), frozenset("123")],
             )
+
+    def test_open_labels_must_be_points(self):
+        with pytest.raises(UnknownVertexError, match="^unknown vertex label '3'$") as exc:
+            rc.FiniteTopology(rc.Universe("12"), [["1", "2"], ["2", "3"]])
+        assert exc.value.label == "3"
+        t = rc.FiniteTopology(rc.Universe("12"), [["1", "1"], ["1", "2", "2"]])
+        assert t.open_label_sets() == ((), ("1",), ("1", "2"))
 
     @given(posets())
     def test_round_trip_from_poset(self, p):
