@@ -43,6 +43,7 @@ names a mask by its bits, since universe labels are sorted.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -142,14 +143,6 @@ def _labels(universe, mask: int) -> tuple:
     return tuple(lab for i, lab in enumerate(universe.labels) if mask >> (n - 1 - i) & 1)
 
 
-def _proper_cofaces(universe, faces, f: int) -> list:
-    """The labels of every proper coface of ``f``, by a scan of all faces (error reports only).
-
-    Universe labels are sorted, so label tuples sort as their index tuples do.
-    """
-    return sorted(_labels(universe, g) for g in faces if g & f == f and g != f)
-
-
 def _replay(universe, faces: set, pairs, steps=None) -> None:
     """Remove each (free, coface) mask pair from ``faces``, in order.
 
@@ -169,9 +162,10 @@ def _replay(universe, faces: set, pairs, steps=None) -> None:
         face = _labels(universe, free) if steps is None else steps[i].free_face
         if found is None:
             raise NotFreeError(face, None, index=i)
-        if len(found) == 1:
-            raise NotFreeError(face, [_labels(universe, found[0])], index=i)
-        raise NotFreeError(face, _proper_cofaces(universe, faces, free), index=i)
+        if len(found) != 1:  # every proper coface, by a scan of all faces
+            found = [g for g in faces if g & free == free and g != free]
+        # universe labels are sorted, so label tuples sort as index tuples do
+        raise NotFreeError(face, sorted(_labels(universe, g) for g in found), index=i)
 
 
 def _mask_or_none(bit, labels) -> Optional[int]:
@@ -273,16 +267,10 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     for y_label in maximal_elements(q):
         y = q.elements.index(y_label)
         below = [bits[i] for i in range(len(q)) if q.up[i] >> y & 1 and i != y]
-        x0, others = below[0], sum(below[1:])
-        levels = [[] for _ in below]
-        subset = others
-        while True:  # every subset of the others, in descending mask order
-            levels[subset.bit_count()].append(subset | bits[y])
-            if not subset:
-                break
-            subset = (subset - 1) & others
-        for level in reversed(levels):
-            pairs.extend((free, free | x0) for free in level)
+        x0, others = below[0], below[1:]
+        for size in range(len(others), -1, -1):
+            cone = (bits[y] + sum(subset) for subset in itertools.combinations(others, size))
+            pairs.extend((free, free | x0) for free in sorted(cone, reverse=True))
     return _certified(
         initial, _encoding(initial.faces, len(q)), pairs, target.faces,
         "collapse construction missed the strict complex",
@@ -334,9 +322,8 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
                 rest ^= bit
                 sub = gone ^ bit
                 if sub in faces:
-                    left = counts[sub] - 1
-                    counts[sub] = left
-                    if left == 1:
+                    counts[sub] -= 1
+                    if counts[sub] == 1:
                         heapq.heappush(heap, -(sub.bit_count() << n | sub))
         pairs.append((f, c))
     core = SimplicialComplex._trusted(k.universe, map(decode.__getitem__, faces))

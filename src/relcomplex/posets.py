@@ -386,10 +386,9 @@ class FiniteTopology:
         for o in opens:
             mask = 0
             for lab in o:
-                try:
-                    mask |= bit[lab]
-                except KeyError:
-                    raise UnknownVertexError(lab) from None
+                if lab not in bit:
+                    raise UnknownVertexError(lab)
+                mask |= bit[lab]
             masks.add(mask)
         masks.add(0)
         if whole not in masks:
