@@ -87,10 +87,11 @@ class CollapseStep:
 
     @classmethod
     def _trusted(cls, free_face: tuple, coface: tuple) -> "CollapseStep":
-        """A step without checks, for the labels of an index pair of a replayed step.
+        """A step without checks, for the labels of a replayed mask pair.
 
-        A strictly increasing index tuple over a universe, whose labels are
-        sorted, has sorted and distinct labels.
+        Each mask decodes to a strictly increasing index tuple over a
+        universe, whose labels are sorted, so it has sorted and distinct
+        labels.
         """
         step = cls.__new__(cls)
         object.__setattr__(step, "free_face", free_face)

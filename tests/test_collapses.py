@@ -448,7 +448,7 @@ class ReplayMachine(RuleBasedStateMachine):
         free = data.draw(st.sampled_from([f for f in self._faces(False) if self._outside(f)]))
         extra = data.draw(st.sampled_from(self._outside(free)))
         got = self._judge(rc.CollapseStep(free, free + (extra,)))
-        assert got[0] == free and got[2] is None
+        assert isinstance(got, tuple) and got[0] == free and got[2] is None
 
     @precondition(lambda self: self._faces(True))
     @rule(data=st.data())
@@ -460,7 +460,7 @@ class ReplayMachine(RuleBasedStateMachine):
             return
         extra = data.draw(st.sampled_from(others))
         got = self._judge(rc.CollapseStep(free, free + (extra,)))
-        assert got[:3] == (free, (coface,), None)
+        assert isinstance(got, tuple) and got[:3] == (free, (coface,), None)
 
     @rule(data=st.data(), where=st.sampled_from(["free face", "coface"]))
     def unknown_label(self, data, where):
