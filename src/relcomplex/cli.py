@@ -200,14 +200,25 @@ _COMMANDS = [
 ]
 
 
+# argv[:2] when it names a command, else None -> the parser built for it
+_PARSERS = {}
+
+
 def _build_parser(argv) -> _Parser:
     """The parser for ``argv``: only the group and subcommand that ``argv[:2]``
     names when they are a row of the table, since a subcommand's help and
     errors do not depend on its siblings; else the whole tree, whose help and
-    errors list the choices."""
+    errors list the choices.
+
+    Each parser is built once per process and kept: argparse's constructors
+    look their messages up through gettext, which searches the file system
+    on every call.  Parsing leaves a parser as it was, and help is laid out
+    at the terminal width when it is printed."""
     named = tuple(argv[:2])
     if named not in {(group, name) for group, name, *_ in _COMMANDS}:
         named = None
+    if named in _PARSERS:
+        return _PARSERS[named]
     parser = _Parser(prog="relcomplex", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
@@ -228,6 +239,7 @@ def _build_parser(argv) -> _Parser:
         if isinstance(handler, str):
             handler = _on_file(options[0][2:], handler, *extra)
         p.set_defaults(handler=handler)
+    _PARSERS[named] = parser
     return parser
 
 

@@ -4,12 +4,21 @@ Inputs are hand-authorable text ('#' starts a comment, labels are
 whitespace-free tokens, declarations precede use); outputs are JSON with
 sorted keys, compact separators and no floating point, so every report is
 byte-stable across runs.
+
+Text is checked once, by ``parse``, in one pass over its lines: header,
+keywords, arity, declaration before use and distinct labels in a set.  The
+converters then read each keyword's records once and hand the labels to the
+constructors that check values: ``Universe``, ``Relation``, ``FiniteTopology``
+and ``complex_from_facets``, and ``poset_from_pairs``, which builds through
+the unchecked ``Poset._trusted`` once its closure has no cycle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Tuple
 
 from .collapses import CollapseSequence, CollapseStep
@@ -29,6 +38,12 @@ _GRAMMAR = {
 }
 
 
+_KEYWORD = itemgetter(0)
+_LABEL = itemgetter(1)
+_PAIR = itemgetter(1, 2)
+_ARGS = itemgetter(slice(1, None))
+
+
 @dataclass(frozen=True)
 class Document:
     """A parsed input file: kind, name, and normalized body records."""
@@ -40,63 +55,75 @@ class Document:
     header_line: int = field(default=1, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _GRAMMAR:
+        rules = _GRAMMAR.get(self.kind)
+        if rules is None:
             raise ValueError(f"unknown document kind {self.kind!r}")
-        order = {kw: i for i, kw in enumerate(_GRAMMAR[self.kind])}
-        normalized = sorted(
-            set(self.records), key=lambda rec: (order[rec[0]], rec[1:])
-        )
-        object.__setattr__(self, "records", tuple(normalized))
+        # each keyword's records sorted by their labels, in grammar order; the
+        # sort keys are itemgetters, so no Python function runs per record
+        by_keyword = groupby(sorted(self.records, key=_KEYWORD), _KEYWORD)
+        groups = {kw: sorted(set(g), key=_ARGS) for kw, g in by_keyword}
+        records = tuple(chain.from_iterable(groups.pop(kw, ()) for kw in rules))
+        if groups:
+            raise ValueError(f"unknown keyword {next(iter(groups))!r} in a {self.kind} document")
+        object.__setattr__(self, "records", records)
 
 
 def parse(text: str) -> Document:
-    """Parse one document, reporting the line number of any problem."""
+    """Parse one document, reporting the line number of any problem.
+
+    One pass: each line is cut at ``#`` only when it holds one and split
+    once, since ``str.split()`` drops the whitespace around the tokens.
+    """
     kind = None
-    name = None
-    header_line = 1
+    elements, xs, ys, points = set(), set(), set(), set()
+    declares = {"element": elements, "xelement": xs, "yelement": ys, "point": points}
     records = []
-    declared: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         tokens = line.split()
-        keyword, args = tokens[0], tokens[1:]
+        if not tokens:
+            continue
+        keyword = tokens[0]
         if kind is None:
             if keyword not in _GRAMMAR:
                 raise ParseError(
                     lineno, f"expected a header (one of {sorted(_GRAMMAR)}), got {keyword!r}"
                 )
-            if len(args) != 1:
-                raise ParseError(lineno, f"header needs exactly one name, got {args!r}")
-            kind, name, header_line = keyword, args[0], lineno
+            if len(tokens) != 2:
+                raise ParseError(lineno, f"header needs exactly one name, got {tokens[1:]!r}")
+            kind, name, header_line = keyword, tokens[1], lineno
             rules = _GRAMMAR[kind]
             continue
-        if keyword not in rules:
+        arity = rules.get(keyword)
+        if arity is None:
             raise ParseError(lineno, f"unknown keyword {keyword!r} in a {kind} file")
-        lo, hi = rules[keyword]
-        if len(args) < lo or (hi is not None and len(args) > hi):
+        lo, hi = arity
+        n = len(tokens) - 1
+        if n < lo or (hi is not None and n > hi):
             raise ParseError(lineno, f"{keyword!r} takes {lo}{'' if hi == lo else '+'} labels")
-        if keyword in ("element", "xelement", "yelement", "point"):
-            declared.setdefault(keyword, set()).add(args[0])
+        if keyword in declares:
+            declares[keyword].add(tokens[1])
         elif keyword == "le":
-            for lab in args:
-                if lab not in declared.get("element", ()):
+            for lab in tokens[1:]:
+                if lab not in elements:
                     raise ParseError(lineno, f"undeclared element {lab!r}")
         elif keyword == "pair":
-            if args[0] not in declared.get("xelement", ()):
-                raise ParseError(lineno, f"undeclared x element {args[0]!r}")
-            if args[1] not in declared.get("yelement", ()):
-                raise ParseError(lineno, f"undeclared y element {args[1]!r}")
-        elif keyword == "open":
-            for lab in args:
-                if lab not in declared.get("point", ()):
-                    raise ParseError(lineno, f"undeclared point {lab!r}")
-        if keyword in ("facet", "open"):
-            if len(set(args)) != len(args):
+            if tokens[1] not in xs:
+                raise ParseError(lineno, f"undeclared x element {tokens[1]!r}")
+            if tokens[2] not in ys:
+                raise ParseError(lineno, f"undeclared y element {tokens[2]!r}")
+        else:  # facet or open: a label set
+            labels = tokens[1:]
+            if keyword == "open":
+                for lab in labels:
+                    if lab not in points:
+                        raise ParseError(lineno, f"undeclared point {lab!r}")
+            if len(set(labels)) != n:
                 raise ParseError(lineno, f"duplicate label in {keyword!r} line")
-            args = sorted(args)
-        records.append((keyword, *args))
+            labels.sort()
+            tokens[1:] = labels
+        records.append(tuple(tokens))
     if kind is None:
         raise ParseError(1, "empty document")
     return Document(kind, name, tuple(records), header_line)
@@ -109,39 +136,35 @@ def serialize(doc: Document) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _args(doc: Document, keyword: str):
-    return [rec[1:] for rec in doc.records if rec[0] == keyword]
-
-
-def _require_kind(doc: Document, kind: str) -> None:
+def _groups(doc: Document, kind: str) -> dict:
+    """Each keyword's records, read in one pass: they are already grouped."""
     if doc.kind != kind:
         raise ValueError(f"expected a {kind} document, got {doc.kind}")
+    return {kw: list(g) for kw, g in groupby(doc.records, _KEYWORD)}
 
 
 def to_complex(doc: Document) -> SimplicialComplex:
-    _require_kind(doc, "complex")
-    facets = _args(doc, "facet")
-    universe = sorted({lab for facet in facets for lab in facet})
-    return complex_from_facets(universe, facets)
+    facets = list(map(_ARGS, _groups(doc, "complex").get("facet", ())))
+    return complex_from_facets({lab for facet in facets for lab in facet}, facets)
 
 
 def to_poset(doc: Document) -> Poset:
-    _require_kind(doc, "poset")
-    elements = [lab for (lab,) in _args(doc, "element")]
-    return poset_from_pairs(elements, _args(doc, "le"))
+    groups = _groups(doc, "poset")
+    elements = map(_LABEL, groups.get("element", ()))
+    return poset_from_pairs(elements, map(_PAIR, groups.get("le", ())))
 
 
 def to_relation(doc: Document) -> Relation:
-    _require_kind(doc, "relation")
-    xs = [lab for (lab,) in _args(doc, "xelement")]
-    ys = [lab for (lab,) in _args(doc, "yelement")]
-    return Relation(xs, ys, _args(doc, "pair"))
+    groups = _groups(doc, "relation")
+    xs = map(_LABEL, groups.get("xelement", ()))
+    ys = map(_LABEL, groups.get("yelement", ()))
+    return Relation(xs, ys, map(_PAIR, groups.get("pair", ())))
 
 
 def to_topology(doc: Document) -> FiniteTopology:
-    _require_kind(doc, "space")
-    points = [lab for (lab,) in _args(doc, "point")]
-    return FiniteTopology(Universe(points), _args(doc, "open"))
+    groups = _groups(doc, "space")
+    points = map(_LABEL, groups.get("point", ()))
+    return FiniteTopology(Universe(points), map(_ARGS, groups.get("open", ())))
 
 
 def complex_to_document(k: SimplicialComplex, name: str) -> Document:

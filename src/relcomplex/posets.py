@@ -24,6 +24,19 @@ pair whose union or intersection is missing.  ``order_to_topology`` is the
 one builder that skips the check, through ``FiniteTopology._trusted``: the
 unions of the down-sets are a topology by construction, with the down-sets
 as its minimal opens.
+
+``Poset(elements, up)`` checks reflexivity, antisymmetry and transitivity.
+Builders whose order holds by construction skip that, through the unchecked
+``Poset._trusted``:
+
+- ``poset_from_pairs`` (so every parsed poset): a reflexive-transitive
+  closure, once no two elements reach each other;
+- ``dual_poset``: the transpose of an order, with up and down swapped;
+- ``induced_subposet``: the restriction of an order to a subset;
+- ``product_poset``: the componentwise order, whose up-set of (i, j) is the
+  product of the factors' up-sets of i and j;
+- ``topology_to_order``: the specialization order of a T0 space, whose
+  down-sets are its minimal opens.
 """
 
 from __future__ import annotations
@@ -48,20 +61,28 @@ from .relations import Relation, k_complex, l_complex
 
 
 def _bits(mask: int):
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: tuple) -> tuple:
+    """The bit matrix with bit i of entry j set iff bit j of ``rows[i]`` is."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            cols[j] |= bit
+    return tuple(cols)
 
 
 class Poset:
     """A finite partial order over a label universe.
 
-    ``up[i]`` is the bitmask of elements above (and including) i; the
-    constructor re-validates reflexivity, antisymmetry and transitivity, so
-    every reachable value is a genuine partial order.
+    ``up[i]`` is the bitmask of elements above (and including) i and
+    ``down[i]`` of those below it.  The constructor checks that ``up`` is a
+    partial order; see the module docstring for the builders that need not.
     """
 
     __slots__ = ("elements", "up", "down")
@@ -78,13 +99,19 @@ class Poset:
                     raise ValueError("order must be antisymmetric")
                 if up[j] & ~up[i]:
                     raise ValueError("order must be transitive")
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
         self.elements = elements
         self.up = tuple(up)
-        self.down = tuple(down)
+        self.down = _transpose(self.up)
+
+    @classmethod
+    def _trusted(cls, elements: Universe, up, down=None) -> "Poset":
+        """The partial order ``up``, known by construction; ``down`` is its
+        transpose, computed when not given."""
+        p = cls.__new__(cls)
+        p.elements = elements
+        p.up = tuple(up)
+        p.down = _transpose(p.up) if down is None else tuple(down)
+        return p
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -191,7 +218,7 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[Tuple[str, str]]) 
         for j in range(i + 1, n):
             if up[i] >> j & 1 and up[j] >> i & 1:
                 raise CycleDetectedError(_witness_cycle(universe, edges, i, j))
-    return Poset(universe, tuple(up))
+    return Poset._trusted(universe, up)
 
 
 def down_set(p: Poset, x: str) -> frozenset:
@@ -208,16 +235,14 @@ def up_set(p: Poset, x: str) -> frozenset:
 
 def dual_poset(p: Poset) -> Poset:
     """The same elements with the order reversed."""
-    return Poset(p.elements, p.down)
+    return Poset._trusted(p.elements, p.down, p.up)
 
 
 def induced_subposet(p: Poset, labels: Iterable[str]) -> Poset:
     """The restriction of the order to a subset of the elements."""
-    labels = set(labels)
-    for lab in labels:
-        p.elements.index(lab)
-    pairs = [(a, b) for (a, b) in p.strict_pairs() if a in labels and b in labels]
-    return poset_from_pairs(labels, pairs)
+    kept = sorted(p.elements.index(lab) for lab in set(labels))
+    up = [sum(1 << k for k, j in enumerate(kept) if p.up[i] >> j & 1) for i in kept]
+    return Poset._trusted(Universe(p.elements.label(i) for i in kept), up)
 
 
 def maximal_elements(p: Poset) -> tuple:
@@ -324,17 +349,14 @@ def product_poset(p: Poset, q: Poset) -> Poset:
     for lab in p.labels() + q.labels():
         if any(ch in lab for ch in ",()"):
             raise AmbiguousLabelError(lab)
-    labels = [pair_label(a, b) for a in p.labels() for b in q.labels()]
-    pairs = [
-        (pair_label(a, b), pair_label(a2, b2))
-        for a in p.labels()
-        for a2 in p.labels()
-        if p.leq(a, a2)
-        for b in q.labels()
-        for b2 in q.labels()
-        if q.leq(b, b2)
-    ]
-    return poset_from_pairs(labels, pairs)
+    universe = Universe(pair_label(a, b) for a in p.labels() for b in q.labels())
+    # at[i][j]: the index of (i, j), since pair labels need not sort as pairs
+    at = [[universe.index(pair_label(a, b)) for b in q.labels()] for a in p.labels()]
+    up = [0] * len(universe)
+    for i, p_up in enumerate(p.up):
+        for j, q_up in enumerate(q.up):
+            up[at[i][j]] = sum(1 << at[i2][j2] for i2 in _bits(p_up) for j2 in _bits(q_up))
+    return Poset._trusted(universe, up)
 
 
 def pair_label(x: str, y: str) -> str:
@@ -461,9 +483,7 @@ def topology_to_order(t: FiniteTopology) -> Poset:
     witness = t.t0_witness()
     if witness is not None:
         raise NotT0Error(witness)
-    labels = t.points.labels
-    pairs = [(labels[i], y) for j, y in enumerate(labels) for i in _bits(t._mins[j])]
-    return poset_from_pairs(labels, pairs)
+    return Poset._trusted(t.points, _transpose(t._mins), t._mins)
 
 
 def membership_relation(t: FiniteTopology) -> Relation:

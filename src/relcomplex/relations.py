@@ -5,6 +5,11 @@ K-complex on X (subsets of X related to a common y) and the L-complex on Y
 (subsets of Y related to a common x).  Universes here are always finite;
 the subcomplex <-> morphism correspondence implemented below genuinely
 needs that, so infinite ground sets are out of scope.
+
+``Relation(...)`` checks each pair against the universes' index dicts and
+names the first unknown label in input order, x before y.  ``k_complex`` and
+``l_complex`` build through the unchecked ``SimplicialComplex._trusted``:
+the supports of a checked relation span a union of full simplices.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .errors import (
     EmptyRelationError,
     NotCoveredError,
     UniverseMismatchError,
+    UnknownVertexError,
 )
 
 
@@ -34,17 +40,19 @@ class Relation:
             y_universe = Universe(y_universe)
         if len(x_universe) == 0 or len(y_universe) == 0:
             raise EmptyRelationError("relation universes must be nonempty")
+        xi, yi = x_universe._index, y_universe._index
+        supports: Dict[str, set] = {y: set() for y in y_universe.labels}
         pairset = set()
-        for x, y in pairs:
-            x_universe.index(x)
-            y_universe.index(y)
+        for x, y in pairs:  # the first unknown label, in input order, is reported
+            if x not in xi:
+                raise UnknownVertexError(x)
+            if y not in yi:
+                raise UnknownVertexError(y)
+            supports[y].add(xi[x])
             pairset.add((x, y))
         self.x_universe = x_universe
         self.y_universe = y_universe
         self.pairs: frozenset = frozenset(pairset)
-        supports: Dict[str, set] = {y: set() for y in y_universe}
-        for x, y in pairset:
-            supports[y].add(x_universe.index(x))
         self._supports = {y: tuple(sorted(s)) for y, s in supports.items()}
 
     def support(self, y: str) -> tuple:

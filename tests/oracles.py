@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 
 import relcomplex as rc
 from relcomplex.errors import (
+    CycleDetectedError,
     EmptyComplexError,
     InvalidTopologyError,
     NotFreeError,
+    ParseError,
     UnknownVertexError,
 )
+from relcomplex.formats import Document
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles
@@ -231,6 +234,61 @@ def pairwise_topology(points, opens) -> frozenset:
                     "open sets must be closed under intersection"
                 )
     return frozenset(masks)
+
+
+def reference_poset_from_pairs(elements, pairs) -> rc.Poset:
+    """A reference for ``poset_from_pairs`` through the validating ``Poset``.
+
+    Reachability is a breadth-first search from each element over the
+    generating pairs.  The first i < j, by index, that reach each other are
+    reported as a cycle of two shortest paths, i to j and j back to i, each
+    search taking the lower next index first.
+    """
+    universe = rc.Universe(elements)
+    n = len(universe)
+    succ = [set() for _ in range(n)]
+    for a, b in pairs:
+        succ[universe.index(a)].add(universe.index(b))
+
+    def path(src, dst):
+        prev = {src: None}
+        queue = [src]
+        while queue:
+            cur = queue.pop(0)
+            if cur == dst:
+                out = []
+                while cur is not None:
+                    out.append(cur)
+                    cur = prev[cur]
+                return out[::-1]
+            for nxt in sorted(succ[cur]):
+                if nxt not in prev:
+                    prev[nxt] = cur
+                    queue.append(nxt)
+        return None
+
+    for i, j in itertools.combinations(range(n), 2):
+        there, back = path(i, j), path(j, i)
+        if there and back:
+            raise CycleDetectedError(tuple(universe.label(v) for v in there[:-1] + back))
+    up = [sum(1 << j for j in range(n) if path(i, j)) for i in range(n)]
+    return rc.Poset(universe, tuple(up))
+
+
+def pairwise_product_poset(p: rc.Poset, q: rc.Poset) -> rc.Poset:
+    """A reference for ``product_poset``: the closure of every label pair
+    ``((a,b), (a2,b2))`` with a <= a2 and b <= b2, each tested by ``leq``."""
+    labels = [rc.pair_label(a, b) for a in p.labels() for b in q.labels()]
+    pairs = [
+        (rc.pair_label(a, b), rc.pair_label(a2, b2))
+        for a in p.labels()
+        for a2 in p.labels()
+        if p.leq(a, a2)
+        for b in q.labels()
+        for b2 in q.labels()
+        if q.leq(b, b2)
+    ]
+    return rc.poset_from_pairs(labels, pairs)
 
 
 def rescan_minimal_open(t: rc.FiniteTopology, index: int) -> int:
@@ -491,6 +549,73 @@ def walking_to_jsonable(value):
 def walking_report(value) -> str:
     """Canonical JSON text of ``value`` through ``walking_to_jsonable``."""
     return json.dumps(walking_to_jsonable(value), sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# parse oracle: the line parser that strips, splits and checks in steps
+
+# kind -> keyword -> (min arity, max arity or None), a copy of the grammar in
+# ``formats``, kept here so that the reference does not read the library's
+_LINE_GRAMMAR = {
+    "poset": {"element": (1, 1), "le": (2, 2)},
+    "relation": {"xelement": (1, 1), "yelement": (1, 1), "pair": (2, 2)},
+    "complex": {"facet": (1, None)},
+    "space": {"point": (1, 1), "open": (1, None)},
+}
+
+
+def line_parse(text: str) -> Document:
+    """A reference for ``formats.parse``: each line is cut at ``#``, stripped
+    and split, and each check looks its declarations up by keyword."""
+    kind = None
+    name = None
+    header_line = 1
+    records = []
+    declared: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        keyword, args = tokens[0], tokens[1:]
+        if kind is None:
+            if keyword not in _LINE_GRAMMAR:
+                raise ParseError(
+                    lineno, f"expected a header (one of {sorted(_LINE_GRAMMAR)}), got {keyword!r}"
+                )
+            if len(args) != 1:
+                raise ParseError(lineno, f"header needs exactly one name, got {args!r}")
+            kind, name, header_line = keyword, args[0], lineno
+            rules = _LINE_GRAMMAR[kind]
+            continue
+        if keyword not in rules:
+            raise ParseError(lineno, f"unknown keyword {keyword!r} in a {kind} file")
+        lo, hi = rules[keyword]
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            raise ParseError(lineno, f"{keyword!r} takes {lo}{'' if hi == lo else '+'} labels")
+        if keyword in ("element", "xelement", "yelement", "point"):
+            declared.setdefault(keyword, set()).add(args[0])
+        elif keyword == "le":
+            for lab in args:
+                if lab not in declared.get("element", ()):
+                    raise ParseError(lineno, f"undeclared element {lab!r}")
+        elif keyword == "pair":
+            if args[0] not in declared.get("xelement", ()):
+                raise ParseError(lineno, f"undeclared x element {args[0]!r}")
+            if args[1] not in declared.get("yelement", ()):
+                raise ParseError(lineno, f"undeclared y element {args[1]!r}")
+        elif keyword == "open":
+            for lab in args:
+                if lab not in declared.get("point", ()):
+                    raise ParseError(lineno, f"undeclared point {lab!r}")
+        if keyword in ("facet", "open"):
+            if len(set(args)) != len(args):
+                raise ParseError(lineno, f"duplicate label in {keyword!r} line")
+            args = sorted(args)
+        records.append((keyword, *args))
+    if kind is None:
+        raise ParseError(1, "empty document")
+    return Document(kind, name, tuple(records), header_line)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["poset-collapse", "dowker-homology"])
+@pytest.mark.parametrize("workload", ["poset-collapse", "dowker-homology", "cli-files"])
 def test_reports_pass_the_benchmark_checks(workload):
     argv = ["--workload", workload, "--seed", "1", "--seconds", "0.5", "--trace", "0"]
     run = subprocess.run(

@@ -660,3 +660,45 @@ def test_fresh_process_matches_in_process(capsys, monkeypatch, data_dir):
             [sys.executable, "-m", "relcomplex.cli", *argv], env=env, capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main`` on a pinned table's argv."""
+    try:
+        code = main(resolve(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCachedParsers:
+    """A parser is built once per command and process, and later calls give
+    the bytes that the first one gave."""
+
+    @pytest.mark.parametrize("row", USAGE, ids=[" ".join(r["argv"]) for r in USAGE])
+    def test_each_usage_row_twice(self, capsys, monkeypatch, row):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        first = outcome(capsys, row["argv"])
+        assert outcome(capsys, ["verify", "dowker", "--relation", "circle4_leq.relation"])[0] == 0
+        assert outcome(capsys, ["dowker", "k"])[0] == 1
+        assert outcome(capsys, row["argv"]) == first
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["poset", "--help"], ["homology", "--help"], ["closed", "verify", "--help"],
+    ])
+    def test_help_is_laid_out_at_the_current_width(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        monkeypatch.setenv("COLUMNS", "80")
+        wide = outcome(capsys, argv)
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        assert narrow == outcome(capsys, argv)
+        assert narrow != wide
+
+    def test_one_parser_per_command(self):
+        assert cli._build_parser(["dowker", "k"]) is cli._build_parser(["dowker", "k", "--relation", "F"])
+        assert cli._build_parser(["--help"]) is cli._build_parser(["bogus"])
+        assert cli._build_parser(["dowker", "k"]) is not cli._build_parser(["dowker", "l"])

@@ -2,7 +2,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import relcomplex as rc
 from relcomplex import cli, formats
@@ -197,3 +197,133 @@ class TestReportsAgainstTheWalkingConverter:
                 seq = rc.collapse_leq_to_strict(p, side)
                 assert formats.write_report(seq) == oracles.walking_report(seq)
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# parse against the line parser it replaced, on generated texts
+
+LABELS = ["a", "b", "c", "d"]
+KEYWORDS = sorted({kw for rules in formats._GRAMMAR.values() for kw in rules} | {"vertex"})
+
+
+@st.composite
+def valid_lines(draw):
+    """The token lines of a valid document of any kind: declarations, then uses."""
+    kind = draw(st.sampled_from(sorted(formats._GRAMMAR)))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
+    label = st.sampled_from(labels)
+    uses = st.integers(0, 4)
+    lines = [[kind, draw(st.sampled_from(["P", "x-1", "é"]))]]
+    if kind == "poset":
+        lines += [["element", lab] for lab in labels]
+        lines += [["le", draw(label), draw(label)] for _ in range(draw(uses))]
+    elif kind == "relation":
+        ys = draw(st.lists(st.sampled_from(["y", "z", "a"]), min_size=1, unique=True))
+        lines += [["xelement", lab] for lab in labels] + [["yelement", y] for y in ys]
+        lines += [["pair", draw(label), draw(st.sampled_from(ys))] for _ in range(draw(uses))]
+    else:
+        declare, use = ("point", "open") if kind == "space" else (None, "facet")
+        if declare:
+            lines += [[declare, lab] for lab in labels]
+        lines += [[use, *draw(st.lists(label, min_size=1, unique=True))] for _ in range(draw(uses))]
+    return lines
+
+
+def lines_of(lines, keywords):
+    """Indices of the body lines whose keyword is one of ``keywords``."""
+    return [i for i, tokens in enumerate(lines) if i and tokens[0] in keywords]
+
+
+@st.composite
+def hostile_lines(draw):
+    """A valid document's lines with one or two faults put in."""
+    lines = draw(valid_lines())
+    for _ in range(draw(st.integers(1, 2))):
+        fault = draw(st.sampled_from(["header", "keyword", "arity", "undeclared", "late", "duplicate"]))
+        body = lines_of(lines, {"le", "pair", "open"} if fault == "undeclared"
+                        else {"element", "xelement", "yelement", "point"} if fault == "late"
+                        else {"facet", "open"} if fault == "duplicate"
+                        else KEYWORDS)
+        at = draw(st.sampled_from(body)) if body else None
+        if fault == "header" and lines:
+            header = draw(st.sampled_from(["none", "keyword", "arity"]))
+            if header == "none":
+                del lines[0]
+            elif header == "keyword":
+                lines[0] = [draw(st.sampled_from(["posets", "element", "vertex"])), *lines[0][1:]]
+            else:
+                lines[0] = lines[0][:1] + draw(st.lists(st.sampled_from(LABELS), max_size=3).filter(lambda a: len(a) != 1))
+        elif fault == "keyword":
+            where = draw(st.integers(1, max(len(lines), 1)))
+            lines.insert(where, [draw(st.sampled_from(KEYWORDS)), *draw(st.lists(st.sampled_from(LABELS), max_size=3))])
+        elif at is None:
+            continue
+        elif fault == "arity":
+            cut = draw(st.integers(1, len(lines[at])))
+            lines[at] = lines[at][:cut] + draw(st.lists(st.sampled_from(LABELS), max_size=2))
+        elif fault == "undeclared":
+            lines[at][draw(st.integers(1, len(lines[at]) - 1))] = "zz"
+        elif fault == "late":
+            lines.append(lines.pop(at))
+        else:
+            lines[at].append(draw(st.sampled_from(lines[at][1:])))
+    return lines
+
+
+@st.composite
+def layouts(draw, lines):
+    """Text for token lines, with blank and comment lines, tabs, comments and CRLF drawn."""
+    out = []
+    for tokens in lines:
+        while draw(st.integers(0, 3)) == 3:
+            out.append(draw(st.sampled_from(["", "   ", "\t", "# comment", "  # a b", " "])))
+        lead = draw(st.sampled_from(["", " ", "\t", " \t"]))
+        gap = draw(st.sampled_from([" ", "\t", "  ", " \t", " "]))
+        tail = draw(st.sampled_from(["", "", " ", "\t", " # note", "#", "\t# x#y"]))
+        out.append(lead + gap.join(tokens) + tail)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from(["", end]))
+
+
+def parsed(parse, text):
+    """The document and its header line, or the line and message of the error."""
+    try:
+        doc = parse(text)
+    except ParseError as exc:
+        return "error", exc.line, exc.message
+    return "document", doc, doc.header_line
+
+
+def same_as_the_line_parser(text):
+    got = parsed(formats.parse, text)
+    assert got == parsed(oracles.line_parse, text)
+    if got[0] == "document":
+        assert formats.parse(formats.serialize(got[1])) == got[1]
+    return got[0]
+
+
+class TestParseAgainstTheLineParser:
+    """parse gives the line parser's document, or its error line and message."""
+
+    @given(valid_lines().flatmap(layouts))
+    def test_valid_texts(self, text):
+        assert same_as_the_line_parser(text) == "document"
+
+    @settings(max_examples=300)
+    @given(hostile_lines().flatmap(layouts))
+    def test_hostile_texts(self, text):
+        same_as_the_line_parser(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "# only\r\n", "posets P\n", "poset\n", "poset P Q\n", "poset P\nvertex 1\n",
+        "poset P\nelement\n", "poset P\nelement 1 2\n", "poset P\nle 1 1\n", "poset P\nelement 1\nle 1 2\n",
+        "relation R\nxelement a\npair a y\n", "relation R\nyelement y\npair a y\n",
+        "complex C\nfacet a b a\n", "space S\npoint 1\nopen 1 1\n", "space S\npoint 1\nopen 2 2\n",
+        "complex C#x\n\tfacet b\ta # c\r\nfacet a\n",
+    ])
+    def test_each_fault(self, text):
+        same_as_the_line_parser(text)
+
+    def test_records_of_an_unknown_keyword_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown keyword 'vertex'"):
+            formats.Document("poset", "P", (("element", "1"), ("vertex", "2")))

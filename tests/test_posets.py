@@ -516,3 +516,81 @@ class TestDualAndSubposet:
         assert oracles.is_up_set(circle4, ["3", "4"])
         assert oracles.is_up_set(circle4, ["1", "3", "4"])
         assert not oracles.is_up_set(circle4, ["1"])
+
+
+@st.composite
+def pair_lists(draw, max_elements=6):
+    """Labels and generating pairs in any direction, so that some close into a cycle."""
+    n = draw(st.integers(1, max_elements))
+    labels = [str(i) for i in range(1, n + 1)]
+    label = st.sampled_from(labels)
+    return labels, draw(st.lists(st.tuples(label, label), max_size=3 * n))
+
+
+# "(a+,x)" sorts before "(a,x)" though "a" sorts before "a+": the pair
+# labels of a product do not sort as the pairs do
+ODD_LABELS = ["a", "a+", "a0", "b", "!"]
+
+
+@st.composite
+def odd_posets(draw, max_elements=4):
+    labels = draw(st.lists(st.sampled_from(ODD_LABELS), min_size=1, max_size=max_elements, unique=True))
+    return rc.poset_from_pairs(labels, [
+        (a, b) for a, b in itertools.combinations(labels, 2) if draw(st.booleans())
+    ])
+
+
+def outcome(build, *args):
+    """The cycle that ``build`` reports, or the universe, up and down masks it builds."""
+    try:
+        p = build(*args)
+    except CycleDetectedError as exc:
+        return "cycle", exc.cycle
+    return "poset", p.elements, p.up, p.down
+
+
+def validated(p: rc.Poset) -> tuple:
+    """``p`` as the validating constructor builds it from its up masks."""
+    return outcome(rc.Poset, p.elements, p.up)
+
+
+class TestTrustedBuilders:
+    """Builders that skip the validating constructor give what it gives."""
+
+    @settings(max_examples=150)
+    @given(pair_lists())
+    def test_poset_from_pairs(self, labels_pairs):
+        got = outcome(rc.poset_from_pairs, *labels_pairs)
+        assert got == outcome(oracles.reference_poset_from_pairs, *labels_pairs)
+        if got[0] == "poset":
+            assert got == validated(rc.poset_from_pairs(*labels_pairs))
+
+    def test_a_cycle_names_shortest_paths_from_the_first_pair(self):
+        # 1 and 2 are the first pair on a cycle; 1 -> 3 -> 2 is shorter than 1 -> 4 -> 5 -> 2
+        pairs = [("1", "4"), ("4", "5"), ("5", "2"), ("1", "3"), ("3", "2"), ("2", "1")]
+        with pytest.raises(CycleDetectedError) as exc:
+            rc.poset_from_pairs("12345", pairs)
+        assert exc.value.cycle == ("1", "3", "2", "1")
+
+    @given(posets(max_elements=6))
+    def test_dual_poset(self, p):
+        d = rc.dual_poset(p)
+        assert outcome(rc.dual_poset, p) == outcome(rc.Poset, p.elements, p.down)
+        assert outcome(rc.dual_poset, d) == validated(p)
+
+    @given(posets(max_elements=6), st.data())
+    def test_induced_subposet(self, p, data):
+        kept = data.draw(st.sets(st.sampled_from(p.labels())))
+        universe = rc.Universe(kept)
+        up = [sum(1 << universe.index(b) for b in kept if p.leq(a, b)) for a in universe.labels]
+        assert outcome(rc.induced_subposet, p, kept) == outcome(rc.Poset, universe, tuple(up))
+
+    @given(odd_posets(), odd_posets(max_elements=3))
+    def test_product_poset(self, p, q):
+        got = outcome(rc.product_poset, p, q)
+        assert got == outcome(oracles.pairwise_product_poset, p, q)
+        assert got == validated(rc.product_poset(p, q))
+
+    def test_induced_subposet_names_an_unknown_label(self, circle4):
+        with pytest.raises(UnknownVertexError):
+            rc.induced_subposet(circle4, ["1", "9"])

@@ -10,6 +10,7 @@ from relcomplex.errors import (
     EmptyRelationError,
     NotCoveredError,
     UniverseMismatchError,
+    UnknownVertexError,
 )
 
 import oracles
@@ -360,3 +361,27 @@ class TestEquivalence:
         for r, s, t in itertools.combinations(rels, 3):
             if rc.are_equivalent(r, s) and rc.are_equivalent(s, t):
                 assert rc.are_equivalent(r, t)
+
+
+class TestUnknownLabels:
+    """Relation names the first unknown label of its pairs, x before y."""
+
+    def test_first_unknown_label_in_input_order(self):
+        for pairs, label in [
+            ([("a", "x"), ("c", "w"), ("d", "y")], "c"),
+            ([("a", "w"), ("c", "x")], "w"),
+            ([("a", "x"), ("b", "a")], "a"),  # an X label is unknown in Y
+        ]:
+            with pytest.raises(UnknownVertexError) as exc:
+                rc.Relation("ab", "xy", pairs)
+            assert exc.value.label == label, pairs
+
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "x"]), st.sampled_from(["x", "y", "w", "a"]))))
+    def test_against_a_scan_of_the_pairs(self, pairs):
+        unknown = [lab for pair in pairs for lab, known in zip(pair, ("ab", "xy")) if lab not in known]
+        if not unknown:
+            assert rc.Relation("ab", "xy", pairs).pairs == frozenset(pairs)
+            return
+        with pytest.raises(UnknownVertexError) as exc:
+            rc.Relation("ab", "xy", pairs)
+        assert exc.value.label == unknown[0]
