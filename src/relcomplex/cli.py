@@ -147,7 +147,7 @@ def _cmd_closed_verify(args):
     rel = ClosedRelation(
         _load("poset", args.xposet),
         _load("poset", args.yposet),
-        _load("relation", args.relation).pairs,
+        sorted(_load("relation", args.relation).pairs),
     )
     return verify_closed_relation(rel, args.mode)
 

@@ -33,7 +33,8 @@ from .posets import (
 def closedness_witness(
     pairs: Iterable[Tuple[str, str]], x_poset: Poset, y_poset: Poset
 ) -> Optional[Tuple[Tuple[str, str], Tuple[str, str]]]:
-    """A pair (lower, upper) violating up-closure, or None when closed."""
+    """A pair (lower, upper) violating up-closure, or None when closed; the
+    first label outside its poset, in input order, raises UnknownVertexError."""
     pairset = set()
     for x, y in pairs:
         x_poset.elements.index(x)
@@ -53,13 +54,13 @@ class ClosedRelation:
     __slots__ = ("x_poset", "y_poset", "pairs")
 
     def __init__(self, x_poset: Poset, y_poset: Poset, pairs: Iterable[Tuple[str, str]]):
-        pairs = frozenset((x, y) for x, y in pairs)
+        pairs = [(x, y) for x, y in pairs]  # labels are checked in input order
         witness = closedness_witness(pairs, x_poset, y_poset)
         if witness is not None:
             raise NotClosedError(*witness)
         self.x_poset = x_poset
         self.y_poset = y_poset
-        self.pairs = pairs
+        self.pairs = frozenset(pairs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -75,28 +76,22 @@ class ClosedRelation:
 
 def fiber(rel: ClosedRelation, element: str, side: str) -> Poset:
     """The subposet of the opposite side related to ``element``."""
-    if side == "x":
-        rel.x_poset.elements.index(element)
-        members = {y for x, y in rel.pairs if x == element}
-        return induced_subposet(rel.y_poset, members)
-    if side == "y":
-        rel.y_poset.elements.index(element)
-        members = {x for x, y in rel.pairs if y == element}
-        return induced_subposet(rel.x_poset, members)
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    if side not in ("x", "y"):
+        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    at = "xy".index(side)  # the element's place in a pair
+    posets = (rel.x_poset, rel.y_poset)
+    posets[at].elements.index(element)
+    members = {pair[1 - at] for pair in rel.pairs if pair[at] == element}
+    return induced_subposet(posets[1 - at], members)
 
 
 def _iter_fibers(rel: ClosedRelation):
-    for x in rel.x_poset.labels():
-        f = fiber(rel, x, "x")
-        if len(f) == 0:
-            raise EmptyFiberError(x)
-        yield "x", x, f
-    for y in rel.y_poset.labels():
-        f = fiber(rel, y, "y")
-        if len(f) == 0:
-            raise EmptyFiberError(y)
-        yield "y", y, f
+    for side, p in (("x", rel.x_poset), ("y", rel.y_poset)):
+        for element in p.labels():
+            f = fiber(rel, element, side)
+            if len(f) == 0:
+                raise EmptyFiberError(element)
+            yield side, element, f
 
 
 def weak_hypothesis(rel: ClosedRelation) -> dict:

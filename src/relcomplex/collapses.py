@@ -10,13 +10,14 @@ So a face f is free exactly when one vertex v outside f makes f + {v} a
 face: a proper coface g of higher codimension would contain f + {v} and
 f + {w} for two vertices v, w of g outside f.
 
-The engines work on int masks.  Over a universe of n vertices, vertex i is
-bit n - 1 - i.  Each entry point encodes the index tuples of its initial
-complex once, into a dict from mask to tuple (``_encoding``), and labels go
-to bits through one label-to-bit dict.  Then f + {v} is ``f | bit``, a
-sub-face is f with one bit cleared, and ``_cofaces``, the one coface probe,
-tries each of the |universe| - dim bits outside f, lowest first, instead of
-rebuilding the complex.  Among faces of one size, lexicographic tuple order
+The engines work on int masks; ``free_coface``, one question, probes index
+tuples.  Over a universe of n vertices, vertex i is bit n - 1 - i.  Each
+engine encodes the index tuples of its initial complex once, into a dict
+from mask to tuple (``_encoding``), and labels go to bits through one
+label-to-bit dict.  Then f + {v} is ``f | bit``, a sub-face is f with one
+bit cleared, and ``_cofaces``, the one coface probe, tries each of the
+|universe| - dim bits outside f, lowest first, instead of rebuilding the
+complex.  Among faces of one size, lexicographic tuple order
 is descending mask order: the first vertex where two faces differ is the
 highest bit where their masks do, and the face that holds it is the
 lexicographically smaller one.  So the greedy heap key, which orders as
@@ -202,19 +203,16 @@ def _certified(
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
     """The unique proper coface of ``face`` if there is exactly one, else None.
 
-    ``face`` is given by labels and must be a face of ``k``.  The faces of
-    ``k`` are encoded on each call, so it costs O(|faces|), as
-    ``apply_step`` does.
+    ``face`` is given by labels and must be a face of ``k``.  Each vertex
+    outside it is probed once, as an index tuple, so it costs
+    O(|universe| * dim) whatever the size of ``k``.
     """
-    n = len(k.universe)
-    (f,) = _encoding((k.universe.face_from_labels(face),), n)
-    decode = _encoding(k.faces, n)
-    if f not in decode:
+    f = k.universe.face_from_labels(face)
+    if f not in k.faces:
         raise NotFreeError(tuple(face), None)
-    cofaces = _cofaces(decode, f, (1 << n) - 1)
-    if len(cofaces) == 1:
-        return k.face_labels(decode[cofaces[0]])
-    return None
+    others = (tuple(sorted((*f, v))) for v in range(len(k.universe)) if v not in f)
+    cofaces = [g for g in others if g in k.faces]
+    return k.face_labels(cofaces[0]) if len(cofaces) == 1 else None
 
 
 def apply_step(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:

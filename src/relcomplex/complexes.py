@@ -11,9 +11,9 @@ outside.  Builders whose face set is closed by construction go through the
 private, unchecked ``SimplicialComplex._trusted`` instead; the labels they
 take in are checked by ``Universe``:
 
-- ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``: a
-  union of full simplices, one per facet or support, each added with all of
-  its subsets;
+- ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``, and
+  ``posets.poset_dowker_complex``: a union of full simplices, one per facet
+  or support, each added with all of its subsets;
 - ``apply_simplicial_map``: every subset of an image f(s) is the image of a
   subface of s;
 - ``posets.order_complex``: the set of all chains, and a subset of a chain
@@ -23,10 +23,9 @@ take in are checked by ``Universe``:
   only proper coface, which is maximal, so no remaining face loses a
   subface.
 
-``complex_from_facets`` (so every parsed file), ``k_complex`` and ``l_complex``
-set their facets: the maximal input facets and the maximal distinct supports.
-All come from ``_closure``, which takes faces largest first and keeps those
-not yet inside an earlier one, so no kept face lies in another.  Every other
+These four set their facets, the maximal input facets or distinct supports,
+through ``_spanned``, which takes faces largest first and keeps those not yet
+inside an earlier one, so no kept face lies in another.  Every other
 complex gets the linear marking scan of ``facets()``.
 """
 
@@ -262,21 +261,21 @@ class VertexMap:
         return f"VertexMap({self.mapping!r})"
 
 
-def _closure(tops) -> tuple:
-    """The faces spanned by ``tops``, and the maximal distinct tops, sorted.
+def _spanned(universe: Universe, tops) -> SimplicialComplex:
+    """The union of the full simplices on the nonempty ``tops``, with its facets.
 
     Tops go largest first: one already present lies in an equal or larger
     earlier top and adds nothing, and a kept top lies in no other.
     """
     faces = set()
     maximal = []
-    for top in sorted(tops, key=len, reverse=True):
+    for top in sorted(filter(None, tops), key=len, reverse=True):
         if top in faces:
             continue
         maximal.append(top)
         for k in range(1, len(top) + 1):
             faces.update(itertools.combinations(top, k))
-    return faces, tuple(sorted(maximal))
+    return SimplicialComplex._trusted(universe, faces, tuple(sorted(maximal)))
 
 
 def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> SimplicialComplex:
@@ -290,8 +289,7 @@ def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> Simplicial
     tops = [universe.face_from_labels(facet) for facet in facets]
     if () in tops:
         raise ValueError("facets must be nonempty")
-    faces, maximal = _closure(tops)
-    return SimplicialComplex._trusted(universe, faces, maximal)
+    return _spanned(universe, tops)
 
 
 def is_subcomplex(t: SimplicialComplex, k: SimplicialComplex) -> bool:

@@ -36,17 +36,20 @@ Builders whose order holds by construction skip that, through the unchecked
 - ``product_poset``: the componentwise order, whose up-set of (i, j) is the
   product of the factors' up-sets of i and j;
 - ``topology_to_order``: the specialization order of a T0 space, whose
-  down-sets are its minimal opens.
+  down-sets are its minimal opens;
+- ``realize_as_poset_k_complex``: each x of a facet below the facet's least
+  private vertex, which lies in no other facet and so is maximal.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from itertools import combinations, product
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, Universe
+from .complexes import SimplicialComplex, Universe, _spanned
 from .errors import (
     AmbiguousLabelError,
     CycleDetectedError,
@@ -57,7 +60,7 @@ from .errors import (
     NotT0Error,
     UnknownVertexError,
 )
-from .relations import Relation, k_complex, l_complex
+from .relations import Relation, _membership
 
 
 def _bits(mask: int):
@@ -133,13 +136,7 @@ class Poset:
         )
 
     def strict_pairs(self) -> frozenset:
-        labs = self.elements.labels
-        return frozenset(
-            (labs[i], labs[j])
-            for i in range(len(labs))
-            for j in _bits(self.up[i])
-            if j != i
-        )
+        return frozenset((a, b) for a, b in self.pairs() if a != b)
 
     def cover_pairs(self) -> tuple:
         """The covering (Hasse) pairs, sorted; a minimal generating set."""
@@ -282,17 +279,19 @@ def poset_dowker_complex(p: Poset, strict: bool, side: str) -> SimplicialComplex
 
     The non-strict K-complex is the nerve of the minimal closed sets and
     the non-strict L-complex the nerve of the minimal open sets.  Strict
-    complexes of a discrete poset are empty and reported as errors.
+    complexes of a discrete poset are empty and reported as errors.  K spans
+    the down-sets, L the up-sets, each less its own element when strict.
     """
     if side not in ("k", "l"):
         raise ValueError(f"side must be 'k' or 'l', got {side!r}")
     if len(p) == 0:
         raise EmptyComplexError("the Dowker complexes need a nonempty poset")
-    pairs = p.strict_pairs() if strict else p.pairs()
-    if not pairs:
+    masks = p.down if side == "k" else p.up
+    if strict:
+        masks = [m & ~(1 << i) for i, m in enumerate(masks)]
+    if not any(masks):
         raise EmptyResultError()
-    rel = Relation(p.elements, p.elements, pairs)
-    return k_complex(rel) if side == "k" else l_complex(rel)
+    return _spanned(p.elements, [tuple(_bits(m)) for m in masks])
 
 
 def lattice_condition_witness(p: Poset) -> Optional[Tuple[str, str]]:
@@ -325,18 +324,16 @@ def realize_as_poset_k_complex(t: SimplicialComplex) -> Poset:
     if len(t.vertices()) != len(t.universe):
         raise ValueError("complex must be complete over its universe")
     facets = t.facets()
-    count = {}
-    for s in facets:
-        for v in s:
-            count[v] = count.get(v, 0) + 1
-    pairs = []
+    count = Counter(v for s in facets for v in s)
+    up = [1 << i for i in range(len(t.universe))]
     for s in facets:
         private = [v for v in s if count[v] == 1]
         if not private:
             raise NotRealizableError(t.face_labels(s))
-        y = t.universe.label(min(private))
-        pairs.extend((t.universe.label(x), y) for x in s)
-    return poset_from_pairs(t.universe.labels, pairs)
+        top = 1 << min(private)
+        for x in s:
+            up[x] |= top
+    return Poset._trusted(t.universe, up)
 
 
 def product_poset(p: Poset, q: Poset) -> Poset:
@@ -365,31 +362,25 @@ def pair_label(x: str, y: str) -> str:
 
 def connected_components(p: Poset) -> tuple:
     """Components of the comparability graph, each a sorted label tuple."""
-    n = len(p)
-    comp = [p.up[i] | p.down[i] for i in range(n)]
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
+    comp = [p.up[i] | p.down[i] for i in range(len(p))]
+    seen, out = 0, []
+    for i in range(len(p)):
+        if seen >> i & 1:
             continue
-        mask = 1 << i
-        frontier = comp[i]
-        while frontier & ~mask:
-            mask |= frontier
-            frontier = 0
-            for j in _bits(mask):
-                frontier |= comp[j]
-        members = tuple(p.elements.label(j) for j in _bits(mask))
-        for j in _bits(mask):
-            seen[j] = True
-        out.append(members)
+        mask, grown = 0, 1 << i
+        while grown != mask:
+            mask = grown
+            grown = reduce(or_, [comp[j] for j in _bits(mask)])
+        seen |= mask
+        out.append(tuple(p.elements.label(j) for j in _bits(mask)))
     return tuple(sorted(out))
 
 
 def singleton_component_witness(p: Poset) -> Optional[str]:
-    for members in connected_components(p):
-        if len(members) == 1:
-            return members[0]
+    """The least element comparable to no other, or None."""
+    for i in range(len(p)):
+        if p.up[i] | p.down[i] == 1 << i:
+            return p.elements.label(i)
     return None
 
 
@@ -494,9 +485,4 @@ def membership_relation(t: FiniteTopology) -> Relation:
     Vietoris counterpart.  Raises :class:`AmbiguousLabelError` for a point
     label containing ``,``.
     """
-    for lab in t.points.labels:
-        if "," in lab:
-            raise AmbiguousLabelError(lab, "','", "open-set labels")
-    named = [(",".join(o), o) for o in t.open_label_sets() if o]
-    pairs = [(point, name) for name, points in named for point in points]
-    return Relation(t.points, [name for name, _ in named], pairs)
+    return _membership(t.points, [tuple(_bits(o)) for o in t.opens if o], "open-set labels")

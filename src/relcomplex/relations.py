@@ -6,10 +6,18 @@ K-complex on X (subsets of X related to a common y) and the L-complex on Y
 the subcomplex <-> morphism correspondence implemented below genuinely
 needs that, so infinite ground sets are out of scope.
 
-``Relation(...)`` checks each pair against the universes' index dicts and
-names the first unknown label in input order, x before y.  ``k_complex`` and
-``l_complex`` build through the unchecked ``SimplicialComplex._trusted``:
-the supports of a checked relation span a union of full simplices.
+A relation keeps only its supports, one sorted x index tuple per y in y
+index order, and derives ``pairs`` from them.  ``Relation(...)`` checks each
+pair against the universes' index dicts and names the first unknown label in
+input order, x before y.  Builders whose supports hold by construction skip
+that, through the unchecked ``Relation._trusted``:
+
+- ``transpose``: the supports of each x, read off those of each y;
+- ``canonical_relation`` and ``posets.membership_relation``: each face, or
+  nonempty open, is the support of the y its comma-joined labels name.
+
+``k_complex`` and ``l_complex`` span full simplices on the supports, through
+``complexes._spanned``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, Universe, VertexMap, _closure
+from .complexes import SimplicialComplex, Universe, VertexMap, _spanned
 from .errors import (
     AmbiguousLabelError,
     EmptyComplexError,
@@ -31,7 +39,7 @@ from .errors import (
 class Relation:
     """An immutable subset of X x Y over two label universes."""
 
-    __slots__ = ("x_universe", "y_universe", "pairs", "_supports")
+    __slots__ = ("x_universe", "y_universe", "_supports")
 
     def __init__(self, x_universe, y_universe, pairs: Iterable[Tuple[str, str]]):
         if not isinstance(x_universe, Universe):
@@ -41,57 +49,76 @@ class Relation:
         if len(x_universe) == 0 or len(y_universe) == 0:
             raise EmptyRelationError("relation universes must be nonempty")
         xi, yi = x_universe._index, y_universe._index
-        supports: Dict[str, set] = {y: set() for y in y_universe.labels}
-        pairset = set()
+        supports = [set() for _ in y_universe.labels]
         for x, y in pairs:  # the first unknown label, in input order, is reported
             if x not in xi:
                 raise UnknownVertexError(x)
             if y not in yi:
                 raise UnknownVertexError(y)
-            supports[y].add(xi[x])
-            pairset.add((x, y))
+            supports[yi[y]].add(xi[x])
         self.x_universe = x_universe
         self.y_universe = y_universe
-        self.pairs: frozenset = frozenset(pairset)
-        self._supports = {y: tuple(sorted(s)) for y, s in supports.items()}
+        self._supports = tuple(tuple(sorted(s)) for s in supports)
+
+    @classmethod
+    def _trusted(cls, x_universe: Universe, y_universe: Universe, supports) -> "Relation":
+        """A relation over nonempty universes with ``supports`` known by
+        construction: one sorted x index tuple per y, in y index order."""
+        r = cls.__new__(cls)
+        r.x_universe = x_universe
+        r.y_universe = y_universe
+        r._supports = tuple(supports)
+        return r
+
+    @property
+    def pairs(self) -> frozenset:
+        """All (x, y) with x R y, as labels."""
+        xs = self.x_universe.labels
+        return frozenset((xs[i], y) for y, s in zip(self.y_universe, self._supports) for i in s)
 
     def support(self, y: str) -> tuple:
         """Sorted labels of all x related to ``y`` (possibly empty)."""
-        self.y_universe.index(y)
-        return self.x_universe.face_labels(self._supports[y])
+        return self.x_universe.face_labels(self._supports[self.y_universe.index(y)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Relation)
             and self.x_universe == other.x_universe
             and self.y_universe == other.y_universe
-            and self.pairs == other.pairs
+            and self._supports == other._supports
         )
 
     def __hash__(self) -> int:
-        return hash((self.x_universe, self.y_universe, self.pairs))
+        return hash((self.x_universe, self.y_universe, self._supports))
 
     def __repr__(self) -> str:
-        return (
-            f"Relation({len(self.x_universe)}x{len(self.y_universe)}, "
-            f"{len(self.pairs)} pairs)"
-        )
+        size = f"{len(self.x_universe)}x{len(self.y_universe)}"
+        return f"Relation({size}, {sum(map(len, self._supports))} pairs)"
 
 
 def is_covered(rel: Relation) -> bool:
     """True iff every y is related to at least one x."""
-    return all(rel._supports[y] for y in rel.y_universe)
+    return all(rel._supports)
 
 
 def require_covered(rel: Relation) -> None:
-    for y in rel.y_universe:
-        if not rel._supports[y]:
+    for y, s in zip(rel.y_universe, rel._supports):
+        if not s:
             raise NotCoveredError(y)
+
+
+def _transposed(rel: Relation) -> list:
+    """The supports of each x: the y indices related to it, in increasing order."""
+    supports = [[] for _ in rel.x_universe.labels]
+    for j, s in enumerate(rel._supports):
+        for i in s:
+            supports[i].append(j)
+    return [tuple(s) for s in supports]
 
 
 def transpose(rel: Relation) -> Relation:
     """Swap the roles of X and Y."""
-    return Relation(rel.y_universe, rel.x_universe, [(y, x) for x, y in rel.pairs])
+    return Relation._trusted(rel.y_universe, rel.x_universe, _transposed(rel))
 
 
 def k_complex(rel: Relation) -> SimplicialComplex:
@@ -101,26 +128,30 @@ def k_complex(rel: Relation) -> SimplicialComplex:
     the whole of X even when some x is related to nothing (such x are simply
     not vertices).  Its facets are the inclusion-maximal distinct supports.
     """
-    if not rel.pairs:
+    if not any(rel._supports):
         raise EmptyRelationError()
-    faces, facets = _closure(s for s in rel._supports.values() if s)
-    return SimplicialComplex._trusted(rel.x_universe, faces, facets)
+    return _spanned(rel.x_universe, rel._supports)
 
 
 def l_complex(rel: Relation) -> SimplicialComplex:
-    """Subsets of Y whose members share a related x; the K-complex of the transpose.
-
-    The supports of each x are read off the checked supports of each y, in
-    increasing y order, so they come out sorted and no relation is built.
-    """
-    if not rel.pairs:
+    """Subsets of Y whose members share a related x; the K-complex of the transpose."""
+    if not any(rel._supports):
         raise EmptyRelationError()
-    supports = [[] for _ in rel.x_universe]
-    for j, y in enumerate(rel.y_universe):
-        for i in rel._supports[y]:
-            supports[i].append(j)
-    faces, facets = _closure(tuple(s) for s in supports if s)
-    return SimplicialComplex._trusted(rel.y_universe, faces, facets)
+    return _spanned(rel.y_universe, _transposed(rel))
+
+
+def _membership(x_universe: Universe, faces, what: str) -> Relation:
+    """x R s iff x is in s, for the sorted index tuples s in ``faces``, each
+    named by its comma-joined labels; ``what`` names them in errors."""
+    labels = x_universe.labels
+    for lab in labels:
+        if "," in lab:
+            raise AmbiguousLabelError(lab, "','", what)
+    if not labels:
+        raise EmptyRelationError("relation universes must be nonempty")
+    named = {",".join(map(labels.__getitem__, f)): f for f in faces}
+    y_universe = Universe(named)
+    return Relation._trusted(x_universe, y_universe, map(named.__getitem__, y_universe.labels))
 
 
 def canonical_relation(t: SimplicialComplex) -> Relation:
@@ -134,17 +165,7 @@ def canonical_relation(t: SimplicialComplex) -> Relation:
     """
     if t.is_empty:
         raise EmptyComplexError("the canonical relation needs a nonempty complex")
-    for lab in t.universe.labels:
-        if "," in lab:
-            raise AmbiguousLabelError(lab, "','", "face labels")
-    pairs = []
-    y_labels = []
-    for face in sorted(t.faces):
-        labels = t.face_labels(face)
-        name = ",".join(labels)
-        y_labels.append(name)
-        pairs.extend((lab, name) for lab in labels)
-    return Relation(t.universe, y_labels, pairs)
+    return _membership(t.universe, t.faces, "face labels")
 
 
 def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bool:
@@ -154,11 +175,12 @@ def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bo
     """
     if rel.x_universe != rel2.x_universe:
         raise UniverseMismatchError()
+    images = []
     for y in rel.y_universe:
         if y not in assignment:
             raise ValueError(f"assignment is not total on Y: missing {y!r}")
-        rel2.y_universe.index(assignment[y])
-    return all((x, assignment[y]) in rel2.pairs for x, y in rel.pairs)
+        images.append(rel2.y_universe.index(assignment[y]))
+    return all(set(rel2._supports[z]).issuperset(s) for z, s in zip(images, rel._supports))
 
 
 @dataclass(frozen=True)
@@ -193,10 +215,10 @@ def find_morphism(rel: Relation, rel2: Relation) -> Optional[Dict[str, str]]:
         raise UniverseMismatchError()
     require_covered(rel)
     require_covered(rel2)
-    supports2 = [(z, set(rel2._supports[z])) for z in rel2.y_universe]
+    supports2 = [(z, set(s)) for z, s in zip(rel2.y_universe, rel2._supports)]
     assignment = {}
-    for y in rel.y_universe:
-        sy = set(rel._supports[y])
+    for y, s in zip(rel.y_universe, rel._supports):
+        sy = set(s)
         z = next((z for z, sz in supports2 if sy <= sz), None)
         if z is None:
             return None

@@ -18,6 +18,7 @@ import relcomplex as rc
 from relcomplex.errors import (
     CycleDetectedError,
     EmptyComplexError,
+    EmptyResultError,
     InvalidTopologyError,
     NotFreeError,
     ParseError,
@@ -425,6 +426,36 @@ def random_facet_family(rng, labels) -> list:
     family = {tuple(sorted(s)) for s in maximal}
     family.update((lab,) for lab in labels if lab not in covered)
     return sorted(family)
+
+
+# ---------------------------------------------------------------------------
+# label-route oracles: label pairs through the validating Relation
+
+
+def label_poset_dowker_complex(p: rc.Poset, strict: bool, side: str) -> rc.SimplicialComplex:
+    """``poset_dowker_complex`` by the label route: the order's label pairs,
+    through the validating ``Relation``, then ``k_complex`` or ``l_complex``."""
+    if side not in ("k", "l"):
+        raise ValueError(f"side must be 'k' or 'l', got {side!r}")
+    if len(p) == 0:
+        raise EmptyComplexError("the Dowker complexes need a nonempty poset")
+    pairs = p.strict_pairs() if strict else p.pairs()
+    if not pairs:
+        raise EmptyResultError()
+    rel = rc.Relation(p.elements, p.elements, pairs)
+    return rc.k_complex(rel) if side == "k" else rc.l_complex(rel)
+
+
+def label_membership_relation(points, label_sets) -> rc.Relation:
+    """x R s iff x is in s, with each label set named by joining its sorted
+    labels with commas, and every pair through the validating ``Relation``."""
+    named = {",".join(sorted(s)): s for s in label_sets}
+    return rc.Relation(points, named, [(x, name) for name, s in named.items() for x in s])
+
+
+def component_singleton(p: rc.Poset):
+    """The first one-element component of ``connected_components``, or None."""
+    return next((c[0] for c in rc.connected_components(p) if len(c) == 1), None)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ def path(data_dir, name):
 
 
 TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src"
 
 
 def resolve(argv):
@@ -525,6 +526,53 @@ class TestGoldenOutputs:
         assert run(capsys, *resolve(argv))[:2] == (code, out)
 
 
+# A relation whose labels circle6 lacks: the first unknown one in sorted
+# pair order is named, whatever the hash seed.
+UNKNOWN_LABELS = (
+    ('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset',
+     '--relation', 'unknown_labels.relation', '--mode', 'weak'),
+    2, '', "error: unknown vertex label 'p'\n",
+)
+
+# Runs each argv of the JSON list in argv[1] through main and prints the
+# exit code, stdout and stderr of each, as JSON.
+FRESH_RUNNER = """
+import contextlib, io, json, sys
+from relcomplex.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestHashSeed:
+    def test_closed_verify_names_the_first_unknown_label(self, capsys):
+        argv, *expected = UNKNOWN_LABELS
+        assert list(run(capsys, *resolve(argv))) == expected
+
+    def test_golden_rows_in_fresh_interpreters(self):
+        """Each row gives the same exit code, stdout and stderr under two
+        hash seeds, so no output depends on set or dict iteration order."""
+        rows = GOLDEN + [UNKNOWN_LABELS[:3]]
+        argvs = json.dumps([resolve(argv) for argv, _, _ in rows])
+        runs = []
+        for seed in ("1", "4"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            proc = subprocess.run(
+                [sys.executable, "-c", FRESH_RUNNER, argvs],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(proc.stdout))
+            assert len(runs[-1]) == len(rows)
+        for (argv, code, out), first, second in zip(rows, *runs):
+            assert first == second, argv
+            assert first[:2] == [code, out], argv
+
+
 # --help at every level and the usage errors: argv, exit code, stdout and
 # stderr as lists of lines, recorded at a terminal width of 80 columns.
 # argparse words its help and errors differently from one Python minor
@@ -639,9 +687,6 @@ class TestReducedParser:
             if other[:2] != (group, name):
                 argv = [*other[:2], *command_argv(other[2])]
                 assert parse(parser, argv)[0] == "usage error", argv
-
-
-SRC = TESTS.parent / "src"
 
 
 def test_fresh_process_matches_in_process(capsys, monkeypatch, data_dir):

@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 import relcomplex as rc
-from relcomplex.errors import AmbiguousLabelError, EmptyFiberError, NotClosedError
+from relcomplex.errors import (
+    AmbiguousLabelError,
+    EmptyFiberError,
+    NotClosedError,
+    UnknownVertexError,
+)
 
 import oracles
 
@@ -24,6 +29,17 @@ class TestClosedness:
         with pytest.raises(NotClosedError) as exc:
             rc.ClosedRelation(circle4, circle6, [("1", "a")])
         assert exc.value.lower == ("1", "a")
+
+    def test_first_unknown_label_in_input_order(self, circle4, circle6):
+        for pairs, label in [
+            ([("1", "d"), ("2", "r"), ("3", "p"), ("4", "q")], "r"),
+            ([("1", "p"), ("2", "r"), ("3", "q")], "p"),
+            ([("1", "q"), ("9", "d")], "q"),
+            ([("9", "q"), ("1", "p")], "9"),
+        ]:
+            with pytest.raises(UnknownVertexError) as exc:
+                rc.ClosedRelation(circle4, circle6, pairs)
+            assert exc.value.label == label, pairs
 
     def test_closed_iff_up_set_of_product(self, circle4):
         # cross-check the direct definition against the product-order up-set test

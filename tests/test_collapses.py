@@ -49,6 +49,11 @@ class TestFreeCoface:
         with pytest.raises(NotFreeError):
             rc.free_coface(boundary2, ("a", "b", "c"))
 
+    @given(oracles.complexes(max_vertices=7, max_facets=5))
+    def test_every_face_against_a_scan_of_all_faces(self, k):
+        for face in k.label_faces():
+            assert rc.free_coface(k, face) == oracles.rebuild_free_coface(k, face)
+
 
 class TestApplyStep:
     def test_collapse_full_triangle_stepwise(self, full2):

@@ -9,12 +9,14 @@ import relcomplex as rc
 from relcomplex.errors import (
     AmbiguousLabelError,
     CycleDetectedError,
+    EmptyRelationError,
     EmptyResultError,
     InvalidTopologyError,
     NotRealizableError,
     NotT0Error,
     UnknownVertexError,
 )
+from relcomplex.posets import singleton_component_witness
 
 import oracles
 
@@ -31,6 +33,19 @@ def posets(draw, max_elements=5):
         if draw(st.booleans())
     ]
     return rc.poset_from_pairs(labels, pairs)
+
+
+# "(a+,x)" sorts before "(a,x)" though "a" sorts before "a+": the pair
+# labels of a product do not sort as the pairs do
+ODD_LABELS = ["a", "a+", "a0", "b", "!"]
+
+
+@st.composite
+def odd_posets(draw, max_elements=4):
+    labels = draw(st.lists(st.sampled_from(ODD_LABELS), min_size=1, max_size=max_elements, unique=True))
+    return rc.poset_from_pairs(labels, [
+        (a, b) for a, b in itertools.combinations(labels, 2) if draw(st.booleans())
+    ])
 
 
 class TestConstruction:
@@ -251,6 +266,21 @@ class TestDowkerComplexes:
         assert rc.poset_dowker_complex(p, False, "l") == nerve_opens
         assert rc.poset_dowker_complex(p, False, "k") == nerve_closed
 
+    @settings(max_examples=100)
+    @pytest.mark.parametrize("strict, side", [(False, "k"), (False, "l"), (True, "k"), (True, "l")])
+    @given(p=posets(max_elements=6) | odd_posets())
+    def test_against_the_label_route(self, strict, side, p):
+        def build(make):
+            try:
+                return make(p, strict, side)
+            except EmptyResultError:
+                return "empty"
+
+        got = build(rc.poset_dowker_complex)
+        assert got == build(oracles.label_poset_dowker_complex)
+        if got != "empty":
+            assert got.facets() == oracles.scan_facets(got)
+
     @given(posets())
     def test_chain_complex_sits_inside_both(self, p):
         c = rc.order_complex(p)
@@ -426,6 +456,10 @@ class TestProductAndComponents:
         p = rc.poset_from_pairs("abc", [("a", "b")])
         assert rc.connected_components(p) == (("a", "b"), ("c",))
 
+    @given(posets(max_elements=6) | odd_posets())
+    def test_singleton_witness_is_the_first_singleton_component(self, p):
+        assert singleton_component_witness(p) == oracles.component_singleton(p)
+
 
 class TestMembershipRelation:
     def test_sierpinski_nerve(self):
@@ -444,6 +478,19 @@ class TestMembershipRelation:
     def test_comma_labels_rejected(self):
         t = rc.FiniteTopology(rc.Universe(["a,b", "c"]), [frozenset(["a,b", "c"])])
         with pytest.raises(AmbiguousLabelError, match="'a,b'"):
+            rc.membership_relation(t)
+
+    @given(posets(max_elements=4) | odd_posets(max_elements=3))
+    def test_against_the_label_route(self, p):
+        t = rc.order_to_topology(p)
+        rel = rc.membership_relation(t)
+        opens = [o for o in t.open_label_sets() if o]
+        assert rel == oracles.label_membership_relation(t.points, opens)
+        assert rc.Relation(rel.x_universe, rel.y_universe, rel.pairs) == rel
+
+    def test_no_points(self):
+        t = rc.FiniteTopology(rc.Universe([]), [[]])
+        with pytest.raises(EmptyRelationError, match="^relation universes must be nonempty$"):
             rc.membership_relation(t)
 
     @given(posets(max_elements=4))
@@ -527,19 +574,6 @@ def pair_lists(draw, max_elements=6):
     return labels, draw(st.lists(st.tuples(label, label), max_size=3 * n))
 
 
-# "(a+,x)" sorts before "(a,x)" though "a" sorts before "a+": the pair
-# labels of a product do not sort as the pairs do
-ODD_LABELS = ["a", "a+", "a0", "b", "!"]
-
-
-@st.composite
-def odd_posets(draw, max_elements=4):
-    labels = draw(st.lists(st.sampled_from(ODD_LABELS), min_size=1, max_size=max_elements, unique=True))
-    return rc.poset_from_pairs(labels, [
-        (a, b) for a, b in itertools.combinations(labels, 2) if draw(st.booleans())
-    ])
-
-
 def outcome(build, *args):
     """The cycle that ``build`` reports, or the universe, up and down masks it builds."""
     try:
@@ -590,6 +624,18 @@ class TestTrustedBuilders:
         got = outcome(rc.product_poset, p, q)
         assert got == outcome(oracles.pairwise_product_poset, p, q)
         assert got == validated(rc.product_poset(p, q))
+
+    @given(oracles.complexes(max_vertices=6, max_facets=5))
+    def test_realize_as_poset_k_complex(self, t):
+        t = rc.complex_from_facets(t.vertex_labels(), t.facet_labels())
+        try:
+            p = rc.realize_as_poset_k_complex(t)
+        except NotRealizableError as exc:
+            others = [set(f) for f in t.facet_labels() if f != exc.facet]
+            assert all(any(v in f for f in others) for v in exc.facet)
+            return
+        assert outcome(rc.realize_as_poset_k_complex, t) == validated(p)
+        assert rc.poset_dowker_complex(p, False, "k") == t
 
     def test_induced_subposet_names_an_unknown_label(self, circle4):
         with pytest.raises(UnknownVertexError):

@@ -385,3 +385,53 @@ class TestUnknownLabels:
         with pytest.raises(UnknownVertexError) as exc:
             rc.Relation("ab", "xy", pairs)
         assert exc.value.label == unknown[0]
+
+
+@st.composite
+def relations(draw, max_x=4, max_y=4):
+    """A relation over "x0".."x{n-1}" and "y0".."y{m-1}", not always covered."""
+    xl = [f"x{i}" for i in range(draw(st.integers(1, max_x)))]
+    yl = [f"y{j}" for j in range(draw(st.integers(1, max_y)))]
+    return rc.Relation(xl, yl, draw(st.sets(st.tuples(st.sampled_from(xl), st.sampled_from(yl)))))
+
+
+def rebuilt(r: rc.Relation) -> rc.Relation:
+    """``r`` as the validating constructor builds it from its pairs."""
+    return rc.Relation(r.x_universe, r.y_universe, r.pairs)
+
+
+class TestOneRepresentation:
+    """A relation keeps its supports only; the trusted builders give what the
+    validating constructor gives on their pairs."""
+
+    @given(relations())
+    def test_pairs_round_trip(self, r):
+        assert rebuilt(r) == r
+        assert rebuilt(rc.transpose(r)) == rc.transpose(r)
+        assert rc.transpose(rc.transpose(r)) == r
+        assert rc.transpose(r).pairs == frozenset((y, x) for x, y in r.pairs)
+        for y in r.y_universe:
+            assert r.support(y) == tuple(sorted(x for x, z in r.pairs if z == y))
+
+    @given(oracles.complexes())
+    def test_canonical_relation(self, t):
+        r = rc.canonical_relation(t)
+        assert rebuilt(r) == r
+        assert r == oracles.label_membership_relation(t.universe, t.label_faces())
+
+    @given(relations(), relations(), st.randoms(use_true_random=False))
+    def test_eq_and_hash_follow_the_pairs(self, r, s, rng):
+        kept = [(x, y) for x, y in s.pairs if x in r.x_universe and y in r.y_universe]
+        s = rc.Relation(r.x_universe, r.y_universe, kept)
+        assert (r == s) == (r.pairs == s.pairs)
+        assert r != s or hash(r) == hash(s)
+        shuffled = sorted(r.pairs) * 2
+        rng.shuffle(shuffled)
+        same = rc.Relation(r.x_universe, r.y_universe, shuffled)
+        assert same == r and hash(same) == hash(r)
+
+    def test_universes_count_too(self):
+        r = rc.Relation("ab", "y", [("a", "y")])
+        assert r != rc.Relation("abc", "y", [("a", "y")])
+        assert r != rc.Relation("ab", "yz", [("a", "y")])
+        assert repr(r) == "Relation(2x1, 1 pairs)"
