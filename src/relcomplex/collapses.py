@@ -10,20 +10,14 @@ So a face f is free exactly when one vertex v outside f makes f + {v} a
 face: a proper coface g of higher codimension would contain f + {v} and
 f + {w} for two vertices v, w of g outside f.
 
-The engines work on int masks; ``free_coface``, one question, probes index
-tuples.  Over a universe of n vertices, vertex i is bit n - 1 - i.  Each
-engine encodes the index tuples of its initial complex once, into a dict
-from mask to tuple (``_encoding``), and labels go to bits through one
-label-to-bit dict.  Then f + {v} is ``f | bit``, a sub-face is f with one
-bit cleared, and ``_cofaces``, the one coface probe, tries each of the
-|universe| - dim bits outside f, lowest first, instead of rebuilding the
-complex.  Among faces of one size, lexicographic tuple order
-is descending mask order: the first vertex where two faces differ is the
-highest bit where their masks do, and the face that holds it is the
-lexicographically smaller one.  So the greedy heap key, which orders as
-(-popcount, -mask), pops the face that (-dimension, tuple) names, and
-``collapse_leq_to_strict``, which lists each level of a cone in descending
-mask order, emits its pairs in the order the tuples had.
+The engines work on the complex's own face masks (see ``complexes``), and
+labels go to and from masks through its ``Universe``.  Then f + {v} is
+``f | bit``, a sub-face is f with one bit cleared, and ``_cofaces``, the one
+coface probe, tries each of the |universe| - dim bits outside f instead of
+rebuilding the complex.  Among faces of one size descending mask order is
+lexicographic, so the greedy heap key, which orders as (-popcount, -mask),
+pops the face that (-dimension, tuple) names, and ``collapse_leq_to_strict``
+lists each level of a cone in lexicographic order.
 
 Every step is judged by one replay loop, ``_replay``, on (free, coface)
 mask pairs and one mutable mask set: the free face must be present and
@@ -32,13 +26,12 @@ mask pairs and one mutable mask set: the free face must be present and
 step at a time.  ``greedy_collapse`` keeps the count for every face and
 takes free faces from a heap, and ``collapse_leq_to_strict`` lists the
 cone of every maximal element.  Each engine replays its pairs on a fresh
-copy of the initial masks as a self-check, and only then decodes, through
-its entry dict: the end state to index tuples, and each face of a step to
-labels, once.  Results are built through the unchecked
-``SimplicialComplex._trusted``, on index tuples, since collapsing a free
-face keeps a complex downward closed.  Only an error report scans the
-whole complex, to list every proper coface of a face that is not free; it
-names a mask by its bits, since universe labels are sorted.
+copy of the initial masks as a self-check, compares the end state with
+the expected mask set, and only then labels each face of a step, once.
+Results are built through the unchecked ``SimplicialComplex._trusted``,
+since collapsing a free face keeps a complex downward closed.  Only an
+error report scans the whole complex, to list every proper coface of a
+face that is not free.
 """
 
 from __future__ import annotations
@@ -111,17 +104,6 @@ class CollapseSequence:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-def _bits(n: int) -> list:
-    """The mask bit of each vertex of an n-vertex universe: vertex i is bit n - 1 - i."""
-    return [1 << i for i in range(n - 1, -1, -1)]
-
-
-def _encoding(faces, n: int) -> dict:
-    """The mask of each index tuple in ``faces``, mapped to the tuple, in the same order."""
-    bits = _bits(n)
-    return {sum(map(bits.__getitem__, f)): f for f in faces}
-
-
 def _cofaces(faces, f: int, full: int) -> list:
     """The codimension-1 cofaces of the mask ``f`` in the mask set ``faces``.
 
@@ -137,12 +119,6 @@ def _cofaces(faces, f: int, full: int) -> list:
             found.append(f | bit)
         rest ^= bit
     return found
-
-
-def _labels(universe, mask: int) -> tuple:
-    """The labels of a mask's vertices, in order (error reports only)."""
-    n = len(universe)
-    return tuple(lab for i, lab in enumerate(universe.labels) if mask >> (n - 1 - i) & 1)
 
 
 def _replay(universe, faces: set, pairs, steps=None) -> None:
@@ -161,58 +137,45 @@ def _replay(universe, faces: set, pairs, steps=None) -> None:
             faces.remove(free)
             faces.remove(coface)
             continue
-        face = _labels(universe, free) if steps is None else steps[i].free_face
+        face = universe._labels(free) if steps is None else steps[i].free_face
         if found is None:
             raise NotFreeError(face, None, index=i)
         if len(found) != 1:  # every proper coface, by a scan of all faces
             found = [g for g in faces if g & free == free and g != free]
         # universe labels are sorted, so label tuples sort as index tuples do
-        raise NotFreeError(face, sorted(_labels(universe, g) for g in found), index=i)
-
-
-def _mask_or_none(bit, labels) -> Optional[int]:
-    """The mask of distinct labels, by their bits in ``bit``; None for a label outside it."""
-    try:
-        return sum(map(bit.__getitem__, labels))
-    except KeyError:
-        return None
+        raise NotFreeError(face, sorted(map(universe._labels, found)), index=i)
 
 
 def _certified(
-    initial: SimplicialComplex, decode: dict, pairs: list, final, message: str
+    initial: SimplicialComplex, pairs: list, final: SimplicialComplex, message: str
 ) -> CollapseSequence:
     """An engine's self-check, then its result: the labelled sequence of ``pairs``.
 
-    ``decode`` maps the mask of each initial face to its index tuple.  The
-    mask pairs are replayed on a fresh copy of its keys, and the index
-    tuples of the end state must be the face set ``final``; else
-    AssertionError with ``message``.  Each face of a pair is then labelled
-    once.
+    The mask pairs are replayed on a fresh copy of the initial faces, and
+    the end state must be the face set of ``final``; else AssertionError
+    with ``message``.  Each face of a pair is then labelled once.
     """
-    faces = set(decode)
+    faces = set(initial._masks)
     _replay(initial.universe, faces, pairs)
-    if {decode[m] for m in faces} != final:
+    if faces != final._masks:
         raise AssertionError(message)
-    label = initial.universe.labels.__getitem__
-    return CollapseSequence(initial, tuple(
-        CollapseStep._trusted(tuple(map(label, decode[f])), tuple(map(label, decode[c])))
-        for f, c in pairs
-    ))
+    label = initial.universe._labels
+    return CollapseSequence(initial, tuple(CollapseStep._trusted(label(f), label(c)) for f, c in pairs))
 
 
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
     """The unique proper coface of ``face`` if there is exactly one, else None.
 
     ``face`` is given by labels and must be a face of ``k``.  Each vertex
-    outside it is probed once, as an index tuple, so it costs
-    O(|universe| * dim) whatever the size of ``k``.
+    outside it is probed once, so it costs O(|universe|) whatever the size
+    of ``k``.
     """
-    f = k.universe.face_from_labels(face)
-    if f not in k.faces:
+    f = k.universe._mask(face)
+    if f not in k._masks:
+        k.universe.face_from_labels(face)  # an unknown label raises UnknownVertexError
         raise NotFreeError(tuple(face), None)
-    others = (tuple(sorted((*f, v))) for v in range(len(k.universe)) if v not in f)
-    cofaces = [g for g in others if g in k.faces]
-    return k.face_labels(cofaces[0]) if len(cofaces) == 1 else None
+    cofaces = _cofaces(k._masks, f, (1 << len(k.universe)) - 1)
+    return k.universe._labels(cofaces[0]) if len(cofaces) == 1 else None
 
 
 def apply_step(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
@@ -230,13 +193,10 @@ def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     O(|universe|) rather than a rebuild of the complex.
     """
     universe = seq.initial.universe
-    n = len(universe)
-    decode = _encoding(seq.initial.faces, n)
-    bit = dict(zip(universe.labels, _bits(n)))
-    faces = set(decode)
-    pairs = ((_mask_or_none(bit, s.free_face), _mask_or_none(bit, s.coface)) for s in seq.steps)
-    _replay(universe, faces, pairs, seq.steps)
-    return SimplicialComplex._trusted(universe, map(decode.__getitem__, faces))
+    faces = set(seq.initial._masks)
+    mask = universe._mask
+    _replay(universe, faces, ((mask(s.free_face), mask(s.coface)) for s in seq.steps), seq.steps)
+    return SimplicialComplex._trusted(universe, faces)
 
 
 def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
@@ -261,7 +221,7 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     initial = poset_dowker_complex(p, False, side)
     target = poset_dowker_complex(p, True, side)
     q = p if side == "k" else dual_poset(p)
-    bits = _bits(len(q))
+    bits = initial.universe._bits()
     pairs = []
     for y_label in maximal_elements(q):
         y = q.elements.index(y_label)
@@ -270,10 +230,7 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
         for size in range(len(others), -1, -1):
             cone = (bits[y] + sum(subset) for subset in itertools.combinations(others, size))
             pairs.extend((free, free | x0) for free in sorted(cone, reverse=True))
-    return _certified(
-        initial, _encoding(initial.faces, len(q)), pairs, target.faces,
-        "collapse construction missed the strict complex",
-    )
+    return _certified(initial, pairs, target, "collapse construction missed the strict complex")
 
 
 def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSequence]:
@@ -294,8 +251,7 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
     if k.is_empty:
         raise EmptyComplexError("cannot collapse the empty complex")
     n = len(k.universe)
-    decode = _encoding(k.faces, n)
-    faces = set(decode)
+    faces = set(k._masks)
     counts = dict.fromkeys(faces, 0)
     for g in faces:
         rest = g
@@ -325,7 +281,5 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
                     if counts[sub] == 1:
                         heapq.heappush(heap, -(sub.bit_count() << n | sub))
         pairs.append((f, c))
-    core = SimplicialComplex._trusted(k.universe, map(decode.__getitem__, faces))
-    return core, _certified(
-        k, decode, pairs, core.faces, "greedy collapse emitted an invalid sequence"
-    )
+    core = SimplicialComplex._trusted(k.universe, faces)
+    return core, _certified(k, pairs, core, "greedy collapse emitted an invalid sequence")

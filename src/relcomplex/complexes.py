@@ -1,15 +1,19 @@
 """Abstract simplicial complexes over interned vertex labels.
 
 Vertices are opaque string labels, interned per universe to dense integer
-indices in sorted label order.  A face is a strictly increasing tuple of
-indices; a complex stores its full downward-closed face set explicitly.
-All values are immutable and all operations are pure, so they can be shared
-freely across workers.
+indices in sorted label order.  A complex stores its full downward-closed
+face set explicitly, each face as an int mask with vertex i at bit n - 1 - i
+of an n-vertex universe; only this module knows that convention.  Index
+tuples (strictly increasing) and labels are views made at the public
+boundary, by ``Universe``.  Among faces of one size descending mask order is
+lexicographic order: the first vertex where two faces differ is the highest
+bit where their masks do.  All values are immutable and all operations are
+pure, so they can be shared freely across workers.
 
 ``SimplicialComplex(...)`` validates a face set of index tuples given from
 outside.  Builders whose face set is closed by construction go through the
-private, unchecked ``SimplicialComplex._trusted`` instead; the labels they
-take in are checked by ``Universe``:
+private, unchecked ``SimplicialComplex._trusted``, on masks, instead; the
+labels they take in are checked by ``Universe``:
 
 - ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``, and
   ``posets.poset_dowker_complex``: a union of full simplices, one per facet
@@ -32,6 +36,8 @@ complex gets the linear marking scan of ``facets()``.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Mapping, Optional
 
 from .errors import NotSimplicialError, UnknownVertexError
@@ -53,13 +59,14 @@ class Universe:
     independent of declaration order.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_bit")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
         _require_labels(labels)
         self.labels: tuple = tuple(sorted(set(labels)))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._bit = None
 
     def index(self, label: str) -> int:
         try:
@@ -76,6 +83,36 @@ class Universe:
 
     def face_labels(self, face: Face) -> tuple:
         return tuple(self.labels[i] for i in face)
+
+    def _bits(self) -> tuple:
+        """The mask bit of each index, built on first use: vertex i is bit n - 1 - i."""
+        if self._bit is None:
+            self._bit = tuple(1 << i for i in range(len(self.labels) - 1, -1, -1))
+        return self._bit
+
+    def _encode(self, face: Face) -> int:
+        """The mask of an index tuple."""
+        return sum(map(self._bits().__getitem__, face))
+
+    def _mask(self, labels) -> Optional[int]:
+        """The face mask of some labels, repeats allowed; None if one is not in the universe."""
+        try:
+            return reduce(or_, map(self._bits().__getitem__, map(self._index.__getitem__, labels)), 0)
+        except KeyError:
+            return None
+
+    def _face(self, mask: int) -> Face:
+        """The index tuple of a face mask, its lowest bit (the greatest index) taken first."""
+        n, face = len(self.labels), []
+        while mask:
+            low = mask & -mask
+            face.append(n - low.bit_length())
+            mask ^= low
+        return tuple(reversed(face))
+
+    def _labels(self, mask: int) -> tuple:
+        """The labels of a face mask, sorted."""
+        return tuple(map(self.labels.__getitem__, self._face(mask)))
 
     def __contains__(self, label) -> bool:
         return label in self._index
@@ -104,7 +141,7 @@ class SimplicialComplex:
     reachable value satisfies it.
     """
 
-    __slots__ = ("universe", "faces", "_facets", "_graded", "_label_faces")
+    __slots__ = ("universe", "_masks", "_faces", "_facets", "_graded", "_label_faces")
 
     def __init__(self, universe: Universe, faces: Iterable[Face]):
         faces = frozenset(tuple(f) for f in faces)
@@ -123,43 +160,48 @@ class SimplicialComplex:
                             f"face set is not downward closed: {face} present, {sub} missing"
                         )
         self.universe = universe
-        self.faces: frozenset = faces
-        self._facets = None
-        self._graded = None
-        self._label_faces = None
+        self._masks = frozenset(map(universe._encode, faces))
+        self._faces = faces
+        self._facets = self._graded = self._label_faces = None
 
     @classmethod
-    def _trusted(cls, universe: Universe, faces, facets=None) -> "SimplicialComplex":
-        """A complex over ``faces`` without validation.
+    def _trusted(cls, universe: Universe, masks, facets=None) -> "SimplicialComplex":
+        """A complex over the face ``masks`` without validation.
 
-        Only for face sets of index tuples that are downward closed by
-        construction; see the module docstring for the builders that qualify.
-        ``facets``, when given, must be the inclusion-maximal faces in
-        lexicographic order.
+        Only for face sets downward closed by construction (see the module
+        docstring); ``facets``, when given, are the inclusion-maximal faces
+        as index tuples, in lexicographic order.
         """
         k = cls.__new__(cls)
         k.universe = universe
-        k.faces = frozenset(faces)
+        k._masks = frozenset(masks)
         k._facets = facets
-        k._graded = None
-        k._label_faces = None
+        k._faces = k._graded = k._label_faces = None
         return k
 
     @property
+    def faces(self) -> frozenset:
+        """Every face as an index tuple, decoded once, on first use."""
+        if self._faces is None:
+            self._faces = frozenset(map(self.universe._face, self._masks))
+        return self._faces
+
+    @property
     def is_empty(self) -> bool:
-        return not self.faces
+        return not self._masks
 
     @property
     def is_point(self) -> bool:
-        return len(self.faces) == 1 and self.dimension() == 0
+        # a face with two vertices brings two more faces by downward closure
+        return len(self._masks) == 1
 
     def _by_dimension(self) -> tuple:
-        """The faces of each dimension 0..dim in lexicographic order, computed once."""
+        """The face masks of each dimension 0..dim in descending order, computed once."""
         if self._graded is None:
             sized = {}
-            for face in self.faces:
-                sized.setdefault(len(face), []).append(face)
-            self._graded = tuple(tuple(sorted(sized[n])) for n in range(1, len(sized) + 1))
+            for face in self._masks:
+                sized.setdefault(face.bit_count(), []).append(face)
+            self._graded = tuple(tuple(sorted(sized[n], reverse=True)) for n in range(1, len(sized) + 1))
         return self._graded
 
     def dimension(self) -> int:
@@ -176,21 +218,25 @@ class SimplicialComplex:
     def n_faces(self, n: int) -> tuple:
         """All n-dimensional faces in lexicographic order."""
         graded = self._by_dimension()
-        return graded[n] if 0 <= n < len(graded) else ()
+        return tuple(map(self.universe._face, graded[n])) if 0 <= n < len(graded) else ()
 
     def facets(self) -> tuple:
         """Inclusion-maximal faces in lexicographic order.
 
-        Every face marks its codimension-1 subfaces, and the unmarked faces
-        are the facets, in O(|faces| * dim).  This is exact by downward
-        closure: a face f inside a larger face g has the coface f + {v} for
-        any v in g outside f, and that face marks f.
+        Every face marks its codimension-1 subfaces, one cleared bit each,
+        and the unmarked faces are the facets, in O(|faces| * dim).  This is
+        exact by downward closure: a face f inside a larger face g has the
+        coface f + {v} for any v in g outside f, and that face marks f.
         """
         if self._facets is None:
             marked = set()
-            for face in self.faces:
-                marked.update(itertools.combinations(face, len(face) - 1))
-            self._facets = tuple(sorted(self.faces.difference(marked)))
+            for face in self._masks:
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    marked.add(face ^ low)
+                    rest ^= low
+            self._facets = tuple(sorted(map(self.universe._face, self._masks - marked)))
         return self._facets
 
     def facet_labels(self) -> tuple:
@@ -202,32 +248,29 @@ class SimplicialComplex:
     def label_faces(self) -> frozenset:
         """Faces as sorted label tuples (comparable across universes)."""
         if self._label_faces is None:
-            self._label_faces = frozenset(self.universe.face_labels(f) for f in self.faces)
+            self._label_faces = frozenset(map(self.universe._labels, self._masks))
         return self._label_faces
 
     def has_face_labels(self, labels: Iterable[str]) -> bool:
-        try:
-            return self.universe.face_from_labels(labels) in self.faces
-        except UnknownVertexError:
-            return False
+        return self.universe._mask(labels) in self._masks
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.faces)
+        return sum(1 if f.bit_count() % 2 else -1 for f in self._masks)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimplicialComplex)
             and self.universe == other.universe
-            and self.faces == other.faces
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.faces))
+        return hash((self.universe, self._masks))
 
     def __repr__(self) -> str:
         return (
             f"SimplicialComplex({len(self.universe)} vertices, "
-            f"{len(self.faces)} faces, dim {self.dimension()})"
+            f"{len(self._masks)} faces, dim {self.dimension()})"
         )
 
 
@@ -262,19 +305,22 @@ class VertexMap:
 
 
 def _spanned(universe: Universe, tops) -> SimplicialComplex:
-    """The union of the full simplices on the nonempty ``tops``, with its facets.
+    """The union of the full simplices on the nonempty index tuples ``tops``, with its facets.
 
-    Tops go largest first: one already present lies in an equal or larger
-    earlier top and adds nothing, and a kept top lies in no other.
+    Tops go largest first, each encoded once: one already present lies in an
+    equal or larger earlier top and adds nothing, and a kept top lies in no
+    other and adds its submasks.
     """
-    faces = set()
-    maximal = []
+    faces, maximal = set(), []
     for top in sorted(filter(None, tops), key=len, reverse=True):
-        if top in faces:
+        mask = universe._encode(top)
+        if mask in faces:
             continue
         maximal.append(top)
-        for k in range(1, len(top) + 1):
-            faces.update(itertools.combinations(top, k))
+        sub = mask
+        while sub:  # every nonempty submask, in descending order
+            faces.add(sub)
+            sub = (sub - 1) & mask
     return SimplicialComplex._trusted(universe, faces, tuple(sorted(maximal)))
 
 
@@ -295,7 +341,7 @@ def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> Simplicial
 def is_subcomplex(t: SimplicialComplex, k: SimplicialComplex) -> bool:
     """True iff every face of ``t`` is a face of ``k``."""
     if t.universe == k.universe:
-        return t.faces <= k.faces
+        return t._masks <= k._masks
     return t.label_faces() <= k.label_faces()
 
 
@@ -312,11 +358,10 @@ def apply_simplicial_map(
             raise ValueError(f"map is not total on the source vertices: missing {v!r}")
     image = set()
     for face in itertools.chain.from_iterable(source._by_dimension()):
-        img = tuple(
-            sorted({target.universe.index(f[source.universe.label(i)]) for i in face})
-        )
-        if img not in target.faces:
-            raise NotSimplicialError(source.face_labels(face))
+        labels = source.universe._labels(face)
+        img = target.universe._mask(map(f.mapping.__getitem__, labels))
+        if img not in target._masks:
+            raise NotSimplicialError(labels)
         image.add(img)
     return SimplicialComplex._trusted(target.universe, image)
 
@@ -327,29 +372,19 @@ def are_contiguous(
     """True iff f(s) and g(s) always span a common face of the target."""
     apply_simplicial_map(f, source, target)
     apply_simplicial_map(g, source, target)
-    for face in source.faces:
-        joined = set()
-        for i in face:
-            lab = source.universe.label(i)
-            joined.add(target.universe.index(f[lab]))
-            joined.add(target.universe.index(g[lab]))
-        if tuple(sorted(joined)) not in target.faces:
-            return False
-    return True
+    return all(
+        target.universe._mask(v for lab in source.universe._labels(face) for v in (f[lab], g[lab]))
+        in target._masks
+        for face in source._masks
+    )
 
 
 def cone_apex(k: SimplicialComplex) -> Optional[str]:
     """A vertex contained in every facet, or None.
 
     The existence of an apex certifies that the complex is a cone, hence
-    contractible.  Ties are broken by least interned index.
+    contractible.  Ties are broken by least interned index, the highest bit.
     """
     facets = k.facets()
-    if not facets:
-        return None
-    common = set(facets[0])
-    for facet in facets[1:]:
-        common &= set(facet)
-        if not common:
-            return None
-    return k.universe.label(min(common))
+    common = reduce(and_, map(k.universe._encode, facets)) if facets else 0
+    return k.universe.label(len(k.universe) - common.bit_length()) if common else None

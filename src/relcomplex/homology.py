@@ -28,7 +28,6 @@ union-find makes over those edges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -70,11 +69,20 @@ class IntegerMatrix:
 
 
 def _boundary_columns(faces) -> list:
-    """The boundary of each face, all of n vertices, as a sparse column {(n-1)-face: +-1}."""
-    n = len(faces[0]) if faces else 0
-    # combinations drops the last position first, so the signs (-1)^pos run backwards
-    signs = tuple(-1 if pos % 2 else 1 for pos in reversed(range(n)))
-    return [dict(zip(itertools.combinations(face, n - 1), signs)) for face in faces]
+    """The boundary of each face mask as a sparse column {sub-face mask: +-1}.
+
+    Bits are cleared lowest first, the last vertex first: the k-th lowest bit
+    of an n-vertex face is the vertex at position n-1-k, of sign (-1)^(n-1-k).
+    """
+    columns = []
+    for face in faces:
+        column, rest, sign = {}, face, 1 if face.bit_count() % 2 else -1
+        while rest:
+            low = rest & -rest
+            column[face ^ low] = sign
+            rest, sign = rest ^ low, -sign
+        columns.append(column)
+    return columns
 
 
 def boundary_matrices(k: SimplicialComplex) -> List[IntegerMatrix]:
@@ -83,10 +91,11 @@ def boundary_matrices(k: SimplicialComplex) -> List[IntegerMatrix]:
     Faces index rows and columns in lexicographic order; signs alternate
     along the canonical vertex order, so d_{n-1} d_n = 0.
     """
+    graded = k._by_dimension()
     out = []
-    for n in range(1, k.dimension() + 1):
-        below = {f: i for i, f in enumerate(k.n_faces(n - 1))}
-        here = k.n_faces(n)
+    for n in range(1, len(graded)):
+        below = {f: i for i, f in enumerate(graded[n - 1])}
+        here = graded[n]
         rows = [[0] * len(here) for _ in below]
         for j, column in enumerate(_boundary_columns(here)):
             for sub, sign in column.items():
@@ -271,9 +280,10 @@ def _reduce(columns: list, cleared: Optional[set] = None) -> Tuple[int, Tuple[in
 
 
 def _merges(edges) -> int:
-    """How many edges join two components; each merge makes one root a key of ``parent``."""
+    """How many edge masks join two components; each merge makes one root a key of ``parent``."""
     parent = {}
-    for a, b in edges:
+    for edge in edges:
+        a, b = (edge & -edge).bit_length(), edge.bit_length()  # positions: single-bit keys collide
         while a in parent:  # path halving: point a at its grandparent and step there
             parent[a] = a = parent.get(parent[a], parent[a])
         while b in parent:
@@ -292,8 +302,8 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     row of d_{n+1}; rank d_1 is counted by a union-find over the edges left
     (see the module docstring).  The empty complex gets the empty profile.
     """
-    dim = k.dimension()
-    graded = [k.n_faces(n) for n in range(dim + 1)]
+    graded = k._by_dimension()
+    dim = len(graded) - 1
     ranks = [0] * (dim + 2)
     torsion = [()] * (dim + 1)
     cleared = set()

@@ -258,19 +258,19 @@ def maximum(p: Poset) -> Optional[str]:
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
-    """The complex of nonempty chains of the order."""
+    """The complex of nonempty chains of the order, each grown upward from its least element."""
     if len(p) == 0:
         raise EmptyComplexError("the order complex needs a nonempty poset")
-    strict_up = tuple(p.up[i] & ~(1 << i) for i in range(len(p)))
+    bits = p.elements._bits()
     faces = set()
 
-    def extend(top: int, members: tuple):
-        faces.add(members)
-        for j in _bits(strict_up[top]):
-            extend(j, tuple(sorted(members + (j,))))
+    def extend(top: int, chain: int):
+        faces.add(chain)
+        for j in _bits(p.up[top] & ~(1 << top)):
+            extend(j, chain | bits[j])
 
     for i in range(len(p)):
-        extend(i, (i,))
+        extend(i, bits[i])
     return SimplicialComplex._trusted(p.elements, faces)
 
 

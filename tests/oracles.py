@@ -133,6 +133,17 @@ def dense_homology(k: rc.SimplicialComplex) -> rc.HomologyProfile:
     return rc.HomologyProfile(betti, torsion)
 
 
+def tuple_boundary_columns(faces) -> list:
+    """The boundary of each index tuple, all of n vertices, as a sparse column {(n-1)-face: +-1}.
+
+    The tuple engine's column builder: ``combinations`` drops the last
+    position first, so the signs (-1)^pos run backwards.
+    """
+    n = len(faces[0]) if faces else 0
+    signs = tuple(-1 if pos % 2 else 1 for pos in reversed(range(n)))
+    return [dict(zip(itertools.combinations(face, n - 1), signs)) for face in faces]
+
+
 def oracle_betti(k: rc.SimplicialComplex) -> tuple:
     """Betti numbers from scratch: own boundary matrices, ranks over Q."""
     if k.is_empty:
@@ -186,12 +197,15 @@ def naive_chain_faces(p: rc.Poset) -> set:
     labels = list(p.labels())
     out = set()
     for r in range(1, len(labels) + 1):
+        found = len(out)
         for subset in itertools.combinations(labels, r):
             if all(
                 p.leq(a, b) or p.leq(b, a)
                 for a, b in itertools.combinations(subset, 2)
             ):
                 out.add(tuple(sorted(subset)))
+        if len(out) == found:  # a chain of r + 1 elements holds one of r
+            break
     return out
 
 

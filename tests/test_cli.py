@@ -1,14 +1,20 @@
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from relcomplex import cli
+from relcomplex import cli, formats
 from relcomplex.cli import main
+
+from conftest import DATA
 
 
 def run(capsys, *argv):
@@ -422,6 +428,115 @@ class TestExitCodes:
             capsys, "dowker", "morphism", "--from", str(rel), "--to", str(rel)
         )
         assert code == 2 and "not covered" in err
+
+
+# labels for generated documents: few, so every complex stays small, and two
+# that hold the characters joined labels reserve
+ALPHABET = ["a", "b", "c", "d", "e", "a,b", "(a)"]
+# the declaring keywords of each kind; the rest of its grammar uses labels
+DECLARE = {"complex": [], "poset": ["element"], "relation": ["xelement", "yelement"], "space": ["point"]}
+
+
+@st.composite
+def document_texts(draw, kind):
+    """A well-formed document of ``kind``: its labels declared, each line of the right arity."""
+    declared = sorted(draw(st.sets(st.sampled_from(ALPHABET), min_size=1, max_size=5)))
+    lines = [f"{kind} D"] + [f"{kw} {lab}" for kw in DECLARE[kind] for lab in declared]
+    grammar = formats._GRAMMAR[kind]
+    uses = [kw for kw in grammar if kw not in DECLARE[kind]]
+    for _ in range(draw(st.integers(0, 8))):
+        keyword = draw(st.sampled_from(uses))
+        lo, hi = grammar[keyword]  # a fixed arity, or a label set of 1 or more
+        size = hi or draw(st.integers(1, min(4, len(declared))))
+        labels = draw(st.lists(st.sampled_from(declared), min_size=size, max_size=size,
+                               unique=hi is None))
+        lines.append(" ".join([keyword, *labels]))
+    return "\n".join(lines) + "\n"
+
+
+def documents(kind):
+    """Mostly well-formed documents; some with a line of any text or a byte that is not UTF-8."""
+    well_formed = document_texts(kind).map(str.encode)
+    return st.one_of(
+        well_formed,
+        well_formed,
+        well_formed,
+        st.tuples(document_texts(kind), st.text(max_size=20)).map(lambda t: f"{t[0]}{t[1]}\n".encode()),
+        well_formed.map(lambda text: text + b"facet \xff\n"),
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+step_faces = st.lists(st.sampled_from(ALPHABET), max_size=4)
+steps_files = st.one_of(
+    st.lists(st.lists(step_faces, min_size=2, max_size=2), max_size=6).map(lambda s: {"steps": s}),
+    json_values.map(lambda v: {"steps": v}),
+    json_values,
+).map(json.dumps).map(str.encode) | st.binary(max_size=20)
+
+CIRCLE4_K = b"complex K\nfacet 1 2 3\nfacet 1 2 4\n"
+BASE_FILES = {
+    "complex": CIRCLE4_K,
+    "poset": (DATA / "circle4.poset").read_bytes(),
+    "relation": (DATA / "circle4_leq.relation").read_bytes(),
+    "space": (DATA / "sierpinski.space").read_bytes(),
+    "steps": b'{"steps":[]}',
+}
+# an option named after no kind -> the kind of file it takes
+OPTION_KINDS = {"--from": "relation", "--to": "relation", "--xposet": "poset", "--yposet": "poset"}
+
+
+def _argv(row, paths, pick):
+    """The argv of a ``cli._COMMANDS`` row, each file option given the file of its kind."""
+    group, name, options = row[:3]
+    argv = [group, name]
+    for option in options:
+        if option in cli._CHOICES:
+            argv += [option, cli._CHOICES[option][pick]]
+            continue
+        kind = OPTION_KINDS.get(option, option[2:])
+        if option in ("--a", "--b"):
+            kind = "relation" if group == "dowker" else "complex"
+        argv += [option, paths[kind]]
+    return argv
+
+
+class TestNeverTracebacks:
+    """main() on generated files ends in exit code 0, 1 or 2 and raises nothing."""
+
+    @settings(max_examples=100)
+    @given(
+        files=st.fixed_dictionaries(
+            {**{kind: documents(kind) for kind in DECLARE}, "steps": steps_files}
+        ),
+        pick=st.integers(0, 1),
+    )
+    # the six hostile inputs found by hand, each once a traceback or a wrong verdict
+    @example(files={**BASE_FILES, "complex": b"complex C\nfacet a b\nfacet \xff b\n"}, pick=0)
+    @example(files={**BASE_FILES, "complex": b"complex C\nfacet a,b c\n"}, pick=0)
+    @example(files={**BASE_FILES, "steps": b"[" * 200000 + b"]" * 200000}, pick=0)
+    @example(files={
+        **BASE_FILES, "steps": b'{"steps":[["23","123"],["3","13"],["24","124"],["4","14"]]}',
+    }, pick=0)
+    @example(files={**BASE_FILES, "steps": b'{"steps":[[["2","2"],["1","2","3"]]]}'}, pick=0)
+    @example(files={**BASE_FILES, "steps": b'{"steps":[[[["1"]],[["1"],"3"]]]}'}, pick=0)
+    def test_every_command_ends_in_an_exit_code(self, files, pick):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for kind, data in files.items():
+                paths[kind] = os.path.join(tmp, f"in.{kind}")
+                Path(paths[kind]).write_bytes(data)
+            for row in cli._COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(_argv(row, paths, pick))
+                assert code in (0, 1, 2)
+                # a report on stdout or a message on stderr, never both
+                assert (code == 0) == bool(out.getvalue()) != bool(err.getvalue())
 
 
 class TestDeterminism:

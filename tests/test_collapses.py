@@ -305,9 +305,15 @@ def _sabotage(monkeypatch, change):
     monkeypatch.setattr(collapses, "_replay", sabotaged)
 
 
+def _universe(n):
+    """A universe of n labels whose sorted order is the order of their numbers."""
+    return rc.Universe(f"v{i:02}" for i in range(n))
+
+
 def _masks(n, free, coface):
-    """An index-tuple pair as an engine's masks, made by the engines' own encoder."""
-    return tuple(collapses._encoding((free, coface), n))
+    """An index-tuple pair as an engine's masks, made by the universe's own encoder."""
+    universe = _universe(n)
+    return tuple(universe._mask(map(universe.label, f)) for f in (free, coface))
 
 
 class TestSelfChecksCannotVanish:
@@ -359,8 +365,10 @@ class TestMaskEncoding:
     @given(universes_and_faces())
     def test_heap_order_is_dimension_then_lexicographic(self, case):
         n, faces = case
-        decode = collapses._encoding(faces, n)
+        universe = _universe(n)
+        decode = {universe._mask(map(universe.label, f)): f for f in faces}
         assert all(m == sum(1 << (n - 1 - i) for i in f) for m, f in decode.items())
+        assert all(universe._face(m) == f for m, f in decode.items())
         by_mask = sorted(decode, key=lambda m: (-m.bit_count(), -m))
         assert [decode[m] for m in by_mask] == sorted(faces, key=lambda f: (-len(f), f))
         # the greedy heap packs that key into one int

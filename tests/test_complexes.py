@@ -187,6 +187,43 @@ class TestDerivedDataAgainstScans:
         assert rc.cone_apex(built[0]) == "a"
 
 
+WIDE = [f"v{i:02}" for i in range(70)]
+
+
+def _crown_70() -> rc.Poset:
+    """35 maxima over 35 minima, each maximum over two or three minima."""
+    lows, highs = WIDE[:35], WIDE[35:]
+    pairs = [(lows[i], highs[i]) for i in range(35)]
+    pairs += [(lows[(i + 1) % 35], highs[i]) for i in range(35)]
+    pairs += [(lows[(i + 2) % 35], highs[i]) for i in range(0, 35, 5)]
+    return rc.poset_from_pairs(WIDE, pairs)
+
+
+class TestWideUniverses:
+    """More than 64 vertices, so the face masks are wider than a machine word."""
+
+    def _check(self, k):
+        assert rc.homology(k) == oracles.dense_homology(k)
+        assert k.facets() == oracles.scan_facets(k)
+        again = rc.SimplicialComplex(k.universe, k.faces)
+        assert again == k and hash(again) == hash(k)
+
+    def test_complexes(self):
+        rng = random.Random(70)
+        # a tetrahedron's boundary on both ends of the universe, so H_2 is not 0
+        sphere = [list(f) for f in itertools.combinations(["v00", "v01", "v68", "v69"], 3)]
+        for _ in range(6):
+            facets = [rng.sample(WIDE, rng.randint(1, 3)) for _ in range(12)]
+            self._check(rc.complex_from_facets(WIDE, facets + sphere))
+
+    def test_poset(self):
+        p = _crown_70()
+        order = rc.order_complex(p)
+        assert order.label_faces() == frozenset(oracles.naive_chain_faces(p))
+        self._check(order)
+        self._check(rc.poset_dowker_complex(p, False, "k"))
+
+
 class TestFullComplex:
     def test_point(self):
         assert oracles.full_complex("a").is_point

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import relcomplex as rc
 
@@ -300,6 +300,29 @@ class TestSparseEngine:
         edges = d1.cols
         for p, b1 in ((2, 0), (3, 1), (5, 0)):
             assert edges - oracles.gf_rank(d1.entries, p) - oracles.gf_rank(d2.entries, p) == b1
+
+
+@st.composite
+def same_size_faces(draw):
+    """Distinct index tuples of one size over a universe of up to 70 vertices."""
+    n = draw(st.integers(1, 70))
+    size = draw(st.integers(1, min(n, 6)))
+    faces = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=size, max_size=size).map(sorted).map(tuple),
+        min_size=1, max_size=20, unique=True,
+    ))
+    return rc.Universe(f"v{i:02}" for i in range(n)), faces
+
+
+class TestColumnOrder:
+    @given(same_size_faces())
+    def test_mask_columns_are_the_tuple_columns_through_the_encoding(self, case):
+        # _reduce breaks ties by dict order, so entries must come in the same order
+        universe, faces = case
+        masks = [universe._encode(f) for f in faces]
+        want = oracles.tuple_boundary_columns(faces)
+        for got, column in zip(homology_module._boundary_columns(masks), want, strict=True):
+            assert list(got.items()) == [(universe._encode(f), v) for f, v in column.items()]
 
 
 class TestSympyOracle:
