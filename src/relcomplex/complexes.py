@@ -28,9 +28,9 @@ labels they take in are checked by ``Universe``:
   subface.
 
 These four set their facets, the maximal input facets or distinct supports,
-through ``_spanned``, which takes faces largest first and keeps those not yet
-inside an earlier one, so no kept face lies in another.  Every other
-complex gets the linear marking scan of ``facets()``.
+through ``_spanned``, which takes index-set masks (index i at bit i) largest
+first and keeps those not yet inside an earlier one, so no kept face lies in
+another.  Every other complex gets the linear marking scan of ``facets()``.
 """
 
 from __future__ import annotations
@@ -94,6 +94,10 @@ class Universe:
         """The mask of an index tuple."""
         return sum(map(self._bits().__getitem__, face))
 
+    def _mirror(self, mask: int) -> int:
+        """Bit i moved to bit n - 1 - i: an index-set mask to its face mask, and back."""
+        return int(bin(mask)[:1:-1].ljust(len(self.labels), "0"), 2)
+
     def _mask(self, labels) -> Optional[int]:
         """The face mask of some labels, repeats allowed; None if one is not in the universe."""
         try:
@@ -141,7 +145,7 @@ class SimplicialComplex:
     reachable value satisfies it.
     """
 
-    __slots__ = ("universe", "_masks", "_faces", "_facets", "_graded", "_label_faces")
+    __slots__ = ("universe", "_masks", "_faces", "_facet_masks", "_facets", "_graded", "_label_faces")
 
     def __init__(self, universe: Universe, faces: Iterable[Face]):
         faces = frozenset(tuple(f) for f in faces)
@@ -162,21 +166,21 @@ class SimplicialComplex:
         self.universe = universe
         self._masks = frozenset(map(universe._encode, faces))
         self._faces = faces
-        self._facets = self._graded = self._label_faces = None
+        self._facet_masks = self._facets = self._graded = self._label_faces = None
 
     @classmethod
-    def _trusted(cls, universe: Universe, masks, facets=None) -> "SimplicialComplex":
+    def _trusted(cls, universe: Universe, masks, facet_masks=None) -> "SimplicialComplex":
         """A complex over the face ``masks`` without validation.
 
         Only for face sets downward closed by construction (see the module
-        docstring); ``facets``, when given, are the inclusion-maximal faces
-        as index tuples, in lexicographic order.
+        docstring); ``facet_masks``, when given, are the masks of the
+        inclusion-maximal faces, decoded when ``facets()`` is first called.
         """
         k = cls.__new__(cls)
         k.universe = universe
         k._masks = frozenset(masks)
-        k._facets = facets
-        k._faces = k._graded = k._label_faces = None
+        k._facet_masks = facet_masks
+        k._faces = k._facets = k._graded = k._label_faces = None
         return k
 
     @property
@@ -223,20 +227,22 @@ class SimplicialComplex:
     def facets(self) -> tuple:
         """Inclusion-maximal faces in lexicographic order.
 
-        Every face marks its codimension-1 subfaces, one cleared bit each,
-        and the unmarked faces are the facets, in O(|faces| * dim).  This is
-        exact by downward closure: a face f inside a larger face g has the
-        coface f + {v} for any v in g outside f, and that face marks f.
+        Unless a builder gave their masks, every face marks its codimension-1
+        subfaces, one cleared bit each, and the unmarked faces are the facets,
+        in O(|faces| * dim): exact by downward closure, since a face f inside
+        a larger face g has the coface f + {v}, for any v in g outside f.
         """
         if self._facets is None:
-            marked = set()
-            for face in self._masks:
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    marked.add(face ^ low)
-                    rest ^= low
-            self._facets = tuple(sorted(map(self.universe._face, self._masks - marked)))
+            if self._facet_masks is None:
+                marked = set()
+                for face in self._masks:
+                    rest = face
+                    while rest:
+                        low = rest & -rest
+                        marked.add(face ^ low)
+                        rest ^= low
+                self._facet_masks = self._masks - marked
+            self._facets = tuple(sorted(map(self.universe._face, self._facet_masks)))
         return self._facets
 
     def facet_labels(self) -> tuple:
@@ -305,23 +311,23 @@ class VertexMap:
 
 
 def _spanned(universe: Universe, tops) -> SimplicialComplex:
-    """The union of the full simplices on the nonempty index tuples ``tops``, with its facets.
+    """The union of the full simplices on the nonempty index-set masks ``tops``, with its facets.
 
-    Tops go largest first, each encoded once: one already present lies in an
-    equal or larger earlier top and adds nothing, and a kept top lies in no
-    other and adds its submasks.
+    Tops go largest first, each mirrored to a face mask once: one already
+    present lies in an equal or larger earlier top and adds nothing, and a
+    kept top lies in no other and adds its submasks.
     """
     faces, maximal = set(), []
-    for top in sorted(filter(None, tops), key=len, reverse=True):
-        mask = universe._encode(top)
+    for top in sorted(filter(None, tops), key=int.bit_count, reverse=True):
+        mask = universe._mirror(top)
         if mask in faces:
             continue
-        maximal.append(top)
+        maximal.append(mask)
         sub = mask
         while sub:  # every nonempty submask, in descending order
             faces.add(sub)
             sub = (sub - 1) & mask
-    return SimplicialComplex._trusted(universe, faces, tuple(sorted(maximal)))
+    return SimplicialComplex._trusted(universe, faces, maximal)
 
 
 def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> SimplicialComplex:
@@ -332,8 +338,8 @@ def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> Simplicial
     """
     if not isinstance(universe, Universe):
         universe = Universe(universe)
-    tops = [universe.face_from_labels(facet) for facet in facets]
-    if () in tops:
+    tops = [reduce(or_, [1 << universe.index(lab) for lab in facet], 0) for facet in facets]
+    if 0 in tops:
         raise ValueError("facets must be nonempty")
     return _spanned(universe, tops)
 
@@ -385,6 +391,5 @@ def cone_apex(k: SimplicialComplex) -> Optional[str]:
     The existence of an apex certifies that the complex is a cone, hence
     contractible.  Ties are broken by least interned index, the highest bit.
     """
-    facets = k.facets()
-    common = reduce(and_, map(k.universe._encode, facets)) if facets else 0
+    common = reduce(and_, k._facet_masks) if k.facets() else 0  # facets() sets the facet masks
     return k.universe.label(len(k.universe) - common.bit_length()) if common else None

@@ -60,24 +60,7 @@ from .errors import (
     NotT0Error,
     UnknownVertexError,
 )
-from .relations import Relation, _membership
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _transpose(rows: tuple) -> tuple:
-    """The bit matrix with bit i of entry j set iff bit j of ``rows[i]`` is."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for j in _bits(row):
-            cols[j] |= bit
-    return tuple(cols)
+from .relations import Relation, _bits, _membership, _transpose
 
 
 class Poset:
@@ -104,7 +87,7 @@ class Poset:
                     raise ValueError("order must be transitive")
         self.elements = elements
         self.up = tuple(up)
-        self.down = _transpose(self.up)
+        self.down = _transpose(self.up, n)
 
     @classmethod
     def _trusted(cls, elements: Universe, up, down=None) -> "Poset":
@@ -113,7 +96,7 @@ class Poset:
         p = cls.__new__(cls)
         p.elements = elements
         p.up = tuple(up)
-        p.down = _transpose(p.up) if down is None else tuple(down)
+        p.down = _transpose(p.up, len(p.up)) if down is None else tuple(down)
         return p
 
     def __len__(self) -> int:
@@ -129,11 +112,8 @@ class Poset:
         return a != b and self.leq(a, b)
 
     def pairs(self) -> frozenset:
-        """All (a, b) with a <= b, as labels."""
-        labs = self.elements.labels
-        return frozenset(
-            (labs[i], labs[j]) for i in range(len(labs)) for j in _bits(self.up[i])
-        )
+        """All (a, b) with a <= b, as labels: the pairs of the relation <= itself."""
+        return Relation._trusted(self.elements, self.elements, self.down).pairs
 
     def strict_pairs(self) -> frozenset:
         return frozenset((a, b) for a, b in self.pairs() if a != b)
@@ -220,14 +200,12 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[Tuple[str, str]]) 
 
 def down_set(p: Poset, x: str) -> frozenset:
     """The minimal open set U_x = {y : y <= x}, as labels."""
-    i = p.elements.index(x)
-    return frozenset(p.elements.label(j) for j in _bits(p.down[i]))
+    return frozenset(p.elements.face_labels(_bits(p.down[p.elements.index(x)])))
 
 
 def up_set(p: Poset, x: str) -> frozenset:
     """The minimal closed set F_x = {y : x <= y}, as labels."""
-    i = p.elements.index(x)
-    return frozenset(p.elements.label(j) for j in _bits(p.up[i]))
+    return frozenset(p.elements.face_labels(_bits(p.up[p.elements.index(x)])))
 
 
 def dual_poset(p: Poset) -> Poset:
@@ -237,7 +215,7 @@ def dual_poset(p: Poset) -> Poset:
 
 def induced_subposet(p: Poset, labels: Iterable[str]) -> Poset:
     """The restriction of the order to a subset of the elements."""
-    kept = sorted(p.elements.index(lab) for lab in set(labels))
+    kept = sorted({p.elements.index(lab) for lab in labels})  # the first unknown label is named
     up = [sum(1 << k for k, j in enumerate(kept) if p.up[i] >> j & 1) for i in kept]
     return Poset._trusted(Universe(p.elements.label(i) for i in kept), up)
 
@@ -291,7 +269,7 @@ def poset_dowker_complex(p: Poset, strict: bool, side: str) -> SimplicialComplex
         masks = [m & ~(1 << i) for i, m in enumerate(masks)]
     if not any(masks):
         raise EmptyResultError()
-    return _spanned(p.elements, [tuple(_bits(m)) for m in masks])
+    return _spanned(p.elements, masks)
 
 
 def lattice_condition_witness(p: Poset) -> Optional[Tuple[str, str]]:
@@ -437,8 +415,7 @@ class FiniteTopology:
         return self._mins[index]
 
     def minimal_open(self, label: str) -> frozenset:
-        labels = self.points.labels
-        return frozenset(labels[j] for j in _bits(self._mins[self.points.index(label)]))
+        return frozenset(self.points.face_labels(_bits(self._mins[self.points.index(label)])))
 
     def t0_witness(self) -> Optional[Tuple[str, str]]:
         mins = self._mins
@@ -474,7 +451,7 @@ def topology_to_order(t: FiniteTopology) -> Poset:
     witness = t.t0_witness()
     if witness is not None:
         raise NotT0Error(witness)
-    return Poset._trusted(t.points, _transpose(t._mins), t._mins)
+    return Poset._trusted(t.points, _transpose(t._mins, len(t._mins)), t._mins)
 
 
 def membership_relation(t: FiniteTopology) -> Relation:
@@ -485,4 +462,4 @@ def membership_relation(t: FiniteTopology) -> Relation:
     Vietoris counterpart.  Raises :class:`AmbiguousLabelError` for a point
     label containing ``,``.
     """
-    return _membership(t.points, [tuple(_bits(o)) for o in t.opens if o], "open-set labels")
+    return _membership(t.points, filter(None, t.opens), "open-set labels")

@@ -6,13 +6,13 @@ K-complex on X (subsets of X related to a common y) and the L-complex on Y
 the subcomplex <-> morphism correspondence implemented below genuinely
 needs that, so infinite ground sets are out of scope.
 
-A relation keeps only its supports, one sorted x index tuple per y in y
-index order, and derives ``pairs`` from them.  ``Relation(...)`` checks each
-pair against the universes' index dicts and names the first unknown label in
-input order, x before y.  Builders whose supports hold by construction skip
-that, through the unchecked ``Relation._trusted``:
+A relation keeps only its supports, one index-set mask (x index i at bit i)
+per y in y index order, and derives ``pairs`` from them.  ``Relation(...)``
+checks each pair against the universes' index dicts and names the first
+unknown label in input order, x before y.  Builders whose supports hold by
+construction skip that, through the unchecked ``Relation._trusted``:
 
-- ``transpose``: the supports of each x, read off those of each y;
+- ``transpose``: the supports of each x, by ``_transpose`` of the bit matrix;
 - ``canonical_relation`` and ``posets.membership_relation``: each face, or
   nonempty open, is the support of the y its comma-joined labels name.
 
@@ -23,6 +23,8 @@ that, through the unchecked ``Relation._trusted``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Dict, Iterable, Optional, Tuple
 
 from .complexes import SimplicialComplex, Universe, VertexMap, _spanned
@@ -34,6 +36,24 @@ from .errors import (
     UniverseMismatchError,
     UnknownVertexError,
 )
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _transpose(rows, width: int) -> tuple:
+    """The ``width`` masks with bit i of entry j set iff bit j of ``rows[i]`` is."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:  # _bits, inlined: a transpose runs once per L-complex and morphism search
+            cols[(row & -row).bit_length() - 1] |= bit
+            row &= row - 1
+    return tuple(cols)
 
 
 class Relation:
@@ -49,21 +69,21 @@ class Relation:
         if len(x_universe) == 0 or len(y_universe) == 0:
             raise EmptyRelationError("relation universes must be nonempty")
         xi, yi = x_universe._index, y_universe._index
-        supports = [set() for _ in y_universe.labels]
+        supports = [0] * len(y_universe)
         for x, y in pairs:  # the first unknown label, in input order, is reported
             if x not in xi:
                 raise UnknownVertexError(x)
             if y not in yi:
                 raise UnknownVertexError(y)
-            supports[yi[y]].add(xi[x])
+            supports[yi[y]] |= 1 << xi[x]
         self.x_universe = x_universe
         self.y_universe = y_universe
-        self._supports = tuple(tuple(sorted(s)) for s in supports)
+        self._supports = tuple(supports)
 
     @classmethod
     def _trusted(cls, x_universe: Universe, y_universe: Universe, supports) -> "Relation":
         """A relation over nonempty universes with ``supports`` known by
-        construction: one sorted x index tuple per y, in y index order."""
+        construction: one x index-set mask per y, in y index order."""
         r = cls.__new__(cls)
         r.x_universe = x_universe
         r.y_universe = y_universe
@@ -73,12 +93,16 @@ class Relation:
     @property
     def pairs(self) -> frozenset:
         """All (x, y) with x R y, as labels."""
-        xs = self.x_universe.labels
-        return frozenset((xs[i], y) for y, s in zip(self.y_universe, self._supports) for i in s)
+        xs, out = self.x_universe.labels, []
+        for y, s in zip(self.y_universe, self._supports):
+            while s:  # _bits, inlined: reports decode every pair
+                out.append((xs[(s & -s).bit_length() - 1], y))
+                s &= s - 1
+        return frozenset(out)
 
     def support(self, y: str) -> tuple:
         """Sorted labels of all x related to ``y`` (possibly empty)."""
-        return self.x_universe.face_labels(self._supports[self.y_universe.index(y)])
+        return self.x_universe.face_labels(_bits(self._supports[self.y_universe.index(y)]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,7 +117,7 @@ class Relation:
 
     def __repr__(self) -> str:
         size = f"{len(self.x_universe)}x{len(self.y_universe)}"
-        return f"Relation({size}, {sum(map(len, self._supports))} pairs)"
+        return f"Relation({size}, {sum(map(int.bit_count, self._supports))} pairs)"
 
 
 def is_covered(rel: Relation) -> bool:
@@ -107,18 +131,10 @@ def require_covered(rel: Relation) -> None:
             raise NotCoveredError(y)
 
 
-def _transposed(rel: Relation) -> list:
-    """The supports of each x: the y indices related to it, in increasing order."""
-    supports = [[] for _ in rel.x_universe.labels]
-    for j, s in enumerate(rel._supports):
-        for i in s:
-            supports[i].append(j)
-    return [tuple(s) for s in supports]
-
-
 def transpose(rel: Relation) -> Relation:
     """Swap the roles of X and Y."""
-    return Relation._trusted(rel.y_universe, rel.x_universe, _transposed(rel))
+    supports = _transpose(rel._supports, len(rel.x_universe))
+    return Relation._trusted(rel.y_universe, rel.x_universe, supports)
 
 
 def k_complex(rel: Relation) -> SimplicialComplex:
@@ -137,11 +153,11 @@ def l_complex(rel: Relation) -> SimplicialComplex:
     """Subsets of Y whose members share a related x; the K-complex of the transpose."""
     if not any(rel._supports):
         raise EmptyRelationError()
-    return _spanned(rel.y_universe, _transposed(rel))
+    return _spanned(rel.y_universe, _transpose(rel._supports, len(rel.x_universe)))
 
 
 def _membership(x_universe: Universe, faces, what: str) -> Relation:
-    """x R s iff x is in s, for the sorted index tuples s in ``faces``, each
+    """x R s iff x is in s, for the index-set masks s in ``faces``, each
     named by its comma-joined labels; ``what`` names them in errors."""
     labels = x_universe.labels
     for lab in labels:
@@ -149,7 +165,7 @@ def _membership(x_universe: Universe, faces, what: str) -> Relation:
             raise AmbiguousLabelError(lab, "','", what)
     if not labels:
         raise EmptyRelationError("relation universes must be nonempty")
-    named = {",".join(map(labels.__getitem__, f)): f for f in faces}
+    named = {",".join(map(labels.__getitem__, _bits(f))): f for f in faces}
     y_universe = Universe(named)
     return Relation._trusted(x_universe, y_universe, map(named.__getitem__, y_universe.labels))
 
@@ -165,7 +181,7 @@ def canonical_relation(t: SimplicialComplex) -> Relation:
     """
     if t.is_empty:
         raise EmptyComplexError("the canonical relation needs a nonempty complex")
-    return _membership(t.universe, t.faces, "face labels")
+    return _membership(t.universe, map(t.universe._mirror, t._masks), "face labels")
 
 
 def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bool:
@@ -180,7 +196,7 @@ def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bo
         if y not in assignment:
             raise ValueError(f"assignment is not total on Y: missing {y!r}")
         images.append(rel2.y_universe.index(assignment[y]))
-    return all(set(rel2._supports[z]).issuperset(s) for z, s in zip(images, rel._supports))
+    return not any(s & ~rel2._supports[z] for z, s in zip(images, rel._supports))
 
 
 @dataclass(frozen=True)
@@ -209,20 +225,20 @@ def find_morphism(rel: Relation, rel2: Relation) -> Optional[Dict[str, str]]:
 
     One exists iff the K-complex of ``rel`` is a subcomplex of the K-complex
     of ``rel2``; in that case each support S_y is a face of K_Z, hence lies
-    inside some support S'_z, and we pick the least such z by index.
+    inside some support S'_z, and we pick the least such z by index, the
+    lowest bit of the AND over x in S_y of the masks of the z holding x.
     """
     if rel.x_universe != rel2.x_universe:
         raise UniverseMismatchError()
     require_covered(rel)
     require_covered(rel2)
-    supports2 = [(z, set(s)) for z, s in zip(rel2.y_universe, rel2._supports)]
+    holders, zs = _transpose(rel2._supports, len(rel2.x_universe)), rel2.y_universe.labels
     assignment = {}
     for y, s in zip(rel.y_universe, rel._supports):
-        sy = set(s)
-        z = next((z for z, sz in supports2 if sy <= sz), None)
-        if z is None:
+        common = reduce(and_, map(holders.__getitem__, _bits(s)))
+        if not common:
             return None
-        assignment[y] = z
+        assignment[y] = zs[(common & -common).bit_length() - 1]
     return assignment
 
 

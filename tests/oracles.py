@@ -20,8 +20,10 @@ from relcomplex.errors import (
     EmptyComplexError,
     EmptyResultError,
     InvalidTopologyError,
+    NotCoveredError,
     NotFreeError,
     ParseError,
+    UniverseMismatchError,
     UnknownVertexError,
 )
 from relcomplex.formats import Document
@@ -190,6 +192,39 @@ def brute_force_morphism_exists(rel: rc.Relation, rel2: rc.Relation) -> bool:
         if all((x, f[y]) in rel2.pairs for x, y in rel.pairs):
             return True
     return False
+
+
+def scan_find_morphism(rel: rc.Relation, rel2: rc.Relation):
+    """``find_morphism`` as a set scan: for each y, the least z (by label
+    order) whose support holds S_y as a Python set.  Errors come in the
+    library's order: a universe mismatch, then an uncovered ``rel``, then an
+    uncovered ``rel2``."""
+    if rel.x_universe != rel2.x_universe:
+        raise UniverseMismatchError()
+    for r in (rel, rel2):
+        for y in r.y_universe:
+            if not r.support(y):
+                raise NotCoveredError(y)
+    supports2 = [(z, set(rel2.support(z))) for z in rel2.y_universe]
+    assignment = {}
+    for y in rel.y_universe:
+        sy = set(rel.support(y))
+        z = next((z for z, sz in supports2 if sy <= sz), None)
+        if z is None:
+            return None
+        assignment[y] = z
+    return assignment
+
+
+def label_span(label_sets) -> frozenset:
+    """Every nonempty subset of each label set, as sorted label tuples: the
+    face set of the union of the full simplices on them."""
+    return frozenset(
+        sub
+        for s in label_sets
+        for n in range(1, len(s) + 1)
+        for sub in itertools.combinations(sorted(s), n)
+    )
 
 
 def naive_chain_faces(p: rc.Poset) -> set:

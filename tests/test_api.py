@@ -82,3 +82,19 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "relcomplex", (
                     f"{path.name} imports {name}"
                 )
+
+
+def test_readme_module_map_line_counts():
+    """The README module map's line counts, and its ``src/`` total, match the files."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(relcomplex(?:\.\w+)?)` +\| +(\d+) \|", section, re.MULTILINE))
+    package = ROOT / "src" / "relcomplex"
+    counts = {
+        "relcomplex" + ("" if path.stem == "__init__" else f".{path.stem}"):
+            path.read_text(encoding="utf-8").count("\n")
+        for path in package.glob("*.py")
+    }
+    assert {name: int(n) for name, n in rows.items()} == counts
+    total = re.search(r"`src/` has ([\d,]+) lines in all\.", section).group(1)
+    assert int(total.replace(",", "")) == sum(counts.values())

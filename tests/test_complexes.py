@@ -183,7 +183,11 @@ class TestDerivedDataAgainstScans:
             rc.l_complex(rel),
             rc.complex_from_facets("abc", [("a",), ("c", "a"), ("a", "c"), ("b",)]),
         ]
-        assert [k._facets for k in built] == [((0, 1, 2),), ((0, 1, 2),), ((0, 2), (1,))]
+        # the facet masks are set by the builder and decoded on first use
+        assert [sorted(map(k.universe._face, k._facet_masks)) for k in built] == [
+            [(0, 1, 2)], [(0, 1, 2)], [(0, 2), (1,)]
+        ]
+        assert [k.facets() for k in built] == [((0, 1, 2),), ((0, 1, 2),), ((0, 2), (1,))]
         assert rc.cone_apex(built[0]) == "a"
 
 
@@ -222,6 +226,44 @@ class TestWideUniverses:
         assert order.label_faces() == frozenset(oracles.naive_chain_faces(p))
         self._check(order)
         self._check(rc.poset_dowker_complex(p, False, "k"))
+
+    def test_dowker_complexes_of_relations(self):
+        """K over 70 x labels and L over 70 y labels, against the label spans of the pairs."""
+        rng = random.Random(71)
+        ys = [f"w{j:02}" for j in range(70)]
+        pairs = [(x, y) for y in ys for x in rng.sample(WIDE, rng.randint(1, 3))]
+        pairs += [("v00", "w69"), ("v69", "w69"), ("v69", "w00")]
+        rel = rc.Relation(WIDE, ys, pairs)
+        k, l = rc.k_complex(rel), rc.l_complex(rel)
+        assert k.label_faces() == oracles.label_span(map(rel.support, ys))
+        assert l.label_faces() == oracles.label_span(
+            {y for x2, y in pairs if x2 == x} for x in WIDE
+        )
+        self._check(k)
+        self._check(l)
+        assert rc.canonical_relation(k) == oracles.label_membership_relation(
+            k.universe, k.label_faces()
+        )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("side", ["k", "l"])
+    def test_poset_dowker_complexes(self, strict, side):
+        p = _crown_70()
+        got = rc.poset_dowker_complex(p, strict, side)
+        assert got == oracles.label_poset_dowker_complex(p, strict, side)
+        reach = rc.down_set if side == "k" else rc.up_set
+        assert got.label_faces() == oracles.label_span(
+            reach(p, x) - ({x} if strict else set()) for x in WIDE
+        )
+        assert got.facets() == oracles.scan_facets(got)
+
+    def test_membership_relation_of_a_chain(self):
+        """70 nested opens, the widest holding every point."""
+        t = rc.order_to_topology(rc.poset_from_pairs(WIDE, zip(WIDE, WIDE[1:])))
+        rel = rc.membership_relation(t)
+        opens = [o for o in t.open_label_sets() if o]
+        assert len(opens) == 70 and len(opens[-1]) == 70
+        assert rel == oracles.label_membership_relation(t.points, opens)
 
 
 class TestFullComplex:

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from operator import and_, or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +23,8 @@ from relcomplex.errors import (
 from relcomplex.posets import singleton_component_witness
 
 import oracles
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @st.composite
@@ -640,3 +646,21 @@ class TestTrustedBuilders:
     def test_induced_subposet_names_an_unknown_label(self, circle4):
         with pytest.raises(UnknownVertexError):
             rc.induced_subposet(circle4, ["1", "9"])
+
+    def test_induced_subposet_names_the_first_unknown_label_under_any_hash_seed(self):
+        """Labels are checked in input order, in fresh interpreters under two
+        hash seeds, so the label named does not follow set iteration order."""
+        script = (
+            "import relcomplex as rc\n"
+            "p = rc.poset_from_pairs('abc', [('a', 'b')])\n"
+            "try:\n"
+            "    rc.induced_subposet(p, ['a', 'zz', 'yy', 'xx', 'ww'])\n"
+            "except rc.errors.UnknownVertexError as exc:\n"
+            "    print(exc.label)\n"
+        )
+        for seed in ("1", "4"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert proc.stdout == "zz\n", seed

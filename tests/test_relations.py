@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import relcomplex as rc
 from relcomplex.errors import (
     AmbiguousLabelError,
+    DomainError,
     EmptyRelationError,
     NotCoveredError,
     UniverseMismatchError,
@@ -257,6 +258,29 @@ class TestInducedMaps:
             )
 
 
+@st.composite
+def morphism_pairs(draw, max_x=5, max_y=5):
+    """Two relations, mostly over one X and covered; the rest exercise each error."""
+    xl = [f"x{i}" for i in range(draw(st.integers(1, max_x)))]
+
+    def make(tag, xs):
+        ys = [f"{tag}{j}" for j in range(draw(st.integers(1, max_y)))]
+        least = draw(st.sampled_from([1, 1, 1, 1, 0]))  # an empty support now and then
+        supports = [draw(st.sets(st.sampled_from(xs), min_size=least)) for _ in ys]
+        return rc.Relation(xs, ys, [(x, y) for y, s in zip(ys, supports) for x in s])
+
+    other = xl if draw(st.integers(0, 9)) else xl + ["x9"]
+    return make("y", xl), make("z", other)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and text of the domain error it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
 class TestFindMorphism:
     def test_self_morphism_exists(self, circle4):
         r = leq_relation(circle4)
@@ -306,6 +330,15 @@ class TestFindMorphism:
         assert (f is not None) == subset
         if f is not None:
             assert rc.is_morphism(f, r, r2)
+
+    @settings(max_examples=200)
+    @given(morphism_pairs())
+    def test_against_the_set_scan(self, pair):
+        """The same least-z assignment, verdict and first error as the set scan."""
+        got = outcome(rc.find_morphism, *pair)
+        assert got == outcome(oracles.scan_find_morphism, *pair)
+        if isinstance(got, dict):
+            assert rc.is_morphism(got, *pair)
 
     def test_existence_matches_brute_force(self):
         rng = random.Random(20240810)
@@ -418,6 +451,12 @@ class TestOneRepresentation:
         r = rc.canonical_relation(t)
         assert rebuilt(r) == r
         assert r == oracles.label_membership_relation(t.universe, t.label_faces())
+
+    def test_canonical_relation_decodes_no_faces(self):
+        t = rc.complex_from_facets("abcde", [("a", "b", "c"), ("c", "d"), ("e",)])
+        r = rc.canonical_relation(t)
+        assert t._faces is None
+        assert r.support("a,b,c") == ("a", "b", "c") and len(r.y_universe) == 10
 
     @given(relations(), relations(), st.randoms(use_true_random=False))
     def test_eq_and_hash_follow_the_pairs(self, r, s, rng):
