@@ -12,7 +12,7 @@ f + {w} for two vertices v, w of g outside f.
 
 The engines work on the complex's own face masks (see ``complexes``), and
 labels go to and from masks through its ``Universe``.  Then f + {v} is
-``f | bit``, a sub-face is f with one bit cleared, and ``_cofaces``, the one
+``f | bit``, a sub-face is f with one bit cleared, and ``_cofaces``, the
 coface probe, tries each of the |universe| - dim bits outside f instead of
 rebuilding the complex.  Among faces of one size descending mask order is
 lexicographic, so the greedy heap key, which orders as (-popcount, -mask),
@@ -27,11 +27,16 @@ step at a time.  ``greedy_collapse`` keeps the count for every face and
 takes free faces from a heap, and ``collapse_leq_to_strict`` lists the
 cone of every maximal element.  Each engine replays its pairs on a fresh
 copy of the initial masks as a self-check, compares the end state with
-the expected mask set, and only then labels each face of a step, once.
+the expected mask set, and only then labels each face of a step, once,
+from its prefix's labels (``Universe._labeller``).
 Results are built through the unchecked ``SimplicialComplex._trusted``,
 since collapsing a free face keeps a complex downward closed.  Only an
 error report scans the whole complex, to list every proper coface of a
 face that is not free.
+
+``_coface_counts`` uses that f + {v} is a face exactly when v lies in a facet
+holding f (a face lies in a facet; a facet's subsets are faces), so f has
+popcount(OR of the facets holding f) - |f| codimension-1 cofaces.
 """
 
 from __future__ import annotations
@@ -87,9 +92,8 @@ class CollapseStep:
         universe, whose labels are sorted, so it has sorted and distinct
         labels.
         """
-        step = cls.__new__(cls)
-        object.__setattr__(step, "free_face", free_face)
-        object.__setattr__(step, "coface", coface)
+        step = object.__new__(cls)
+        step.__dict__.update(free_face=free_face, coface=coface)
         return step
 
 
@@ -159,8 +163,32 @@ def _certified(
     _replay(initial.universe, faces, pairs)
     if faces != final._masks:
         raise AssertionError(message)
-    label = initial.universe._labels
+    label = initial.universe._labeller()
     return CollapseSequence(initial, tuple(CollapseStep._trusted(label(f), label(c)) for f, c in pairs))
+
+
+def _coface_counts(k: SimplicialComplex) -> dict:
+    """The codimension-1 coface count of each face mask of ``k``: from the facets
+    when they are fewer than the largest one's vertices, else by increments."""
+    tops = k._facet_masks
+    if tops and len(tops) < max(map(int.bit_count, tops)):
+        counts = {}
+        for f in k._masks:
+            union = 0
+            for top in tops:
+                if f & top == f:
+                    union |= top
+            counts[f] = union.bit_count() - f.bit_count()
+        return counts
+    counts = dict.fromkeys(k._masks, 0)
+    for g in k._masks:
+        rest = g
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if g != bit:  # a vertex has no nonempty sub-face
+                counts[g ^ bit] += 1
+    return counts
 
 
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
@@ -252,14 +280,7 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
         raise EmptyComplexError("cannot collapse the empty complex")
     n = len(k.universe)
     faces = set(k._masks)
-    counts = dict.fromkeys(faces, 0)
-    for g in faces:
-        rest = g
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if g != bit:  # a vertex has no nonempty sub-face
-                counts[g ^ bit] += 1
+    counts = _coface_counts(k)
     heap = [-(f.bit_count() << n | f) for f, c in counts.items() if c == 1]
     heapq.heapify(heap)
     full = (1 << n) - 1
@@ -268,7 +289,9 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
         f = -heapq.heappop(heap) & full
         if f not in faces or counts[f] != 1:
             continue
-        (c,) = _cofaces(faces, f, full)
+        rest = full & ~f  # f has one coface: the first vertex that makes a face
+        while (c := f | (rest & -rest)) not in faces:
+            rest &= rest - 1
         for gone in (f, c):
             faces.remove(gone)
             rest = gone

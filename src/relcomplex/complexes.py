@@ -118,6 +118,23 @@ class Universe:
         """The labels of a face mask, sorted."""
         return tuple(map(self.labels.__getitem__, self._face(mask)))
 
+    def _labeller(self):
+        """``_labels`` for one call: the labels of ``mask & (mask - 1)``, memoised, then
+        its lowest bit's.  It neither recurses nor refers to itself: no cycle holds the memo."""
+        named = {0: ()}
+        last = {bit: (lab,) for bit, lab in zip(self._bits(), self.labels)}
+
+        def labels(mask: int) -> tuple:
+            walk = []
+            while (found := named.get(mask)) is None:
+                walk.append(mask)
+                mask &= mask - 1
+            for mask in reversed(walk):
+                found = named[mask] = found + last[mask & -mask]
+            return found
+
+        return labels
+
     def __contains__(self, label) -> bool:
         return label in self._index
 

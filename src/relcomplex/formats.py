@@ -204,7 +204,7 @@ def to_jsonable(value):
     if isinstance(value, CollapseStep):
         return [list(value.free_face), list(value.coface)]
     if isinstance(value, CollapseSequence):
-        return {"steps": [to_jsonable(s) for s in value.steps]}
+        return {"steps": [[list(s.free_face), list(s.coface)] for s in value.steps]}
     if isinstance(value, SimplicialComplex):
         return {"facets": [list(labels) for labels in value.facet_labels()]}
     if isinstance(value, Poset):

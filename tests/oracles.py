@@ -550,6 +550,17 @@ def rebuild_verify_sequence(seq: rc.CollapseSequence) -> rc.SimplicialComplex:
     return current
 
 
+def increment_coface_counts(k: rc.SimplicialComplex) -> dict:
+    """The codimension-1 coface count of each face mask: every face adds one
+    to each of its codimension-1 sub-faces (the greedy engine's first count)."""
+    counts = dict.fromkeys(k._masks, 0)
+    for g in k._masks:
+        for i in range(g.bit_length()):
+            if g >> i & 1 and g != 1 << i:
+                counts[g ^ 1 << i] += 1
+    return counts
+
+
 def scan_greedy_collapse(k: rc.SimplicialComplex):
     """Greedy collapse that scans every face for the least free one on each step.
 
@@ -755,6 +766,14 @@ def complexes(draw, max_vertices=5, max_facets=4):
 def circle4_poset() -> rc.Poset:
     """Four-point poset whose chain complex is a 4-cycle (two bottoms, two tops)."""
     return rc.poset_from_pairs("1234", [("1", "3"), ("1", "4"), ("2", "3"), ("2", "4")])
+
+
+def c4xc6_poset() -> rc.Poset:
+    """circle4 times two tops over four minimal elements: 24 elements whose
+    K-complex has 4 facets of 15 vertices and 121,087 faces."""
+    lows, tops = ["m1", "m2", "m3", "m4"], ["t1", "t2"]
+    c6 = rc.poset_from_pairs(lows + tops, [(m, t) for m in lows for t in tops])
+    return rc.product_poset(circle4_poset(), c6)
 
 
 def circle6_poset() -> rc.Poset:

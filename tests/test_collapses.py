@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 import relcomplex as rc
-from relcomplex import collapses
+from relcomplex import collapses, formats
 from relcomplex.errors import (
     EmptyComplexError,
     NotFreeError,
@@ -14,6 +14,7 @@ from relcomplex.errors import (
 )
 
 import oracles
+from conftest import DATA
 
 
 @st.composite
@@ -352,6 +353,96 @@ class TestSelfChecksCannotVanish:
             rc.collapse_leq_to_strict(circle4, "k")
         assert exc.value.index == 0 and exc.value.face == ("1",)
         assert len(exc.value.cofaces) > 1
+
+
+def _reads_facets(k):
+    """Whether ``_coface_counts`` takes the facet path: fewer stored facets
+    than the vertices of the largest."""
+    tops = k._facet_masks
+    return bool(tops) and len(tops) < max(map(int.bit_count, tops))
+
+
+def _counts_agree(k):
+    assert collapses._coface_counts(k) == oracles.increment_coface_counts(k)
+
+
+def _c4chain3():
+    return formats.to_poset(formats.parse((DATA / "c4chain3.poset").read_text()))
+
+
+@st.composite
+def poset_complexes(draw):
+    """K or L of a random poset of 3 to 9 elements; about 6 in 10 read their facets."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = oracles.random_poset(rng, [str(i) for i in range(draw(st.integers(3, 9)))])
+    strict = draw(st.booleans()) and bool(p.strict_pairs())  # a discrete poset has no strict complex
+    return rc.poset_dowker_complex(p, strict, draw(st.sampled_from("kl")))
+
+
+@st.composite
+def cli_shaped_complexes(draw):
+    """60 random triangles and 12 tetrahedra over 18 vertices, as the benchmark's greedy inputs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = [f"u{i:02}" for i in range(18)]
+    return rc.complex_from_facets(labels, [rng.sample(labels, size) for size in [3] * 60 + [4] * 12])
+
+
+class TestCofaceCounts:
+    """``_coface_counts`` on both paths against the increment oracle."""
+
+    @given(poset_complexes())
+    def test_poset_complexes(self, k):
+        _counts_agree(k)
+
+    def test_poset_complexes_read_their_facets(self):
+        for p in (_c4chain3(), oracles.circle4_poset()):
+            for side in "kl":
+                k = rc.poset_dowker_complex(p, False, side)
+                assert _reads_facets(k)
+                _counts_agree(k)
+
+    @given(cli_shaped_complexes())
+    def test_many_facets_keep_the_increments(self, k):
+        assert not _reads_facets(k)
+        _counts_agree(k)
+
+    @given(oracles.complexes(max_vertices=7, max_facets=5))
+    def test_without_stored_facets(self, k):
+        core, _ = rc.greedy_collapse(k)
+        for unstored in (core, rc.SimplicialComplex(k.universe, k.faces)):
+            assert unstored._facet_masks is None
+            _counts_agree(unstored)
+        _counts_agree(k)
+
+    @given(st.integers(0, 2**32), st.integers(1, 6))
+    def test_wide_universes(self, seed, m):
+        """m facets over 70 vertices: a few large ones read the facets, many small ones do not."""
+        rng = random.Random(seed)
+        labels = [f"v{i:02}" for i in range(70)]
+        big = rc.complex_from_facets(labels, [rng.sample(labels, rng.randint(m + 1, m + 3)) for _ in range(m)])
+        small = rc.complex_from_facets(labels, [rng.sample(labels, rng.randint(1, 3)) for _ in range(12 * m)])
+        assert _reads_facets(big) and not _reads_facets(small)
+        _counts_agree(big)
+        _counts_agree(small)
+
+    def test_every_face_of_c4xc6_k(self):
+        k = rc.poset_dowker_complex(oracles.c4xc6_poset(), False, "k")
+        assert len(k._masks) == 121_087 and _reads_facets(k)
+        _counts_agree(k)
+
+
+class TestLabelsWithoutDecoding:
+    def test_engines_decode_no_face(self, monkeypatch):
+        """Both engines name each step face from its prefix, never by a per-face bit walk."""
+        p = _c4chain3()
+        k = rc.poset_dowker_complex(p, False, "k")
+        decoded = []
+        face = rc.Universe._face
+        monkeypatch.setattr(rc.Universe, "_face", lambda self, mask: decoded.append(mask) or face(self, mask))
+        core, seq = rc.greedy_collapse(k)
+        steps = [seq.steps] + [rc.collapse_leq_to_strict(p, side).steps for side in "kl"]
+        assert decoded == []
+        assert core.is_point and [len(s) for s in steps] == [479, 256, 256]
 
 
 @st.composite

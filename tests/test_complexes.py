@@ -266,6 +266,38 @@ class TestWideUniverses:
         assert rel == oracles.label_membership_relation(t.points, opens)
 
 
+@st.composite
+def labelled_complexes(draw):
+    """A complex over up to 70 labels, drawn with its faces in shuffled order."""
+    labels = WIDE[: draw(st.integers(1, 70))]
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=6, unique=True),
+        min_size=1, max_size=8,
+    ))
+    k = rc.complex_from_facets(labels, facets)
+    return k, draw(st.permutations(sorted(k._masks)))
+
+
+class TestLabeller:
+    """``Universe._labeller`` names every face as ``Universe._labels`` does,
+    whatever prefixes it has already named."""
+
+    @given(labelled_complexes())
+    def test_every_face_in_descending_size_order(self, case):
+        k, _ = case
+        label = k.universe._labeller()
+        by_size = sorted(k._masks, key=lambda m: (-m.bit_count(), -m))
+        assert [label(m) for m in by_size] == [k.universe._labels(m) for m in by_size]
+
+    @given(labelled_complexes())
+    def test_every_face_in_shuffled_order(self, case):
+        k, shuffled = case
+        label = k.universe._labeller()
+        want = [k.universe._labels(m) for m in shuffled]
+        assert [label(m) for m in shuffled] == want
+        assert [label(m) for m in shuffled] == want  # each one named already
+
+
 class TestFullComplex:
     def test_point(self):
         assert oracles.full_complex("a").is_point
