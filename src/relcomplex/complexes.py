@@ -30,7 +30,7 @@ labels they take in are checked by ``Universe``:
 These four set their facets, the maximal input facets or distinct supports,
 through ``_spanned``, which takes index-set masks (index i at bit i) largest
 first and keeps those not yet inside an earlier one, so no kept face lies in
-another.  Every other complex gets the linear marking scan of ``facets()``.
+another.  Every other complex gets the linear marking scan of ``_tops()``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .errors import NotSimplicialError, UnknownVertexError
 
@@ -241,25 +241,29 @@ class SimplicialComplex:
         graded = self._by_dimension()
         return tuple(map(self.universe._face, graded[n])) if 0 <= n < len(graded) else ()
 
-    def facets(self) -> tuple:
-        """Inclusion-maximal faces in lexicographic order.
+    def _tops(self) -> Collection[int]:
+        """The masks of the inclusion-maximal faces, computed once.
 
-        Unless a builder gave their masks, every face marks its codimension-1
+        Unless a builder gave them, every face marks its codimension-1
         subfaces, one cleared bit each, and the unmarked faces are the facets,
         in O(|faces| * dim): exact by downward closure, since a face f inside
         a larger face g has the coface f + {v}, for any v in g outside f.
         """
+        if self._facet_masks is None:
+            marked = set()
+            for face in self._masks:
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    marked.add(face ^ low)
+                    rest ^= low
+            self._facet_masks = self._masks - marked
+        return self._facet_masks
+
+    def facets(self) -> tuple:
+        """Inclusion-maximal faces in lexicographic order."""
         if self._facets is None:
-            if self._facet_masks is None:
-                marked = set()
-                for face in self._masks:
-                    rest = face
-                    while rest:
-                        low = rest & -rest
-                        marked.add(face ^ low)
-                        rest ^= low
-                self._facet_masks = self._masks - marked
-            self._facets = tuple(sorted(map(self.universe._face, self._facet_masks)))
+            self._facets = tuple(sorted(map(self.universe._face, self._tops())))
         return self._facets
 
     def facet_labels(self) -> tuple:
@@ -408,5 +412,5 @@ def cone_apex(k: SimplicialComplex) -> Optional[str]:
     The existence of an apex certifies that the complex is a cone, hence
     contractible.  Ties are broken by least interned index, the highest bit.
     """
-    common = reduce(and_, k._facet_masks) if k.facets() else 0  # facets() sets the facet masks
+    common = reduce(and_, k._tops() or [0])
     return k.universe.label(len(k.universe) - common.bit_length()) if common else None

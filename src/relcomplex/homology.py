@@ -1,10 +1,11 @@
-"""Integer simplicial homology: sparse unit-pivot elimination, then Smith normal form.
+"""Integer simplicial homology: sparse elimination to the Smith normal form.
 
 Each boundary map is held as sparse columns.  Entries of +-1 are eliminated
-first, each adding a 1 to the Smith diagonal; only the block that has no
-unit entry left goes through the exact dense Smith normal form, which
-yields the torsion (after Dumas, Heckenbach, Saunders and Welker, 2003).
-Entries are arbitrary-precision Python integers, so everything is exact.
+first, each adding a 1 to the Smith diagonal; the block that has no unit
+entry left is reduced on the same columns, by pivots of least absolute
+value, which yields the torsion (after Dumas, Heckenbach, Saunders and
+Welker, 2003).  Entries are arbitrary-precision Python integers, so
+everything is exact.
 
 The maps are reduced from the top, d_dim first, with clearing (the "twist"
 of Chen and Kerber, Persistent homology computation with a twist, 2011):
@@ -17,8 +18,8 @@ column is 0 there, so the c_i restricted to the rows r_1, ..., r_k form a
 unit-triangular matrix, and C_n = span(c_i) + span(e_s : s not a pivot row)
 is a unimodular direct sum.  Hence d_n has the same image lattice as its
 restriction to the uncleared faces: the same rank and the same nonzero
-Smith invariants.  Rows of a residual block with no unit entry are never
-cleared.
+Smith invariants.  Rows of the block left without a unit entry are never
+cleared, and its row operations come after every c_i is fixed.
 
 d_1 is never reduced.  On the edges that d_2 left uncleared it is the
 incidence matrix of a graph, which is totally unimodular: H_0 has no
@@ -105,78 +106,10 @@ def boundary_matrices(k: SimplicialComplex) -> List[IntegerMatrix]:
 
 
 def smith_normal_form(m: IntegerMatrix) -> Tuple[int, ...]:
-    """The positive diagonal d_1 | d_2 | ... | d_r of the Smith normal form.
-
-    Works on a copy; pivots are chosen with smallest nonzero absolute value
-    to keep intermediate entries small.  The matrix is first diagonalized
-    by exact row/column reduction, then the diagonal is normalized into a
-    divisibility chain by repeated gcd/lcm exchanges (which preserve the
-    equivalence class).
-    """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    diag = []
-    t = 0
-    while True:
-        piv = None
-        piv_abs = 0
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v and (piv is None or abs(v) < piv_abs):
-                    piv = (i, j)
-                    piv_abs = abs(v)
-        if piv is None:
-            break
-        a[t], a[piv[0]] = a[piv[0]], a[t]
-        if piv[1] != t:
-            for row in a:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            p = a[t][t]
-            moved = False
-            for i in range(t + 1, nr):
-                v = a[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        # remainder is a smaller pivot candidate
-                        a[t], a[i] = a[i], a[t]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(t + 1, nc):
-                v = a[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for i in range(nr):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        moved = True
-                        break
-            if not moved:
-                break
-        diag.append(a[t][t])
-        t += 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            if y % x:
-                g = math.gcd(x, y)
-                diag[i], diag[i + 1] = g, x * y // g
-                changed = True
-    return tuple(diag)
+    """The positive diagonal d_1 | d_2 | ... | d_r of the Smith normal form, by ``_reduce``."""
+    columns = [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
+    rank, torsion = _reduce(columns)
+    return (1,) * (rank - len(torsion)) + torsion
 
 
 @dataclass(frozen=True)
@@ -215,9 +148,13 @@ def _reduce(columns: list, cleared: Optional[set] = None) -> Tuple[int, Tuple[in
     so the matrix is equivalent to [v] plus the matrix without row r and
     column j.  Of the unit entries of a column, the one whose row is in the
     fewest columns is taken.  Columns that still have no unit entry after a
-    pass are retried once some pivot has changed them; what is left goes to
-    the dense Smith normal form.  The columns are consumed, and the row of
-    every unit pivot is added to ``cleared`` when it is given.
+    pass are retried once some pivot has changed them.  On what is left the
+    pivot p is an entry of least absolute value: column operations reduce
+    its row to remainders and, once the row is p alone, row operations its
+    column.  With no remainder, |p| splits off; else a smaller pivot exists.
+    Gcd/lcm exchanges then make the split-off values a divisibility chain.
+    The columns are consumed, and the row of every pivot of the first, unit
+    stage is added to ``cleared`` when it is given.
     """
     rows = {}  # row -> the columns with a nonzero entry in that row
     for j, col in enumerate(columns):
@@ -267,15 +204,43 @@ def _reduce(columns: list, cleared: Optional[set] = None) -> Tuple[int, Tuple[in
         if len(stuck) == len(todo):
             break
         todo = stuck
-    residual = [col for col in columns if col]
-    if not residual:
-        return pivots, ()
-    index = {r: i for i, r in enumerate(sorted({r for col in residual for r in col}))}
-    dense = [[0] * len(residual) for _ in index]
-    for j, col in enumerate(residual):
-        for r, v in col.items():
-            dense[index[r]][j] = v
-    diagonal = smith_normal_form(IntegerMatrix.from_rows(dense))
+    diagonal = []
+    live = todo  # the last pass pivoted nothing, so these are the nonzero columns
+    while live:
+        j = min(live, key=lambda i: min(map(abs, columns[i].values())))
+        col = columns[j]
+        r, p = min(col.items(), key=lambda e: abs(e[1]))
+        for i in rows[r] - {j}:
+            other = columns[i]
+            q = (2 * other[r] + p) // (2 * p)  # the nearest quotient: remainders of at most |p| / 2
+            for s, v in col.items():
+                w = other.get(s, 0) - q * v
+                if w:
+                    if s not in other:
+                        rows[s].add(i)
+                    other[s] = w
+                else:
+                    del other[s]
+                    rows[s].discard(i)
+        if len(rows[r]) == 1:  # row r holds column j only: row operations change column j alone
+            for s in [s for s in col if s != r]:
+                col[s] -= (2 * col[s] + p) // (2 * p) * p
+                if not col[s]:
+                    del col[s]
+                    rows[s].discard(j)
+            if len(col) == 1:
+                diagonal.append(abs(p))
+                columns[j] = {}
+                del rows[r]
+        live = [i for i in live if columns[i]]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diagonal) - 1):
+            x, y = diagonal[i], diagonal[i + 1]
+            if y % x:
+                diagonal[i], diagonal[i + 1] = math.gcd(x, y), math.lcm(x, y)
+                changed = True
     return pivots + len(diagonal), tuple(d for d in diagonal if d > 1)
 
 

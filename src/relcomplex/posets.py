@@ -241,15 +241,16 @@ def order_complex(p: Poset) -> SimplicialComplex:
         raise EmptyComplexError("the order complex needs a nonempty poset")
     bits = p.elements._bits()
     faces = set()
-
-    def extend(top: int, chain: int):
-        faces.add(chain)
-        for j in _bits(p.up[top] & ~(1 << top)):
-            extend(j, chain | bits[j])
-
-    for i in range(len(p)):
-        extend(i, bits[i])
+    for i in range(len(p)):  # not a closure: one that calls itself is a reference cycle
+        _extend_chains(p.up, bits, i, bits[i], faces)
     return SimplicialComplex._trusted(p.elements, faces)
+
+
+def _extend_chains(up, bits, top: int, chain: int, faces: set):
+    """Add ``chain`` and every chain grown upward from its greatest element ``top``."""
+    faces.add(chain)
+    for j in _bits(up[top] & ~(1 << top)):
+        _extend_chains(up, bits, j, chain | bits[j], faces)
 
 
 def poset_dowker_complex(p: Poset, strict: bool, side: str) -> SimplicialComplex:

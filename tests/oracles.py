@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -95,8 +96,6 @@ def det_int(rows) -> int:
 
 def gcd_of_k_minors(entries, k: int) -> int:
     """gcd of all k x k minors (0 when every minor vanishes)."""
-    import math
-
     rows = len(entries)
     cols = len(entries[0]) if entries else 0
     g = 0
@@ -119,13 +118,89 @@ def matrix_product(a: rc.IntegerMatrix, b: rc.IntegerMatrix) -> rc.IntegerMatrix
     return rc.IntegerMatrix(a.rows, b.cols, rows)
 
 
+def dense_smith_normal_form(m: rc.IntegerMatrix) -> tuple:
+    """The positive diagonal d_1 | d_2 | ... | d_r of the Smith normal form, on dense rows.
+
+    The reference for the library's sparse engine, so it shares none of its
+    code: it works on a copy of the rows; pivots are chosen with smallest
+    nonzero absolute value to keep intermediate entries small.  The matrix is
+    first diagonalized by exact row/column reduction, then the diagonal is
+    normalized into a divisibility chain by repeated gcd/lcm exchanges (which
+    preserve the equivalence class).
+    """
+    a = [list(row) for row in m.entries]
+    nr, nc = m.rows, m.cols
+    diag = []
+    t = 0
+    while True:
+        piv = None
+        piv_abs = 0
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                v = row[j]
+                if v and (piv is None or abs(v) < piv_abs):
+                    piv = (i, j)
+                    piv_abs = abs(v)
+        if piv is None:
+            break
+        a[t], a[piv[0]] = a[piv[0]], a[t]
+        if piv[1] != t:
+            for row in a:
+                row[t], row[piv[1]] = row[piv[1]], row[t]
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-v for v in a[t]]
+            p = a[t][t]
+            moved = False
+            for i in range(t + 1, nr):
+                v = a[i][t]
+                if v:
+                    q = v // p
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        # remainder is a smaller pivot candidate
+                        a[t], a[i] = a[i], a[t]
+                        moved = True
+                        break
+            if moved:
+                continue
+            for j in range(t + 1, nc):
+                v = a[t][j]
+                if v:
+                    q = v // p
+                    if q:
+                        for i in range(nr):
+                            a[i][j] -= q * a[i][t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        moved = True
+                        break
+            if not moved:
+                break
+        diag.append(a[t][t])
+        t += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            x, y = diag[i], diag[i + 1]
+            if y % x:
+                g = math.gcd(x, y)
+                diag[i], diag[i + 1] = g, x * y // g
+                changed = True
+    return tuple(diag)
+
+
 def dense_homology(k: rc.SimplicialComplex) -> rc.HomologyProfile:
     """Homology from the full Smith diagonal of every dense boundary matrix."""
     if k.is_empty:
         return rc.HomologyProfile((), ())
     dim = k.dimension()
     counts = [len(k.n_faces(n)) for n in range(dim + 1)]
-    diagonals = [rc.smith_normal_form(b) for b in rc.boundary_matrices(k)]
+    diagonals = [dense_smith_normal_form(b) for b in rc.boundary_matrices(k)]
     ranks = [0] + [len(d) for d in diagonals] + [0]
     betti = tuple(counts[n] - ranks[n] - ranks[n + 1] for n in range(dim + 1))
     torsion = tuple(

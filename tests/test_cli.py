@@ -680,6 +680,9 @@ class TestNoReferenceCycles:
         ("collapse", "greedy", "--complex", "c4chain3_k.complex"),
         ("collapse", "leq-strict", "--poset", "c4chain3.poset", "--side", "k"),
         ("collapse", "leq-strict", "--poset", "c4chain3.poset", "--side", "l"),
+        ("poset", "order-complex", "--poset", "c4chain3.poset"),
+        ("closed", "verify", "--xposet", "circle4.poset", "--yposet", "circle6.poset",
+         "--relation", "crown_pairs.relation", "--mode", "quillen"),
     ], ids=" ".join)
     def test_a_collapse_job_leaves_nothing_to_the_cyclic_collector(self, capsys, argv):
         """Reference counting frees all a job made, memos included: a cycle

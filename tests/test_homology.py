@@ -145,6 +145,21 @@ def random_small_facet_complex(rng):
     return rc.complex_from_facets(labels, facets)
 
 
+@st.composite
+def small_matrices(draw):
+    """Integer matrices of 0 to 8 rows and columns, entries in -9..9.
+
+    Each matrix draws from a few values, so blocks with no unit entry and
+    diagonals that are no divisibility chain, such as 2 and 3, are common.
+    """
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.sampled_from(sorted(draw(st.sets(st.integers(-9, 9), min_size=1, max_size=4))))
+    grid = draw(st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows,
+    ))
+    return rc.IntegerMatrix(rows, cols, tuple(map(tuple, grid)))
+
+
 class TestSparseEngine:
     def test_matches_dense_reference_on_random_complexes(self):
         rng = random.Random(20261018)
@@ -165,32 +180,50 @@ class TestSparseEngine:
             columns = [
                 {i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)
             ]
-            diag = snf_matrix(mat)
+            diag = oracles.dense_smith_normal_form(rc.IntegerMatrix.from_rows(mat))
             assert homology_module._reduce(columns) == (
                 len(diag), tuple(d for d in diag if d > 1)
             )
+
+    @given(small_matrices())
+    def test_smith_form_matches_the_dense_reference(self, m):
+        assert rc.smith_normal_form(m) == oracles.dense_smith_normal_form(m)
 
     @pytest.mark.parametrize(
         "build, torsion",
         [(oracles.projective_plane, 2), (oracles.moore_space_3, 3)],
     )
-    def test_torsion_comes_from_the_residual_block(self, monkeypatch, build, torsion):
+    def test_torsion_comes_from_the_residual_block(self, build, torsion):
+        # every boundary entry is +-1, so only the block left without a unit
+        # entry can put a factor above 1 on the diagonal
         k = build()
-        residuals = []
-        smith_normal_form = rc.smith_normal_form
-
-        def recording_snf(m):
-            residuals.append(m)
-            return smith_normal_form(m)
-
-        monkeypatch.setattr(homology_module, "smith_normal_form", recording_snf)
-        profile = rc.homology(k)
-        assert profile == rc.HomologyProfile((1, 0, 0), ((), (torsion,), ()))
-        assert profile == oracles.dense_homology(k)
-        # unit pivots clear all but a small block, whose diagonal ends in the torsion
         d2 = rc.boundary_matrices(k)[1]
-        assert residuals and all(m.rows * m.cols < d2.rows * d2.cols for m in residuals)
-        assert [smith_normal_form(m)[-1] for m in residuals] == [torsion]
+        columns = homology_module._boundary_columns(k._by_dimension()[2])
+        rank, factors = homology_module._reduce(columns)
+        assert factors == (torsion,)
+        diag = oracles.dense_smith_normal_form(d2)
+        assert (rank, factors) == (len(diag), tuple(d for d in diag if d > 1))
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        invariants = [abs(int(f)) for f in invariant_factors(sympy.Matrix(d2.entries), domain=sympy.ZZ)]
+        assert (rank, factors) == (len(invariants), tuple(f for f in invariants if f > 1))
+
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "build, torsion",
+        [(oracles.projective_plane, 2), (oracles.moore_space_3, 3)],
+    )
+    def test_homology_builds_no_dense_matrix(self, monkeypatch, build, torsion, times):
+        k = build()
+        for _ in range(times):
+            k = oracles.suspension(k)
+
+        def no_matrix(self):
+            raise AssertionError("homology built an IntegerMatrix")
+
+        monkeypatch.setattr(rc.IntegerMatrix, "__post_init__", no_matrix)
+        assert rc.homology(k).torsion[1 + times] == (torsion,)
 
     @pytest.mark.parametrize("times", [0, 1, 2])
     @pytest.mark.parametrize(
