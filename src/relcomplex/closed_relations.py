@@ -7,27 +7,34 @@ homology) and the weaker "every fiber's chain complex is contractible"
 condition (under which the two order complexes must).  Contractibility is
 only ever certified positively (cone apex or greedy collapse to a point);
 a failed certificate reports "unknown", never "non-contractible".
+
+Both checks answer from the posets' masks:
+
+- A set V of pairs of R is a face of the relation poset's K-complex exactly
+  when some (a, b) in R has a in up(x) and b in up(y) for every (x, y) in V.
+  Proof: that complex spans the down-sets of R's pairs, and the order is
+  componentwise, so V lies below (a, b) exactly when x <= a and y <= b
+  throughout V.
+- An element lies in every maximal chain, a facet of the order complex,
+  exactly when it is comparable to every other.  Proof: such an element
+  extends any chain; one incomparable to some w misses a maximal chain
+  through w.  So the least such index is the vertex ``cone_apex`` names.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Optional, Tuple
 
 from .collapses import greedy_collapse
-from .complexes import SimplicialComplex, cone_apex
 from .errors import EmptyFiberError, NotClosedError
 from .homology import homology
 from .posets import (
-    Poset,
-    induced_subposet,
-    maximal_elements,
-    maximum,
-    order_complex,
-    pair_label,
-    poset_dowker_complex,
-    product_poset,
-    up_set,
+    Poset, _require_pair_labels, induced_subposet, maximal_elements, maximum,
+    order_complex, pair_label, poset_dowker_complex, product_poset,
 )
+from .relations import _bits
 
 
 def closedness_witness(
@@ -40,9 +47,12 @@ def closedness_witness(
         x_poset.elements.index(x)
         y_poset.elements.index(y)
         pairset.add((x, y))
+    # each label's up-set as sorted labels, made once: index order is label order
+    x_ups, y_ups = ({lab: p.elements.face_labels(_bits(up)) for lab, up in zip(p.labels(), p.up)}
+                    for p in (x_poset, y_poset))
     for x, y in sorted(pairset):
-        for x2 in sorted(up_set(x_poset, x)):
-            for y2 in sorted(up_set(y_poset, y)):
+        for x2 in x_ups[x]:
+            for y2 in y_ups[y]:
                 if (x2, y2) not in pairset:
                     return ((x, y), (x2, y2))
     return None
@@ -104,12 +114,7 @@ def weak_hypothesis(rel: ClosedRelation) -> dict:
     holds = True
     for side, element, sub in _iter_fibers(rel):
         top = maximum(sub)
-        entry = {
-            "side": side,
-            "element": element,
-            "elements": sorted(sub.labels()),
-            "maximum": top,
-        }
+        entry = {"side": side, "element": element, "elements": sorted(sub.labels()), "maximum": top}
         if top is None:
             entry["maximal"] = sorted(maximal_elements(sub))
             holds = False
@@ -117,11 +122,14 @@ def weak_hypothesis(rel: ClosedRelation) -> dict:
     return {"hypothesis": "weak", "holds": holds, "fibers": fibers}
 
 
-def _certify_contractible(k: SimplicialComplex) -> dict:
-    apex = cone_apex(k)
-    if apex is not None:
-        return {"certificate": "cone", "apex": apex}
-    core, _ = greedy_collapse(k)
+def _certify_contractible(sub: Poset) -> dict:
+    """The certificate of a fiber: its first element comparable to every
+    other is the apex of its order complex, built only when there is none."""
+    whole = (1 << len(sub)) - 1
+    for i, (up, down) in enumerate(zip(sub.up, sub.down)):
+        if up | down == whole:
+            return {"certificate": "cone", "apex": sub.elements.label(i)}
+    core, _ = greedy_collapse(order_complex(sub))
     if core.is_point:
         return {"certificate": "collapsible"}
     return {"certificate": "unknown"}
@@ -134,14 +142,11 @@ def quillen_hypothesis(rel: ClosedRelation) -> dict:
     (greedy collapse reaches a point) or "unknown"; only the first two
     count as certified.
     """
-    fibers = []
-    certified = True
-    for side, element, sub in _iter_fibers(rel):
-        entry = {"side": side, "element": element}
-        entry.update(_certify_contractible(order_complex(sub)))
-        if entry["certificate"] == "unknown":
-            certified = False
-        fibers.append(entry)
+    fibers = [
+        {"side": side, "element": element, **_certify_contractible(sub)}
+        for side, element, sub in _iter_fibers(rel)
+    ]
+    certified = all(entry["certificate"] != "unknown" for entry in fibers)
     return {"hypothesis": "quillen", "certified": certified, "fibers": fibers}
 
 
@@ -157,27 +162,41 @@ def preimage_facet_check(rel: ClosedRelation, side: str) -> dict:
     For a facet s of the K-complex of the chosen side's poset, the preimage
     under the projection from the relation poset's K-complex is the
     subcomplex spanned by the pairs projecting into s; it is a full simplex
-    exactly when that whole vertex set is a face.
+    exactly when that whole vertex set is a face, read from the posets' masks.
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
     base_k = poset_dowker_complex(rel.x_poset if side == "x" else rel.y_poset, False, "k")
-    kr = poset_dowker_complex(relation_poset(rel), False, "k")
-    return _preimage_facets(rel, side, base_k, kr)
+    return _preimage_facets(rel, side, base_k)
 
 
-def _preimage_facets(rel, side, base_k, kr) -> dict:
-    """``preimage_facet_check`` given the side's K-complex and the relation poset's."""
-    at = 0 if side == "x" else 1
+def _preimage_facets(rel, side, base_k) -> dict:
+    """``preimage_facet_check`` given the side's K-complex."""
+    _require_pair_labels(rel.x_poset, rel.y_poset)
+    at = "xy".index(side)  # the side's place in a pair
+    here, there = (rel.x_poset, rel.y_poset) if at == 0 else (rel.y_poset, rel.x_poset)
+    related = [0] * len(here)  # related[i]: the mask of the elements paired with i
+    for pair in rel.pairs:
+        related[here.elements.index(pair[at])] |= 1 << there.elements.index(pair[1 - at])
     facets = []
-    all_full = True
-    for labels in base_k.facet_labels():
-        members = set(labels)
-        vertices = sorted(pair_label(*pair) for pair in rel.pairs if pair[at] in members)
-        full = bool(vertices) and kr.has_face_labels(vertices)
-        all_full = all_full and full
+    for face, labels in zip(base_k.facets(), base_k.facet_labels()):
+        vertices = sorted(pair_label(*pair) for pair in rel.pairs if pair[at] in labels)
+        own = [i for i in face if related[i]]  # the side's elements of the preimage
+        full = False
+        if own:  # is some related pair above the whole preimage?
+            tops = reduce(and_, [here.up[i] for i in own])
+            others = reduce(or_, map(related.__getitem__, own))
+            other_tops = reduce(and_, map(there.up.__getitem__, _bits(others)))
+            full = any(related[a] & other_tops for a in _bits(tops))
         facets.append({"facet": list(labels), "vertices": vertices, "full_simplex": full})
-    return {"side": side, "all_full": all_full, "facets": facets}
+    return {"side": side, "all_full": all(f["full_simplex"] for f in facets), "facets": facets}
+
+
+# mode: the hypothesis, the key of its verdict, each side's complex, the report's key prefix
+_MODES = {
+    "quillen": (quillen_hypothesis, "certified", order_complex, "c"),
+    "weak": (weak_hypothesis, "holds", lambda p: poset_dowker_complex(p, False, "k"), "k"),
+}
 
 
 def verify_closed_relation(rel: ClosedRelation, mode: str) -> dict:
@@ -190,47 +209,25 @@ def verify_closed_relation(rel: ClosedRelation, mode: str) -> dict:
     fails, and "theorem-violation" if a certified hypothesis ever came with
     a failing conclusion (which should not happen).
     """
-    if mode == "quillen":
-        hyp = quillen_hypothesis(rel)
-        met = hyp["certified"]
-        hx = homology(order_complex(rel.x_poset))
-        hy = homology(order_complex(rel.y_poset))
-        equal = hx.matches(hy)
-        report = {
-            "mode": "quillen",
-            "hypothesis": hyp,
-            "hypothesis_met": met,
-            "cx_homology": hx.as_report(),
-            "cy_homology": hy.as_report(),
-            "same_homology": equal,
-        }
-        conclusion = equal
-    elif mode == "weak":
-        hyp = weak_hypothesis(rel)
-        met = hyp["holds"]
-        kx = poset_dowker_complex(rel.x_poset, False, "k")
-        ky = poset_dowker_complex(rel.y_poset, False, "k")
-        kr = poset_dowker_complex(relation_poset(rel), False, "k")
-        hx, hy = homology(kx), homology(ky)
-        equal = hx.matches(hy)
-        pre_x = _preimage_facets(rel, "x", kx, kr)
-        pre_y = _preimage_facets(rel, "y", ky, kr)
-        report = {
-            "mode": "weak",
-            "hypothesis": hyp,
-            "hypothesis_met": met,
-            "kx_homology": hx.as_report(),
-            "ky_homology": hy.as_report(),
-            "same_homology": equal,
-            "preimages": {"x": pre_x, "y": pre_y},
-        }
-        conclusion = equal and pre_x["all_full"] and pre_y["all_full"]
-    else:
+    if mode not in _MODES:
         raise ValueError(f"mode must be 'quillen' or 'weak', got {mode!r}")
-    if not met:
-        report["verdict"] = "hypothesis-not-met"
-    elif conclusion:
-        report["verdict"] = "confirmed"
-    else:
-        report["verdict"] = "theorem-violation"
+    check, met, build, prefix = _MODES[mode]
+    hyp = check(rel)
+    kx, ky = build(rel.x_poset), build(rel.y_poset)
+    hx, hy = homology(kx), homology(ky)
+    conclusion = hx.matches(hy)
+    report = {
+        "mode": mode,
+        "hypothesis": hyp,
+        "hypothesis_met": hyp[met],
+        f"{prefix}x_homology": hx.as_report(),
+        f"{prefix}y_homology": hy.as_report(),
+        "same_homology": conclusion,
+    }
+    if mode == "weak":
+        pre = report["preimages"] = {"x": _preimage_facets(rel, "x", kx), "y": _preimage_facets(rel, "y", ky)}
+        conclusion = conclusion and pre["x"]["all_full"] and pre["y"]["all_full"]
+    report["verdict"] = (
+        "hypothesis-not-met" if not hyp[met] else "confirmed" if conclusion else "theorem-violation"
+    )
     return report

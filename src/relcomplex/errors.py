@@ -122,3 +122,10 @@ class NotClosedError(DomainError):
         )
         self.lower = lower
         self.upper = upper
+
+
+class TooManyFacesError(DomainError):
+    def __init__(self, faces, limit):
+        super().__init__(f"the complex would have {faces} faces, more than the limit of {limit}")
+        self.faces = faces
+        self.limit = limit

@@ -24,7 +24,7 @@ from typing import Tuple
 from .collapses import CollapseSequence, CollapseStep
 from .complexes import SimplicialComplex, Universe, complex_from_facets
 from .errors import ParseError
-from .homology import HomologyProfile, IntegerMatrix
+from .homology import HomologyProfile
 from .posets import FiniteTopology, Poset, poset_from_pairs
 from .relations import Relation
 
@@ -223,8 +223,6 @@ def to_jsonable(value):
             "points": list(value.points),
             "opens": [list(o) for o in value.open_label_sets()],
         }
-    if isinstance(value, IntegerMatrix):
-        return {"rows": value.rows, "cols": value.cols, "entries": [list(r) for r in value.entries]}
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

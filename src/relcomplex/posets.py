@@ -58,9 +58,13 @@ from .errors import (
     InvalidTopologyError,
     NotRealizableError,
     NotT0Error,
+    TooManyFacesError,
     UnknownVertexError,
 )
 from .relations import Relation, _bits, _membership, _transpose
+
+# the most faces ``order_complex`` builds; its chains are counted first
+_MAX_ORDER_COMPLEX_FACES = 1 << 24
 
 
 class Poset:
@@ -236,14 +240,30 @@ def maximum(p: Poset) -> Optional[str]:
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
-    """The complex of nonempty chains of the order, each grown upward from its least element."""
+    """The complex of nonempty chains of the order, each grown upward from its least element.
+
+    Raises :class:`TooManyFacesError` past ``_MAX_ORDER_COMPLEX_FACES`` chains,
+    counted first; that bounds the recursion too, since a d-chain has 2^d - 1 faces.
+    """
     if len(p) == 0:
         raise EmptyComplexError("the order complex needs a nonempty poset")
+    chains = _chain_count(p)
+    if chains > _MAX_ORDER_COMPLEX_FACES:
+        raise TooManyFacesError(chains, _MAX_ORDER_COMPLEX_FACES)
     bits = p.elements._bits()
     faces = set()
     for i in range(len(p)):  # not a closure: one that calls itself is a reference cycle
         _extend_chains(p.up, bits, i, bits[i], faces)
     return SimplicialComplex._trusted(p.elements, faces)
+
+
+def _chain_count(p: Poset) -> int:
+    """The nonempty chains, by least element: c(i) = 1 + the sum of c(j) over j
+    strictly above i, each j counted before i since its up-set is smaller."""
+    counts = [0] * len(p)
+    for i in sorted(range(len(p)), key=lambda i: p.up[i].bit_count()):
+        counts[i] = 1 + sum(counts[j] for j in _bits(p.up[i] & ~(1 << i)))
+    return sum(counts)
 
 
 def _extend_chains(up, bits, top: int, chain: int, faces: set):
@@ -319,12 +339,9 @@ def product_poset(p: Poset, q: Poset) -> Poset:
     """The componentwise order on pairs, labelled ``(p,q)``.
 
     Raises :class:`AmbiguousLabelError` for a factor label containing ``,``,
-    ``(`` or ``)``: ``(a,b,c)`` would name both ``(a, "b,c")`` and
-    ``("a,b", c)``.
+    ``(`` or ``)`` (see ``_require_pair_labels``).
     """
-    for lab in p.labels() + q.labels():
-        if any(ch in lab for ch in ",()"):
-            raise AmbiguousLabelError(lab)
+    _require_pair_labels(p, q)
     universe = Universe(pair_label(a, b) for a in p.labels() for b in q.labels())
     # at[i][j]: the index of (i, j), since pair labels need not sort as pairs
     at = [[universe.index(pair_label(a, b)) for b in q.labels()] for a in p.labels()]
@@ -337,6 +354,14 @@ def product_poset(p: Poset, q: Poset) -> Poset:
 
 def pair_label(x: str, y: str) -> str:
     return f"({x},{y})"
+
+
+def _require_pair_labels(p: Poset, q: Poset) -> None:
+    """Raise AmbiguousLabelError for the first label of p, then of q, holding ``,``,
+    ``(`` or ``)``: ``(a,b,c)`` would name both ``(a, "b,c")`` and ``("a,b", c)``."""
+    for lab in p.labels() + q.labels():
+        if any(ch in lab for ch in ",()"):
+            raise AmbiguousLabelError(lab)
 
 
 def connected_components(p: Poset) -> tuple:

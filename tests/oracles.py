@@ -19,6 +19,7 @@ import relcomplex as rc
 from relcomplex.errors import (
     CycleDetectedError,
     EmptyComplexError,
+    EmptyFiberError,
     EmptyResultError,
     InvalidTopologyError,
     NotCoveredError,
@@ -701,8 +702,6 @@ def walking_to_jsonable(value):
             "points": list(value.points),
             "opens": [list(o) for o in value.open_label_sets()],
         }
-    if isinstance(value, rc.IntegerMatrix):
-        return {"rows": value.rows, "cols": value.cols, "entries": [list(r) for r in value.entries]}
     if isinstance(value, dict):
         return {str(k): walking_to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -782,6 +781,87 @@ def line_parse(text: str) -> Document:
     if kind is None:
         raise ParseError(1, "empty document")
     return Document(kind, name, tuple(records), header_line)
+
+
+# ---------------------------------------------------------------------------
+# closed-relation oracles: the complexes the checks answer without
+
+
+def up_set_closedness_witness(pairs, x_poset: rc.Poset, y_poset: rc.Poset):
+    """A reference for ``closedness_witness``: both up-sets rebuilt and sorted for every pair."""
+    pairset = set()
+    for x, y in pairs:
+        x_poset.elements.index(x)
+        y_poset.elements.index(y)
+        pairset.add((x, y))
+    for x, y in sorted(pairset):
+        for x2 in sorted(rc.up_set(x_poset, x)):
+            for y2 in sorted(rc.up_set(y_poset, y)):
+                if (x2, y2) not in pairset:
+                    return ((x, y), (x2, y2))
+    return None
+
+
+def relation_poset_preimage_facets(rel: rc.ClosedRelation, side: str) -> dict:
+    """A reference for ``preimage_facet_check``: each preimage looked up as a
+    face of the relation poset's K-complex, by its labels."""
+    at = "xy".index(side)
+    base_k = rc.poset_dowker_complex((rel.x_poset, rel.y_poset)[at], False, "k")
+    kr = rc.poset_dowker_complex(rc.relation_poset(rel), False, "k")
+    facets = []
+    for labels in base_k.facet_labels():
+        vertices = sorted(rc.pair_label(*pair) for pair in rel.pairs if pair[at] in labels)
+        full = bool(vertices) and kr.has_face_labels(vertices)
+        facets.append({"facet": list(labels), "vertices": vertices, "full_simplex": full})
+    return {"side": side, "all_full": all(f["full_simplex"] for f in facets), "facets": facets}
+
+
+def order_complex_quillen_hypothesis(rel: rc.ClosedRelation) -> dict:
+    """A reference for ``quillen_hypothesis``: every fiber's order complex
+    built, its apex read by ``cone_apex``."""
+    fibers = []
+    for side, p in (("x", rel.x_poset), ("y", rel.y_poset)):
+        for element in p.labels():
+            sub = rc.fiber(rel, element, side)
+            if len(sub) == 0:
+                raise EmptyFiberError(element)
+            k = rc.order_complex(sub)
+            apex = rc.cone_apex(k)
+            if apex is not None:
+                cert = {"certificate": "cone", "apex": apex}
+            elif rc.greedy_collapse(k)[0].is_point:
+                cert = {"certificate": "collapsible"}
+            else:
+                cert = {"certificate": "unknown"}
+            fibers.append({"side": side, "element": element, **cert})
+    certified = all(f["certificate"] != "unknown" for f in fibers)
+    return {"hypothesis": "quillen", "certified": certified, "fibers": fibers}
+
+
+@st.composite
+def posets(draw, max_elements=5, prefix=""):
+    """A Hypothesis strategy: a random order on the labels 1..n, each after
+    ``prefix``, with n at most ``max_elements``."""
+    n = draw(st.integers(1, max_elements))
+    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
+    perm = draw(st.permutations(labels))
+    pairs = [
+        (perm[i], perm[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    return rc.poset_from_pairs(labels, pairs)
+
+
+@st.composite
+def closed_relations(draw, max_elements=5):
+    """A Hypothesis strategy: the up-closure of a nonempty set of pairs
+    between two random posets of at most ``max_elements`` elements."""
+    x, y = draw(posets(max_elements, "x")), draw(posets(max_elements, "y"))
+    gens = draw(st.sets(st.tuples(st.sampled_from(x.labels()), st.sampled_from(y.labels())), min_size=1))
+    pairs = {(x2, y2) for a, b in gens for x2 in rc.up_set(x, a) for y2 in rc.up_set(y, b)}
+    return rc.ClosedRelation(x, y, sorted(pairs))
 
 
 # ---------------------------------------------------------------------------

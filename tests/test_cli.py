@@ -364,6 +364,16 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "") and "'a,b'" in err
 
+    def test_an_order_complex_past_the_face_limit_is_a_precondition_error(self, capsys, tmp_path):
+        # 2^1200 - 1 chains: counted, not enumerated, and no recursion 1,200 deep
+        chain = [f"c{i:04d}" for i in range(1200)]
+        big = tmp_path / "chain1200.poset"
+        big.write_text("poset P\n" + "".join(f"element {c}\n" for c in chain)
+                       + "".join(f"le {a} {b}\n" for a, b in zip(chain, chain[1:])))
+        code, out, err = run(capsys, "poset", "order-complex", "--poset", str(big))
+        assert (code, out) == (2, "")
+        assert err == f"error: the complex would have {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
+
     def test_comma_in_a_vertex_label_is_a_precondition_error(self, capsys, tmp_path):
         bad = tmp_path / "comma.complex"
         bad.write_text("complex C\nfacet a,b c\n")
@@ -568,7 +578,9 @@ def pinned(name):
 # others before the command table replaced the hand-built parser; any engine
 # or parser must reproduce these bytes.  The c4chain3 rows, at the size of a
 # poset-collapse job, were recorded before the collapse engines read coface
-# counts from the facets and labelled faces by prefix.
+# counts from the facets and labelled faces by prefix.  The chain5 x chain4
+# row was recorded while the weak check still spanned the relation poset's
+# K-complex, there the full simplex on all 20 pairs.
 GOLDEN = [
     (('homology', '--complex', 'boundary2.complex'), 0, '{"betti":[1,1],"torsion":[[],[]]}\n'),
     (('homology', '--complex', 'circle4_k.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[],[]]}\n'),
@@ -643,6 +655,7 @@ GOLDEN = [
     (('collapse', 'verify', '--complex', 'tetra_circle.complex', '--steps', 'tetra_circle_not_free.steps'), 2, ''),
     (('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset', '--relation', 'crown_pairs.relation', '--mode', 'quillen'), 0, '{"cx_homology":{"betti":[1,1],"torsion":[[],[]]},"cy_homology":{"betti":[1,1],"torsion":[[],[]]},"hypothesis":{"certified":true,"fibers":[{"apex":"d","certificate":"cone","element":"1","side":"x"},{"apex":"e","certificate":"cone","element":"2","side":"x"},{"certificate":"collapsible","element":"3","side":"x"},{"apex":"a","certificate":"cone","element":"4","side":"x"},{"apex":"4","certificate":"cone","element":"a","side":"y"},{"apex":"3","certificate":"cone","element":"b","side":"y"},{"apex":"3","certificate":"cone","element":"c","side":"y"},{"apex":"1","certificate":"cone","element":"d","side":"y"},{"apex":"2","certificate":"cone","element":"e","side":"y"},{"apex":"3","certificate":"cone","element":"f","side":"y"}],"hypothesis":"quillen"},"hypothesis_met":true,"mode":"quillen","same_homology":true,"verdict":"confirmed"}\n'),
     (('closed', 'verify', '--xposet', 'circle4.poset', '--yposet', 'circle6.poset', '--relation', 'crown_pairs.relation', '--mode', 'weak'), 0, '{"hypothesis":{"fibers":[{"element":"1","elements":["d"],"maximum":"d","side":"x"},{"element":"2","elements":["e"],"maximum":"e","side":"x"},{"element":"3","elements":["b","c","d","e","f"],"maximal":["d","e","f"],"maximum":null,"side":"x"},{"element":"4","elements":["a","d","e"],"maximal":["d","e"],"maximum":null,"side":"x"},{"element":"a","elements":["4"],"maximum":"4","side":"y"},{"element":"b","elements":["3"],"maximum":"3","side":"y"},{"element":"c","elements":["3"],"maximum":"3","side":"y"},{"element":"d","elements":["1","3","4"],"maximal":["3","4"],"maximum":null,"side":"y"},{"element":"e","elements":["2","3","4"],"maximal":["3","4"],"maximum":null,"side":"y"},{"element":"f","elements":["3"],"maximum":"3","side":"y"}],"holds":false,"hypothesis":"weak"},"hypothesis_met":false,"kx_homology":{"betti":[1,0,0],"torsion":[[],[],[]]},"ky_homology":{"betti":[1,1,0],"torsion":[[],[],[]]},"mode":"weak","preimages":{"x":{"all_full":false,"facets":[{"facet":["1","2","3"],"full_simplex":false,"vertices":["(1,d)","(2,e)","(3,b)","(3,c)","(3,d)","(3,e)","(3,f)"]},{"facet":["1","2","4"],"full_simplex":false,"vertices":["(1,d)","(2,e)","(4,a)","(4,d)","(4,e)"]}],"side":"x"},"y":{"all_full":false,"facets":[{"facet":["a","b","d"],"full_simplex":false,"vertices":["(1,d)","(3,b)","(3,d)","(4,a)","(4,d)"]},{"facet":["a","c","e"],"full_simplex":false,"vertices":["(2,e)","(3,c)","(3,e)","(4,a)","(4,e)"]},{"facet":["b","c","f"],"full_simplex":true,"vertices":["(3,b)","(3,c)","(3,f)"]}],"side":"y"}},"same_homology":false,"verdict":"hypothesis-not-met"}\n'),
+    (('closed', 'verify', '--xposet', 'chain5.poset', '--yposet', 'chain4.poset', '--relation', 'chain5_chain4.relation', '--mode', 'weak'), 0, pinned('chain5_chain4_weak.json')),
 ]
 
 

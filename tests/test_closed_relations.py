@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 import relcomplex as rc
+from relcomplex import closed_relations, posets
 from relcomplex.errors import (
     AmbiguousLabelError,
+    DomainError,
     EmptyFiberError,
     NotClosedError,
     UnknownVertexError,
@@ -15,6 +18,14 @@ import oracles
 
 def full_relation(p, q):
     return [(x, y) for x in p.labels() for y in q.labels()]
+
+
+def outcome(check, *args):
+    """The report of a check, or the type and text of the domain error it raised."""
+    try:
+        return check(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
 
 
 class TestClosedness:
@@ -56,6 +67,12 @@ class TestClosedness:
             direct = rc.closedness_witness(pairs, circle4, q) is None
             upset = oracles.is_up_set(prod, [rc.pair_label(x, y) for x, y in pairs])
             assert direct == upset
+
+    @given(st.data())
+    def test_witness_matches_the_up_set_oracle(self, data):
+        x, y = data.draw(oracles.posets(prefix="x")), data.draw(oracles.posets(prefix="y"))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(x.labels()), st.sampled_from(y.labels()))))
+        assert rc.closedness_witness(pairs, x, y) == oracles.up_set_closedness_witness(pairs, x, y)
 
 
 class TestFibers:
@@ -198,6 +215,61 @@ class TestPreimageCheck:
         for entry in report["facets"]:
             if "3" in entry["facet"]:
                 assert entry["vertices"] == ["(3,d)"] and entry["full_simplex"]
+
+    def test_empty_relation_has_no_full_preimage(self, circle4, circle6):
+        report = rc.preimage_facet_check(rc.ClosedRelation(circle4, circle6, []), "y")
+        assert report["all_full"] is False
+        assert [f["vertices"] for f in report["facets"]] == [[], [], []]
+
+    @pytest.mark.parametrize("x_labels, y_labels, bad", [
+        (["a", "a,b"], ["b,c", "c"], "a,b"),
+        (["a", "b"], ["c", "c)"], "c)"),
+        (["(a", "b"], ["c("], "(a"),
+    ])
+    def test_first_label_that_makes_pair_labels_collide_is_named(self, x_labels, y_labels, bad):
+        p = rc.poset_from_pairs(x_labels, [])
+        q = rc.poset_from_pairs(y_labels, [])
+        rel = rc.ClosedRelation(p, q, full_relation(p, q))
+        for side in ("x", "y"):
+            with pytest.raises(AmbiguousLabelError) as exc:
+                rc.preimage_facet_check(rel, side)
+            assert exc.value.label == bad
+
+
+class TestAgainstComplexOracles:
+    """The checks answer from the posets' masks; the oracles build the relation
+    poset's K-complex and every fiber's order complex."""
+
+    @given(oracles.closed_relations())
+    def test_preimages_and_certificates_match(self, rel):
+        for side in ("x", "y"):
+            assert rc.preimage_facet_check(rel, side) == oracles.relation_poset_preimage_facets(rel, side)
+        assert outcome(rc.quillen_hypothesis, rel) == outcome(oracles.order_complex_quillen_hypothesis, rel)
+
+    def test_weak_verify_spans_only_the_two_side_complexes(self, crown_relation, monkeypatch):
+        spanned = []
+        real = posets._spanned
+        monkeypatch.setattr(posets, "_spanned", lambda universe, tops: spanned.append(universe) or real(universe, tops))
+        rc.verify_closed_relation(crown_relation, "weak")
+        assert spanned == [crown_relation.x_poset.elements, crown_relation.y_poset.elements]
+
+    def test_no_relation_poset_or_product_is_built(self, crown_relation, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a closed-relation check built a relation or product poset")
+
+        monkeypatch.setattr(closed_relations, "relation_poset", refuse)
+        monkeypatch.setattr(closed_relations, "product_poset", refuse)
+        for mode in ("weak", "quillen"):
+            rc.verify_closed_relation(crown_relation, mode)
+        for side in ("x", "y"):
+            rc.preimage_facet_check(crown_relation, side)
+
+    def test_quillen_builds_only_the_fiber_order_complex_without_an_apex(self, crown_relation, monkeypatch):
+        built = []
+        real = closed_relations.order_complex
+        monkeypatch.setattr(closed_relations, "order_complex", lambda p: built.append(p.labels()) or real(p))
+        rc.quillen_hypothesis(crown_relation)
+        assert built == [("b", "c", "d", "e", "f")]  # the fiber of 3, certified by collapse
 
 
 class TestVerify:

@@ -18,8 +18,10 @@ from relcomplex.errors import (
     InvalidTopologyError,
     NotRealizableError,
     NotT0Error,
+    TooManyFacesError,
     UnknownVertexError,
 )
+from relcomplex import posets as posets_module
 from relcomplex.posets import singleton_component_witness
 
 import oracles
@@ -27,18 +29,7 @@ import oracles
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@st.composite
-def posets(draw, max_elements=5):
-    n = draw(st.integers(1, max_elements))
-    labels = [str(i) for i in range(1, n + 1)]
-    perm = draw(st.permutations(labels))
-    pairs = [
-        (perm[i], perm[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if draw(st.booleans())
-    ]
-    return rc.poset_from_pairs(labels, pairs)
+posets = oracles.posets
 
 
 # "(a+,x)" sorts before "(a,x)" though "a" sorts before "a+": the pair
@@ -241,6 +232,18 @@ class TestOrderComplex:
         assert rc.order_complex(p).label_faces() == frozenset(
             oracles.naive_chain_faces(p)
         )
+
+    @given(posets(max_elements=6) | odd_posets())
+    def test_face_limit_is_the_exact_chain_count(self, p):
+        faces = len(oracles.naive_chain_faces(p))
+        assert posets_module._chain_count(p) == faces
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posets_module, "_MAX_ORDER_COMPLEX_FACES", faces)
+            assert len(rc.order_complex(p)._masks) == faces
+            mp.setattr(posets_module, "_MAX_ORDER_COMPLEX_FACES", faces - 1)
+            with pytest.raises(TooManyFacesError) as exc:
+                rc.order_complex(p)
+        assert (exc.value.faces, exc.value.limit) == (faces, faces - 1)
 
 
 class TestDowkerComplexes:
