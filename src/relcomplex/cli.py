@@ -119,7 +119,7 @@ def _cmd_collapse_greedy(args):
     core, seq = greedy_collapse(_load("complex", args.complex))
     return {
         "core_facets": [list(labels) for labels in core.facet_labels()],
-        "steps": seq.steps,
+        "steps": seq,
     }
 
 

@@ -27,12 +27,12 @@ step at a time.  ``greedy_collapse`` keeps the count for every face and
 takes free faces from a heap, and ``collapse_leq_to_strict`` lists the
 cone of every maximal element.  Each engine replays its pairs on a fresh
 copy of the initial masks as a self-check, compares the end state with
-the expected mask set, and only then labels each face of a step, once,
-from its prefix's labels (``Universe._labeller``).
-Results are built through the unchecked ``SimplicialComplex._trusted``,
-since collapsing a free face keeps a complex downward closed.  Only an
-error report scans the whole complex, to list every proper coface of a
-face that is not free.
+the expected mask set, and returns a sequence that keeps the mask pairs:
+the labels of a step's faces are built on demand, each once, from its
+prefix's labels (``Universe._labeller``).  Results are built through the
+unchecked ``SimplicialComplex._trusted``, since collapsing a free face keeps
+a complex downward closed.  Only an error report scans the whole complex,
+to list every proper coface of a face that is not free.
 
 ``_coface_counts`` uses that f + {v} is a face exactly when v lies in a facet
 holding f (a face lies in a facet; a facet's subsets are faces), so f has
@@ -99,13 +99,21 @@ class CollapseStep:
 
 @dataclass(frozen=True)
 class CollapseSequence:
-    """An ordered list of collapse steps applied to an initial complex."""
+    """An ordered list of collapse steps applied to an initial complex.  An engine's
+    sequence holds its mask pairs instead, and labels them when ``steps`` is first read."""
 
     initial: SimplicialComplex
     steps: Tuple[CollapseStep, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+
+    def __getattr__(self, name):  # reached only for a name not in __dict__
+        if name != "steps" or "_pairs" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        label = self.initial.universe._labeller()
+        self.__dict__["steps"] = tuple(CollapseStep._trusted(label(f), label(c)) for f, c in self._pairs)
+        return self.steps
 
 
 def _cofaces(faces, f: int, full: int) -> list:
@@ -153,18 +161,19 @@ def _replay(universe, faces: set, pairs, steps=None) -> None:
 def _certified(
     initial: SimplicialComplex, pairs: list, final: SimplicialComplex, message: str
 ) -> CollapseSequence:
-    """An engine's self-check, then its result: the labelled sequence of ``pairs``.
+    """An engine's self-check, then its result: the sequence of ``pairs``.
 
     The mask pairs are replayed on a fresh copy of the initial faces, and
     the end state must be the face set of ``final``; else AssertionError
-    with ``message``.  Each face of a pair is then labelled once.
+    with ``message``.  No face is labelled until the steps are read.
     """
     faces = set(initial._masks)
     _replay(initial.universe, faces, pairs)
     if faces != final._masks:
         raise AssertionError(message)
-    label = initial.universe._labeller()
-    return CollapseSequence(initial, tuple(CollapseStep._trusted(label(f), label(c)) for f, c in pairs))
+    seq = object.__new__(CollapseSequence)
+    seq.__dict__.update(initial=initial, _pairs=pairs)
+    return seq
 
 
 def _coface_counts(k: SimplicialComplex) -> dict:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import and_, or_
+from operator import add, and_, or_
 from typing import Collection, Iterable, Mapping, Optional
 
 from .errors import NotSimplicialError, UnknownVertexError
@@ -118,22 +118,26 @@ class Universe:
         """The labels of a face mask, sorted."""
         return tuple(map(self.labels.__getitem__, self._face(mask)))
 
-    def _labeller(self):
-        """``_labels`` for one call: the labels of ``mask & (mask - 1)``, memoised, then
-        its lowest bit's.  It neither recurses nor refers to itself: no cycle holds the memo."""
-        named = {0: ()}
-        last = {bit: (lab,) for bit, lab in zip(self._bits(), self.labels)}
+    def _walker(self, empty, leaf, join):
+        """A memoised value of each face mask, for one call: ``empty`` for 0, ``leaf(label)``
+        for a vertex, else ``join`` of the values of ``mask & (mask - 1)`` and of its lowest
+        bit.  It neither recurses nor refers to itself: no cycle holds the memo."""
+        named = {0: empty, **dict(zip(self._bits(), map(leaf, self.labels)))}
 
-        def labels(mask: int) -> tuple:
-            walk = []
-            while (found := named.get(mask)) is None:
-                walk.append(mask)
-                mask &= mask - 1
-            for mask in reversed(walk):
-                found = named[mask] = found + last[mask & -mask]
+        def value(mask: int):
+            if (found := named.get(mask)) is None:
+                walk = [mask]
+                while (found := named.get(mask := mask & (mask - 1))) is None:
+                    walk.append(mask)
+                for mask in reversed(walk):
+                    found = named[mask] = join(found, named[mask & -mask])
             return found
 
-        return labels
+        return value
+
+    def _labeller(self):
+        """``_labels`` for one call, each face's labels memoised (``_walker``)."""
+        return self._walker((), lambda label: (label,), add)
 
     def __contains__(self, label) -> bool:
         return label in self._index

@@ -3,7 +3,8 @@
 Inputs are hand-authorable text ('#' starts a comment, labels are
 whitespace-free tokens, declarations precede use); outputs are JSON with
 sorted keys, compact separators and no floating point, so every report is
-byte-stable across runs.
+byte-stable across runs.  Collapse steps are written as text straight from
+an engine's mask pairs, each face's from its prefix's, with no step object.
 
 Text is checked once, by ``parse``, in one pass over its lines: header,
 keywords, arity, declaration before use and distinct labels in a set.  The
@@ -21,7 +22,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Tuple
 
-from .collapses import CollapseSequence, CollapseStep
+from .collapses import CollapseSequence
 from .complexes import SimplicialComplex, Universe, complex_from_facets
 from .errors import ParseError
 from .homology import HomologyProfile
@@ -192,19 +193,13 @@ def topology_to_document(t: FiniteTopology, name: str) -> Document:
 
 
 def to_jsonable(value):
-    """Convert library values into canonical JSON-ready structures.
-
-    Step labels are emitted as they are: ``CollapseStep`` admits only
-    nonempty strings.
-    """
+    """Convert library values into canonical JSON-ready structures."""
     if isinstance(value, (str, int)) or value is None:  # bool is an int
         return value
     if isinstance(value, HomologyProfile):
         return value.as_report()
-    if isinstance(value, CollapseStep):
-        return [list(value.free_face), list(value.coface)]
-    if isinstance(value, CollapseSequence):
-        return {"steps": [[list(s.free_face), list(s.coface)] for s in value.steps]}
+    if isinstance(value, CollapseSequence):  # only where write_report cannot write its text
+        return json.loads(_steps_text(value))
     if isinstance(value, SimplicialComplex):
         return {"facets": [list(labels) for labels in value.facet_labels()]}
     if isinstance(value, Poset):
@@ -230,6 +225,26 @@ def to_jsonable(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
+def _steps_text(seq: CollapseSequence) -> str:
+    """The JSON text of a sequence's list of steps.  An engine's mask pairs are
+    named through one memo (``Universe._walker``): a face's text is its
+    prefix's, a comma and the JSON string of its last label."""
+    pairs = seq.__dict__.get("_pairs")
+    if pairs is None:  # steps given as labels
+        return json.dumps([[list(s.free_face), list(s.coface)] for s in seq.steps], separators=(",", ":"))
+    text = seq.initial.universe._walker("", json.dumps, "{},{}".format)
+    return "[" + ",".join([f"[[{text(f)}],[{text(c)}]]" for f, c in pairs]) + "]"
+
+
 def write_report(value) -> str:
-    """Canonical JSON text: sorted keys, compact separators, no floats."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text: sorted keys, compact separators, no floats.  A dict
+    holding a collapse sequence (a sequence is ``{"steps": [...]}``) is written
+    key by key, as ``json.dumps`` would, so its steps' text goes in as it is."""
+    if isinstance(value, CollapseSequence):
+        value = {"steps": value}
+    if not isinstance(value, dict) or not any(isinstance(v, CollapseSequence) for v in value.values()):
+        return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    return "{" + ",".join(
+        json.dumps(k) + ":" + (_steps_text(v) if isinstance(v, CollapseSequence) else write_report(v))
+        for k, v in sorted({str(k): v for k, v in value.items()}.items())
+    ) + "}"

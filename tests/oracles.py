@@ -673,17 +673,25 @@ def scan_greedy_collapse(k: rc.SimplicialComplex):
 
 
 def walking_to_jsonable(value):
-    """A reference for ``formats.to_jsonable`` that takes no short cut.
+    """A reference for ``formats.write_report``'s structure that takes no short cut.
 
     Library types are tested before scalars, and a step's labels are
-    emitted as lists that are walked again, one label at a time.
+    emitted as lists that are walked again, one label at a time.  A
+    collapse sequence is ``{"steps": [...]}`` on its own and its list of
+    steps inside a report.
     """
+    if isinstance(value, rc.CollapseSequence):
+        return {"steps": _walking_value(value)}
+    return _walking_value(value)
+
+
+def _walking_value(value):
     if isinstance(value, rc.HomologyProfile):
         return value.as_report()
     if isinstance(value, rc.CollapseStep):
-        return [list(value.free_face), list(value.coface)]
+        return [[label for label in value.free_face], [label for label in value.coface]]
     if isinstance(value, rc.CollapseSequence):
-        return {"steps": [walking_to_jsonable(s) for s in value.steps]}
+        return [_walking_value(s) for s in value.steps]
     if isinstance(value, rc.SimplicialComplex):
         return {"facets": [list(labels) for labels in value.facet_labels()]}
     if isinstance(value, rc.Poset):
@@ -703,9 +711,9 @@ def walking_to_jsonable(value):
             "opens": [list(o) for o in value.open_label_sets()],
         }
     if isinstance(value, dict):
-        return {str(k): walking_to_jsonable(v) for k, v in value.items()}
+        return {str(k): _walking_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [walking_to_jsonable(v) for v in value]
+        return [_walking_value(v) for v in value]
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     raise TypeError(f"no JSON form for {type(value).__name__}")

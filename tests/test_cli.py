@@ -578,7 +578,9 @@ def pinned(name):
 # others before the command table replaced the hand-built parser; any engine
 # or parser must reproduce these bytes.  The c4chain3 rows, at the size of a
 # poset-collapse job, were recorded before the collapse engines read coface
-# counts from the facets and labelled faces by prefix.  The chain5 x chain4
+# counts from the facets and labelled faces by prefix, the escapes rows, whose
+# labels hold a quote, a backslash and a non-ASCII letter, before reports
+# were written as text from mask pairs.  The chain5 x chain4
 # row was recorded while the weak check still spanned the relation poset's
 # K-complex, there the full simplex on all 20 pairs.
 GOLDEN = [
@@ -650,6 +652,9 @@ GOLDEN = [
     (('collapse', 'leq-strict', '--poset', 'c4chain3.poset', '--side', 'k'), 0, pinned('c4chain3_leq_strict_k.json')),
     (('collapse', 'leq-strict', '--poset', 'c4chain3.poset', '--side', 'l'), 0, pinned('c4chain3_leq_strict_l.json')),
     (('collapse', 'greedy', '--complex', 'c4chain3_k.complex'), 0, pinned('c4chain3_k_greedy.json')),
+    (('collapse', 'greedy', '--complex', 'escapes.complex'), 0, pinned('escapes_greedy.json')),
+    (('collapse', 'leq-strict', '--poset', 'escapes.poset', '--side', 'k'), 0, pinned('escapes_leq_strict_k.json')),
+    (('collapse', 'leq-strict', '--poset', 'escapes.poset', '--side', 'l'), 0, pinned('escapes_leq_strict_l.json')),
     (('collapse', 'verify', '--complex', 'circle4_k.complex', '--steps', 'circle4_k_strict.steps'), 0, '{"facets":[["1","2"]]}\n'),
     (('collapse', 'verify', '--complex', 'boundary2.complex', '--steps', 'circle4_k_strict.steps'), 2, ''),
     (('collapse', 'verify', '--complex', 'tetra_circle.complex', '--steps', 'tetra_circle_not_free.steps'), 2, ''),

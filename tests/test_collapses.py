@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 import relcomplex as rc
-from relcomplex import collapses, formats
+from relcomplex import cli, collapses, formats
 from relcomplex.errors import (
     EmptyComplexError,
     NotFreeError,
@@ -443,6 +443,55 @@ class TestLabelsWithoutDecoding:
         steps = [seq.steps] + [rc.collapse_leq_to_strict(p, side).steps for side in "kl"]
         assert decoded == []
         assert core.is_point and [len(s) for s in steps] == [479, 256, 256]
+
+
+class TestLazySteps:
+    """An engine's sequence keeps its mask pairs and labels them on first read,
+    yet acts as the frozen value of ``initial`` and ``steps``."""
+
+    @staticmethod
+    def _sequences():
+        p = _c4chain3()
+        k = rc.poset_dowker_complex(p, False, "k")
+        return [rc.greedy_collapse(k)[1]] + [rc.collapse_leq_to_strict(p, side) for side in "kl"]
+
+    @pytest.mark.parametrize("argv", [
+        ("collapse", "greedy", "--complex", "c4chain3_k.complex"),
+        ("collapse", "leq-strict", "--poset", "c4chain3.poset", "--side", "k"),
+        ("collapse", "leq-strict", "--poset", "c4chain3.poset", "--side", "l"),
+    ], ids=" ".join)
+    def test_cli_builds_no_step(self, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CollapseStep was built")
+
+        monkeypatch.setattr(rc.CollapseStep, "__init__", refuse)
+        monkeypatch.setattr(rc.CollapseStep, "_trusted", refuse)
+        argv = [str(DATA / a) if a.endswith((".complex", ".poset")) else a for a in argv]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("{")
+
+    def test_steps_are_the_labels_of_the_pairs(self):
+        for seq in self._sequences():
+            pairs, label = seq._pairs, seq.initial.universe._labels
+            assert "steps" not in vars(seq)
+            assert [(s.free_face, s.coface) for s in seq.steps] == [(label(f), label(c)) for f, c in pairs]
+            assert seq.steps is seq.steps and isinstance(seq.steps, tuple)
+
+    def test_equal_to_the_sequence_of_its_steps(self):
+        for seq in self._sequences():
+            rebuilt = rc.CollapseSequence(seq.initial, seq.steps)
+            assert seq == rebuilt and rebuilt == seq and hash(seq) == hash(rebuilt)
+        fresh = self._sequences()
+        assert hash(fresh[0]) == hash(rc.CollapseSequence(fresh[0].initial, list(fresh[0].steps)))
+        assert fresh[1] != fresh[2] and fresh[0] != fresh[0].initial
+
+    def test_frozen(self):
+        seq = self._sequences()[0]
+        for name in ("steps", "initial", "_pairs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(seq, name, ())
+        with pytest.raises(AttributeError, match="no attribute 'other'"):
+            seq.other
 
 
 @st.composite

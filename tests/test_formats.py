@@ -199,6 +199,60 @@ class TestReportsAgainstTheWalkingConverter:
             checked += 1
 
 
+# Labels that JSON must escape: a quote, a backslash and a non-ASCII letter,
+# which json.dumps writes as the six characters \u00e9.
+ESCAPED_LABELS = st.lists(
+    st.text(alphabet='"\\éa', min_size=1, max_size=3), min_size=2, max_size=6, unique=True
+)
+
+
+@st.composite
+def escaped_complexes(draw):
+    labels = draw(ESCAPED_LABELS)
+    facets = draw(st.lists(st.sets(st.sampled_from(labels), min_size=1), min_size=1, max_size=4))
+    return rc.complex_from_facets(labels, facets)
+
+
+@st.composite
+def escaped_posets(draw):
+    """An order on escaped labels with no singleton component: every element
+    not below another one goes below the last."""
+    labels = draw(ESCAPED_LABELS)
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if draw(st.booleans())]
+    p = rc.poset_from_pairs(labels, pairs)
+    if any(len(c) == 1 for c in rc.connected_components(p)):
+        p = rc.poset_from_pairs(labels, pairs + [(a, labels[-1]) for a in labels[:-1]])
+    return p
+
+
+class TestReportsOfEscapedLabels:
+    """Reports written from mask pairs equal the walking converter's, on labels
+    whose JSON strings hold escapes."""
+
+    @settings(max_examples=60, deadline=2000)
+    @given(escaped_complexes())
+    def test_greedy(self, k):
+        core, seq = rc.greedy_collapse(k)
+        report = {"core_facets": [list(labels) for labels in core.facet_labels()], "steps": seq}
+        assert formats.write_report(seq) == oracles.walking_report(seq)
+        assert formats.write_report(report) == oracles.walking_report(report)
+
+    @settings(max_examples=60, deadline=2000)
+    @given(escaped_posets())
+    def test_leq_strict(self, p):
+        for side in ("k", "l"):
+            seq = rc.collapse_leq_to_strict(p, side)
+            assert formats.write_report(seq) == oracles.walking_report(seq)
+
+    def test_sequences_given_as_labels_and_nested(self):
+        k = rc.complex_from_facets(['"a', "b\\", "é"], [('"a', "b\\", "é")])
+        _, seq = rc.greedy_collapse(k)
+        given_labels = rc.CollapseSequence(k, seq.steps)
+        assert formats.write_report(given_labels) == formats.write_report(seq) == oracles.walking_report(seq)
+        nested = {"runs": [seq, given_labels], "n": {"inner": seq}}
+        assert formats.write_report(nested) == oracles.walking_report(nested)
+
+
 # ---------------------------------------------------------------------------
 # parse against the line parser it replaced, on generated texts
 

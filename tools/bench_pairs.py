@@ -1,0 +1,109 @@
+"""Paired benchmark runs: this tree against a parent revision, in alternating order.
+
+    python3 tools/bench_pairs.py --workload poset-collapse --pairs 10 --seconds 8
+    python3 tools/bench_pairs.py --workload cli-files --parent HEAD~2 --seed 500
+
+The parent revision (default ``HEAD~1``) is checked out with ``git worktree
+add`` into a temporary directory, which is removed afterwards; or
+``--parent-tree`` names a checkout to use instead.  Each pair runs
+``bench/run.py --trace 0`` once on each tree with the same fresh seed
+(``--seed``, ``--seed + 1``, ...), the parent first in even pairs and this
+tree first in odd ones.  The script prints each end-to-end metric's median
+on both sides, their ratio (this tree over the parent) and the pairs this
+tree won, by the direction ``BENCHMARK.json`` gives.  It writes nothing
+itself; ``bench/run.py`` leaves its detail files in each tree's
+``bench/results/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def summarize(pairs, better: dict) -> list:
+    """One row per metric of ``better`` (name -> "higher" or "lower"):
+    (name, parent median, this tree's median, ratio, wins, pairs).
+
+    ``pairs`` is a list of (parent metrics, this tree's metrics), each a dict
+    of metric name -> value.  A pair is a win when this tree's value is
+    strictly better; the ratio is this tree's median over the parent's.
+    """
+    rows = []
+    for name, direction in better.items():
+        parent = [p[name] for p, _ in pairs]
+        head = [h[name] for _, h in pairs]
+        wins = sum((h > p) if direction == "higher" else (h < p) for p, h in zip(parent, head))
+        before, after = statistics.median(parent), statistics.median(head)
+        rows.append((name, before, after, after / before if before else float("nan"), wins, len(pairs)))
+    return rows
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py --trace 0`` run in ``tree``: its metrics, name -> value."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{tree}: seed {seed} ran incorrectly: {result}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float) -> list:
+    runs = []
+    for i in range(pairs):
+        order = [("parent", parent), ("head", ROOT)]
+        if i % 2:
+            order.reverse()
+        got = {side: run_bench(tree, workload, seed + i, seconds) for side, tree in order}
+        runs.append((got["parent"], got["head"]))
+        print(f"pair {i + 1}/{pairs} (seed {seed + i}, {order[0][0]} first): "
+              + ", ".join(f"{n} {got['parent'][n]:.4g} -> {got['head'][n]:.4g}" for n in got["head"]),
+              file=sys.stderr)
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seed", type=int, default=None, help="first seed (default: a random one)")
+    parser.add_argument("--parent", default="HEAD~1", help="git revision to compare against")
+    parser.add_argument("--parent-tree", type=Path, help="an existing checkout of the parent")
+    args = parser.parse_args(argv)
+    seed = random.randrange(1, 10**6) if args.seed is None else args.seed
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    if args.parent_tree is not None:
+        runs = measure(args.parent_tree.resolve(), args.workload, args.pairs, seed, args.seconds)
+    else:
+        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+            tree = Path(tmp) / "parent"
+            subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent],
+                           cwd=ROOT, check=True, capture_output=True)
+            try:
+                runs = measure(tree, args.workload, args.pairs, seed, args.seconds)
+            finally:
+                subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
+
+    print(f"{args.workload}: {args.pairs} pairs from seed {seed}, {args.seconds:g} s each")
+    print(f"{'metric':<18} {'parent':>10} {'this tree':>10} {'ratio':>7}  wins")
+    for name, before, after, ratio, wins, n in summarize(runs, better):
+        print(f"{name:<18} {before:>10.4g} {after:>10.4g} {ratio:>7.3f}  {wins}/{n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
