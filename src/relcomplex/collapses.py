@@ -22,14 +22,15 @@ lists each level of a cone in lexicographic order.
 Every step is judged by one replay loop, ``_replay``, on (free, coface)
 mask pairs and one mutable mask set: the free face must be present and
 ``coface`` must be its only codimension-1 coface.  ``verify_sequence``
-(and so ``apply_step``) feeds it the steps' labels, turned into masks one
-step at a time.  ``greedy_collapse`` keeps the count for every face and
-takes free faces from a heap, and ``collapse_leq_to_strict`` lists the
-cone of every maximal element.  Each engine replays its pairs on a fresh
-copy of the initial masks as a self-check, compares the end state with
-the expected mask set, and returns a sequence that keeps the mask pairs:
-the labels of a step's faces are built on demand, each once, from its
-prefix's labels (``Universe._labeller``).  Results are built through the
+(and so ``apply_step``) feeds it an engine's own mask pairs, or else the
+steps' labels, turned into masks one step at a time.  ``greedy_collapse``
+keeps the count for every face and takes free faces from a heap, and
+``collapse_leq_to_strict`` lists the cone of every maximal element.  Each
+engine replays its pairs on a fresh copy of the initial masks as a
+self-check, compares the end state with the expected mask set, and returns
+a sequence that keeps the mask pairs: the labels of a step's faces are
+built on demand, each once, from its prefix's labels
+(``Universe._labeller``).  Results are built through the
 unchecked ``SimplicialComplex._trusted``, since collapsing a free face keeps
 a complex downward closed.  Only an error report scans the whole complex,
 to list every proper coface of a face that is not free.
@@ -227,12 +228,16 @@ def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     """Replay every step, failing with the index of the first invalid one.
 
     The steps are replayed on one mutable face set, so each costs
-    O(|universe|) rather than a rebuild of the complex.
+    O(|universe|) rather than a rebuild of the complex.  An engine's
+    sequence is replayed on its mask pairs, and no step is labelled.
     """
     universe = seq.initial.universe
     faces = set(seq.initial._masks)
-    mask = universe._mask
-    _replay(universe, faces, ((mask(s.free_face), mask(s.coface)) for s in seq.steps), seq.steps)
+    if "_pairs" in seq.__dict__:
+        _replay(universe, faces, seq._pairs)
+    else:
+        mask = universe._mask
+        _replay(universe, faces, ((mask(s.free_face), mask(s.coface)) for s in seq.steps), seq.steps)
     return SimplicialComplex._trusted(universe, faces)
 
 

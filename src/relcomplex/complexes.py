@@ -40,9 +40,13 @@ from functools import reduce
 from operator import add, and_, or_
 from typing import Collection, Iterable, Mapping, Optional
 
-from .errors import NotSimplicialError, UnknownVertexError
+from .errors import NotSimplicialError, TooManyFacesError, UnknownVertexError
 
 Face = tuple  # strictly increasing tuple of vertex indices
+
+# the most faces a complex may be built with, checked against a count or a
+# bound made before any face is
+_MAX_FACES = 1 << 24
 
 
 def _require_labels(labels) -> None:
@@ -338,12 +342,18 @@ class VertexMap:
 def _spanned(universe: Universe, tops) -> SimplicialComplex:
     """The union of the full simplices on the nonempty index-set masks ``tops``, with its facets.
 
-    Tops go largest first, each mirrored to a face mask once: one already
-    present lies in an equal or larger earlier top and adds nothing, and a
-    kept top lies in no other and adds its submasks.
+    Raises :class:`TooManyFacesError` before building a face when the
+    distinct tops have more than ``_MAX_FACES`` nonempty subsets in all, an
+    upper bound on the faces.  Tops go largest first, each mirrored to a face
+    mask once: one already present lies in an equal or larger earlier top and
+    adds nothing, and a kept top lies in no other and adds its submasks.
     """
+    tops = dict.fromkeys(filter(None, tops))
+    bound = sum((1 << top.bit_count()) - 1 for top in tops)
+    if bound > _MAX_FACES:
+        raise TooManyFacesError(bound, _MAX_FACES, upper_bound=True)
     faces, maximal = set(), []
-    for top in sorted(filter(None, tops), key=int.bit_count, reverse=True):
+    for top in sorted(tops, key=int.bit_count, reverse=True):
         mask = universe._mirror(top)
         if mask in faces:
             continue

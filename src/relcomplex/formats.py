@@ -7,24 +7,30 @@ byte-stable across runs.  Collapse steps are written as text straight from
 an engine's mask pairs, each face's from its prefix's, with no step object.
 
 Text is checked once, by ``parse``, in one pass over its lines: header,
-keywords, arity, declaration before use and distinct labels in a set.  The
-converters then read each keyword's records once and hand the labels to the
-constructors that check values: ``Universe``, ``Relation``, ``FiniteTopology``
-and ``complex_from_facets``, and ``poset_from_pairs``, which builds through
-the unchecked ``Poset._trusted`` once its closure has no cycle.
+keywords, arity, declaration before use and distinct labels in a set.  Each
+record goes to its keyword's group in file order, and records are sorted
+only where order shows: in a document's canonical ``records``, which
+equality, hashing and ``serialize`` read, and for ``to_poset`` and
+``to_topology``, whose errors name a first offender (a cycle's witness, a
+pair of opens).  ``to_complex`` and ``to_relation`` build sets, so they read
+the groups as parsed, repeats included.  ``to_relation`` reads its supports
+straight off the universes' index dicts, through the unchecked
+``Relation._trusted``, since every pair's labels were declared.  The other
+converters hand the labels to the constructors that check values:
+``Universe``, ``FiniteTopology`` and ``complex_from_facets``, and
+``poset_from_pairs``, which builds through the unchecked ``Poset._trusted``
+once its closure has no cycle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Tuple
 
 from .collapses import CollapseSequence
 from .complexes import SimplicialComplex, Universe, complex_from_facets
-from .errors import ParseError
+from .errors import EmptyRelationError, ParseError
 from .homology import HomologyProfile
 from .posets import FiniteTopology, Poset, poset_from_pairs
 from .relations import Relation
@@ -45,40 +51,71 @@ _PAIR = itemgetter(1, 2)
 _ARGS = itemgetter(slice(1, None))
 
 
-@dataclass(frozen=True)
 class Document:
-    """A parsed input file: kind, name, and normalized body records."""
+    """A parsed input file: kind, name, and its body records grouped by keyword.
 
-    kind: str
-    name: str
-    records: Tuple[Tuple[str, ...], ...]
-    # where the header stood in the parsed text, for error reports only
-    header_line: int = field(default=1, compare=False)
+    The groups keep the records as given, repeats included.  ``records``,
+    which ``==``, ``hash`` and ``serialize`` read, is the canonical form,
+    built on first read: each keyword's distinct records sorted by their
+    labels, in grammar order.  ``header_line`` is for error reports only.
+    """
 
-    def __post_init__(self):
-        rules = _GRAMMAR.get(self.kind)
-        if rules is None:
-            raise ValueError(f"unknown document kind {self.kind!r}")
-        # each keyword's records sorted by their labels, in grammar order; the
-        # sort keys are itemgetters, so no Python function runs per record
-        by_keyword = groupby(sorted(self.records, key=_KEYWORD), _KEYWORD)
-        groups = {kw: sorted(set(g), key=_ARGS) for kw, g in by_keyword}
-        records = tuple(chain.from_iterable(groups.pop(kw, ()) for kw in rules))
-        if groups:
-            raise ValueError(f"unknown keyword {next(iter(groups))!r} in a {self.kind} document")
-        object.__setattr__(self, "records", records)
+    __slots__ = ("kind", "name", "header_line", "_groups", "_records")
+
+    def __init__(self, kind: str, name: str, records, header_line: int = 1):
+        if kind not in _GRAMMAR:
+            raise ValueError(f"unknown document kind {kind!r}")
+        groups = {}
+        for record in records:
+            groups.setdefault(record[0], []).append(record)
+        if unknown := groups.keys() - _GRAMMAR[kind]:
+            raise ValueError(f"unknown keyword {min(unknown)!r} in a {kind} document")
+        _fill(self, kind, name, header_line, groups)
+
+    @property
+    def records(self) -> tuple:
+        if self._records is None:  # a group's records share their keyword, so sort as their labels do
+            groups = self._groups
+            ordered = (sorted(set(groups[kw])) for kw in _GRAMMAR[self.kind] if kw in groups)
+            object.__setattr__(self, "_records", tuple(chain.from_iterable(ordered)))
+        return self._records
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a document's {name!r} cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Document:
+            return NotImplemented
+        return (self.kind, self.name, self.records) == (other.kind, other.name, other.records)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name, self.records))
+
+    def __repr__(self) -> str:
+        fields = f"kind={self.kind!r}, name={self.name!r}, records={self.records!r}"
+        return f"Document({fields}, header_line={self.header_line!r})"
+
+
+def _fill(doc: Document, *fields) -> Document:
+    """Set a document's kind, name, header line and groups (keywords of its
+    kind to their records); its canonical records are built on first read."""
+    for slot, value in zip(Document.__slots__, (*fields, None)):
+        object.__setattr__(doc, slot, value)
+    return doc
 
 
 def parse(text: str) -> Document:
     """Parse one document, reporting the line number of any problem.
 
     One pass: each line is cut at ``#`` only when it holds one and split
-    once, since ``str.split()`` drops the whitespace around the tokens.
+    once, since ``str.split()`` drops the whitespace around the tokens.  Each
+    record goes to its keyword's group, in file order.
     """
     kind = None
     elements, xs, ys, points = set(), set(), set(), set()
     declares = {"element": elements, "xelement": xs, "yelement": ys, "point": points}
-    records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line[: line.index("#")]
@@ -95,6 +132,7 @@ def parse(text: str) -> Document:
                 raise ParseError(lineno, f"header needs exactly one name, got {tokens[1:]!r}")
             kind, name, header_line = keyword, tokens[1], lineno
             rules = _GRAMMAR[kind]
+            groups = {kw: [] for kw in rules}
             continue
         arity = rules.get(keyword)
         if arity is None:
@@ -124,10 +162,10 @@ def parse(text: str) -> Document:
                 raise ParseError(lineno, f"duplicate label in {keyword!r} line")
             labels.sort()
             tokens[1:] = labels
-        records.append(tuple(tokens))
+        groups[keyword].append(tuple(tokens))
     if kind is None:
         raise ParseError(1, "empty document")
-    return Document(kind, name, tuple(records), header_line)
+    return _fill(Document.__new__(Document), kind, name, header_line, groups)
 
 
 def serialize(doc: Document) -> str:
@@ -137,11 +175,12 @@ def serialize(doc: Document) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _groups(doc: Document, kind: str) -> dict:
-    """Each keyword's records, read in one pass: they are already grouped."""
+def _groups(doc: Document, kind: str, canonical: bool = False) -> dict:
+    """Each keyword's records: as given, or in the ``canonical`` order of
+    ``records``, for a converter whose error names the first offender."""
     if doc.kind != kind:
         raise ValueError(f"expected a {kind} document, got {doc.kind}")
-    return {kw: list(g) for kw, g in groupby(doc.records, _KEYWORD)}
+    return {kw: list(g) for kw, g in groupby(doc.records, _KEYWORD)} if canonical else doc._groups
 
 
 def to_complex(doc: Document) -> SimplicialComplex:
@@ -149,21 +188,26 @@ def to_complex(doc: Document) -> SimplicialComplex:
     return complex_from_facets({lab for facet in facets for lab in facet}, facets)
 
 
-def to_poset(doc: Document) -> Poset:
-    groups = _groups(doc, "poset")
+def to_poset(doc: Document) -> Poset:  # a cycle's witness follows the order of the edges
+    groups = _groups(doc, "poset", canonical=True)
     elements = map(_LABEL, groups.get("element", ()))
     return poset_from_pairs(elements, map(_PAIR, groups.get("le", ())))
 
 
 def to_relation(doc: Document) -> Relation:
     groups = _groups(doc, "relation")
-    xs = map(_LABEL, groups.get("xelement", ()))
-    ys = map(_LABEL, groups.get("yelement", ()))
-    return Relation(xs, ys, map(_PAIR, groups.get("pair", ())))
+    xs = Universe(map(_LABEL, groups.get("xelement", ())))
+    ys = Universe(map(_LABEL, groups.get("yelement", ())))
+    if not xs or not ys:
+        raise EmptyRelationError("relation universes must be nonempty")
+    xi, yi, supports = xs._index, ys._index, [0] * len(ys)
+    for _, x, y in groups.get("pair", ()):  # parse checked that both are declared
+        supports[yi[y]] |= 1 << xi[x]
+    return Relation._trusted(xs, ys, supports)
 
 
-def to_topology(doc: Document) -> FiniteTopology:
-    groups = _groups(doc, "space")
+def to_topology(doc: Document) -> FiniteTopology:  # a closure error names a pair in set order
+    groups = _groups(doc, "space", canonical=True)
     points = map(_LABEL, groups.get("point", ()))
     return FiniteTopology(Universe(points), map(_ARGS, groups.get("open", ())))
 

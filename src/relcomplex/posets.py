@@ -49,7 +49,7 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, Universe, _spanned
+from .complexes import _MAX_FACES, SimplicialComplex, Universe, _spanned
 from .errors import (
     AmbiguousLabelError,
     CycleDetectedError,
@@ -62,9 +62,6 @@ from .errors import (
     UnknownVertexError,
 )
 from .relations import Relation, _bits, _membership, _transpose
-
-# the most faces ``order_complex`` builds; its chains are counted first
-_MAX_ORDER_COMPLEX_FACES = 1 << 24
 
 
 class Poset:
@@ -242,14 +239,14 @@ def maximum(p: Poset) -> Optional[str]:
 def order_complex(p: Poset) -> SimplicialComplex:
     """The complex of nonempty chains of the order, each grown upward from its least element.
 
-    Raises :class:`TooManyFacesError` past ``_MAX_ORDER_COMPLEX_FACES`` chains,
+    Raises :class:`TooManyFacesError` past ``_MAX_FACES`` chains,
     counted first; that bounds the recursion too, since a d-chain has 2^d - 1 faces.
     """
     if len(p) == 0:
         raise EmptyComplexError("the order complex needs a nonempty poset")
     chains = _chain_count(p)
-    if chains > _MAX_ORDER_COMPLEX_FACES:
-        raise TooManyFacesError(chains, _MAX_ORDER_COMPLEX_FACES)
+    if chains > _MAX_FACES:
+        raise TooManyFacesError(chains, _MAX_FACES)
     bits = p.elements._bits()
     faces = set()
     for i in range(len(p)):  # not a closure: one that calls itself is a reference cycle

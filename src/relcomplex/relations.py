@@ -12,6 +12,8 @@ checks each pair against the universes' index dicts and names the first
 unknown label in input order, x before y.  Builders whose supports hold by
 construction skip that, through the unchecked ``Relation._trusted``:
 
+- ``formats.to_relation``: ``parse`` has checked that every pair's labels
+  are declared, so the supports are read straight off the index dicts;
 - ``transpose``: the supports of each x, by ``_transpose`` of the bit matrix;
 - ``canonical_relation`` and ``posets.membership_relation``: each face, or
   nonempty open, is the support of the y its comma-joined labels name.

@@ -791,6 +791,23 @@ def line_parse(text: str) -> Document:
     return Document(kind, name, tuple(records), header_line)
 
 
+def shuffled_text(doc: Document, rnd) -> str:
+    """A text of ``doc`` with its records in an order drawn from ``rnd``:
+    the declarations, then the other records, each shuffled with some of its
+    records repeated, and the labels of each set line shuffled."""
+    declaring = {"element", "xelement", "yelement", "point"}
+    lines = [f"{doc.kind} {doc.name}"]
+    for first in (True, False):
+        group = [list(r) for r in doc.records if (r[0] in declaring) == first]
+        group += [list(r) for r in rnd.sample(group, rnd.randint(0, len(group)))]
+        rnd.shuffle(group)
+        for keyword, *labels in group:
+            if keyword in ("facet", "open"):
+                rnd.shuffle(labels)
+            lines.append(" ".join([keyword, *labels]))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # closed-relation oracles: the complexes the checks answer without
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from relcomplex import cli, formats
 from relcomplex.cli import main
 
+import oracles
 from conftest import DATA
 
 
@@ -374,6 +376,27 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: the complex would have {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
 
+    def test_a_k_complex_past_the_face_limit_fails_before_building(self, tmp_path):
+        # the 1,200 down-sets of a chain span 2^1200 - 1 faces; under 1 GB of
+        # address space the refusal must come before any face is built
+        chain = [f"c{i:04d}" for i in range(1200)]
+        big = tmp_path / "chain1200.poset"
+        big.write_text("poset P\n" + "".join(f"element {c}\n" for c in chain)
+                       + "".join(f"le {a} {b}\n" for a, b in zip(chain, chain[1:])))
+        limit = 1_000_000 * 1024  # ulimit -v 1000000
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "relcomplex.cli", "poset", "k", "--poset", str(big)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            preexec_fn=cap, timeout=120,
+        )
+        bound = sum(2**size - 1 for size in range(1, 1201))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: the complex would have up to {bound} faces, more than the limit of {1 << 24}\n"
+
     def test_comma_in_a_vertex_label_is_a_precondition_error(self, capsys, tmp_path):
         bad = tmp_path / "comma.complex"
         bad.write_text("complex C\nfacet a,b c\n")
@@ -548,6 +571,42 @@ class TestNeverTracebacks:
                 assert code in (0, 1, 2)
                 # a report on stdout or a message on stderr, never both
                 assert (code == 0) == bool(out.getvalue()) != bool(err.getvalue())
+
+
+class TestShuffledFiles:
+    """A command prints the same bytes on files whose records are shuffled,
+    some repeated, as on their canonical texts."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dowker", "canonical", "--complex", "rp2.complex"),
+        ("dowker", "canonical", "--complex", "escapes.complex"),
+        ("poset", "realize", "--complex", "c4chain3_k.complex"),
+        ("dowker", "morphism", "--from", "circle4_leq.relation", "--to", "circle4_leq.relation"),
+        ("dowker", "morphism", "--from", "crown_pairs.relation", "--to", "circle4_leq.relation"),
+        ("dowker", "equivalent", "--a", "circle4_leq.relation", "--b", "circle4_leq.relation"),
+        ("collapse", "greedy", "--complex", "moore3.complex"),
+        ("collapse", "greedy", "--complex", "escapes.complex"),
+        ("verify", "dowker", "--relation", "chain5_chain4.relation"),
+    ])
+    @settings(max_examples=4, deadline=10000)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_same_bytes(self, argv, rnd):
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in ("canonical", "shuffled"):
+                args = []
+                for i, a in enumerate(resolve(argv)):
+                    if a.startswith(str(TESTS)):
+                        doc = formats.parse(Path(a).read_text(encoding="utf-8"))
+                        text = formats.serialize(doc) if side == "canonical" else oracles.shuffled_text(doc, rnd)
+                        a = os.path.join(tmp, f"{side}{i}{Path(a).suffix}")
+                        Path(a).write_text(text, encoding="utf-8")
+                    args.append(a)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(args) == 0
+                outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 class TestDeterminism:

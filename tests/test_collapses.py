@@ -485,6 +485,17 @@ class TestLazySteps:
         assert hash(fresh[0]) == hash(rc.CollapseSequence(fresh[0].initial, list(fresh[0].steps)))
         assert fresh[1] != fresh[2] and fresh[0] != fresh[0].initial
 
+    def test_verify_replays_the_pairs(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a step was labelled")
+
+        for seq in self._sequences():
+            with monkeypatch.context() as m:
+                m.setattr(rc.Universe, "_labeller", refuse)
+                final = rc.verify_sequence(seq)
+            assert "steps" not in vars(seq)
+            assert final == rc.verify_sequence(rc.CollapseSequence(seq.initial, seq.steps))
+
     def test_frozen(self):
         seq = self._sequences()[0]
         for name in ("steps", "initial", "_pairs", "other"):

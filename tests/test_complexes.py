@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import relcomplex as rc
-from relcomplex.errors import EmptyComplexError, NotSimplicialError, UnknownVertexError
+from relcomplex import complexes as complexes_module
+from relcomplex.errors import EmptyComplexError, NotSimplicialError, TooManyFacesError, UnknownVertexError
 
 import oracles
 from conftest import corpus_cases
@@ -71,6 +72,26 @@ class TestConstruction:
             rc.SimplicialComplex(u, [(1, 0)])
         with pytest.raises(ValueError):
             rc.SimplicialComplex(u, [(0, 5)])
+
+    def test_a_build_past_the_face_bound_is_refused_first(self):
+        # one 25-vertex facet: 2^25 - 1 faces, refused without building one
+        labels = [f"v{i:02d}" for i in range(25)]
+        with pytest.raises(TooManyFacesError) as exc:
+            rc.complex_from_facets(labels, [labels])
+        assert (exc.value.faces, exc.value.limit) == (2**25 - 1, 1 << 24)
+        assert str(exc.value).startswith(f"the complex would have up to {2**25 - 1} faces")
+
+    @given(oracles.complexes())
+    def test_the_bound_counts_each_distinct_top_once(self, k):
+        facets = k.facet_labels()
+        bound = sum(2 ** len(f) - 1 for f in facets)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes_module, "_MAX_FACES", bound)
+            assert rc.complex_from_facets(k.universe, facets + facets) == k
+            if facets:
+                mp.setattr(complexes_module, "_MAX_FACES", bound - 1)
+                with pytest.raises(TooManyFacesError):
+                    rc.complex_from_facets(k.universe, facets + facets)
 
     def test_empty_complex_representable(self):
         k = rc.SimplicialComplex(rc.Universe("ab"), [])

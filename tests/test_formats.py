@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import relcomplex as rc
 from relcomplex import cli, formats
-from relcomplex.errors import ParseError
+from relcomplex.errors import CycleDetectedError, DomainError, EmptyRelationError, InvalidTopologyError, ParseError
 
 import oracles
 
@@ -381,3 +381,88 @@ class TestParseAgainstTheLineParser:
     def test_records_of_an_unknown_keyword_are_rejected(self):
         with pytest.raises(ValueError, match="unknown keyword 'vertex'"):
             formats.Document("poset", "P", (("element", "1"), ("vertex", "2")))
+
+
+# ---------------------------------------------------------------------------
+# documents whose records come in any order, some of them repeated
+
+CONVERTERS = {"poset": formats.to_poset, "relation": formats.to_relation,
+              "complex": formats.to_complex, "space": formats.to_topology}
+
+
+def converted(doc):
+    """The report of the value a document converts to (and, for a complex, of
+    its greedy collapse), or the type and message of the converter's error."""
+    try:
+        value = CONVERTERS[doc.kind](doc)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    reports = [formats.write_report(value)]
+    if doc.kind == "complex" and not value.is_empty:
+        core, seq = rc.greedy_collapse(value)
+        reports.append(formats.write_report({"core": core, "steps": seq}))
+    return value, reports
+
+
+class TestRecordOrder:
+    """A document is a set of records: their order and repeats change nothing."""
+
+    @settings(max_examples=150, deadline=2000)
+    @given(valid_lines(), st.randoms(use_true_random=False))
+    def test_shuffled_and_repeated_records(self, lines, rnd):
+        canonical = formats.parse(formats.serialize(formats.parse("\n".join(map(" ".join, lines)))))
+        text = oracles.shuffled_text(canonical, rnd)
+        doc = formats.parse(text)
+        assert doc == canonical and hash(doc) == hash(canonical)
+        assert formats.serialize(doc) == formats.serialize(canonical)
+        assert converted(doc) == converted(canonical)
+        assert oracles.line_parse(text) == doc
+
+    def test_the_public_constructor_normalizes(self):
+        doc = formats.Document("poset", "P", (("le", "1", "2"), ("element", "2"), ("element", "1"), ("element", "2")))
+        assert doc.records == (("element", "1"), ("element", "2"), ("le", "1", "2"))
+        assert doc == formats.Document("poset", "P", doc.records, header_line=7)
+        assert hash(doc) == hash(formats.Document("poset", "P", doc.records, header_line=7))
+        assert doc != formats.Document("poset", "Q", doc.records)
+        with pytest.raises(ValueError, match="unknown document kind 'graph'"):
+            formats.Document("graph", "G", ())
+
+    def test_fields_cannot_be_set(self):
+        doc = formats.parse(CIRCLE4_TEXT)
+        with pytest.raises(AttributeError):
+            doc.name = "other"
+        with pytest.raises(AttributeError):
+            doc.records = ()
+        with pytest.raises(AttributeError):
+            del doc.kind
+        assert doc.name == "circle4" and len(doc.records) == 8
+
+    @pytest.mark.parametrize("text", ["relation R\nxelement a\n", "relation R\nyelement y\n", "relation R\n"])
+    def test_a_relation_needs_both_universes(self, text):
+        with pytest.raises(EmptyRelationError, match="^relation universes must be nonempty$"):
+            formats.to_relation(formats.parse(text))
+
+    def test_of_two_unknown_keywords_the_least_is_named(self):
+        records = (("vertex", "1"), ("element", "1"), ("edge", "2"), ("arc", "3"))
+        with pytest.raises(ValueError, match=r"^unknown keyword 'arc' in a poset document$"):
+            formats.Document("poset", "P", records)
+
+    def test_a_cycle_witness_follows_the_sorted_edges(self):
+        # a -> c -> b and a -> k -> b are both shortest; c and k (indices 2 and
+        # 10) collide in a small set, so the edge order picks the path
+        text = "poset P\n" + "".join(f"element {e}\n" for e in "kjihgfedcba") \
+            + "le k b\nle a k\nle b a\nle c b\nle a c\n"
+        with pytest.raises(CycleDetectedError) as exc:
+            formats.to_poset(formats.parse(text))
+        assert str(exc.value) == "order pairs close into a cycle: a <= c <= b <= a"
+
+    @pytest.mark.parametrize("opens, message", [
+        ("open 1 2 3 4 5 6\nopen 4 5 6\nopen 1 2 3 4 5 6\nopen 4 5\nopen 3 4 5\nopen 3 5\n", "intersection"),
+        ("open 1 2 3 4 5 6\nopen 6\nopen 1 2\nopen 2 3 4 5 6\nopen 1\n", "union"),
+        ("open 2 3 4 5 6\nopen 1 2 3 4 5 6\nopen 1 2 3 4 5\n", "intersection"),
+    ])
+    def test_topology_closure_messages_follow_the_sorted_opens(self, opens, message):
+        # the first case misses both a union and an intersection, and its
+        # opens in file order would name the union
+        with pytest.raises(InvalidTopologyError, match=f"^open sets must be closed under {message}$"):
+            formats.to_topology(formats.parse("space S\n" + "".join(f"point {p}\n" for p in "615243") + opens))

@@ -238,9 +238,9 @@ class TestOrderComplex:
         faces = len(oracles.naive_chain_faces(p))
         assert posets_module._chain_count(p) == faces
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(posets_module, "_MAX_ORDER_COMPLEX_FACES", faces)
+            mp.setattr(posets_module, "_MAX_FACES", faces)
             assert len(rc.order_complex(p)._masks) == faces
-            mp.setattr(posets_module, "_MAX_ORDER_COMPLEX_FACES", faces - 1)
+            mp.setattr(posets_module, "_MAX_FACES", faces - 1)
             with pytest.raises(TooManyFacesError) as exc:
                 rc.order_complex(p)
         assert (exc.value.faces, exc.value.limit) == (faces, faces - 1)

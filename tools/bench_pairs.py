@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --workload poset-collapse --pairs 10 --seconds 8
     python3 tools/bench_pairs.py --workload cli-files --parent HEAD~2 --seed 500
+    python3 tools/bench_pairs.py --workload all --parent-tree ../parent
 
 The parent revision (default ``HEAD~1``) is checked out with ``git worktree
 add`` into a temporary directory, which is removed afterwards; or
@@ -10,7 +11,9 @@ add`` into a temporary directory, which is removed afterwards; or
 (``--seed``, ``--seed + 1``, ...), the parent first in even pairs and this
 tree first in odd ones.  The script prints each end-to-end metric's median
 on both sides, their ratio (this tree over the parent) and the pairs this
-tree won, by the direction ``BENCHMARK.json`` gives.  It writes nothing
+tree won, by the direction ``BENCHMARK.json`` gives.  ``--workload all``
+runs every workload ``BENCHMARK.json`` lists, one after another from the
+same first seed, and prints one table for each.  It writes nothing
 itself; ``bench/run.py`` leaves its detail files in each tree's
 ``bench/results/``.
 """
@@ -74,9 +77,18 @@ def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float) 
     return runs
 
 
+def table(workload: str, runs: list, better: dict, seed: int, seconds: float) -> str:
+    lines = [f"{workload}: {len(runs)} pairs from seed {seed}, {seconds:g} s each",
+             f"{'metric':<18} {'parent':>10} {'this tree':>10} {'ratio':>7}  wins"]
+    for name, before, after, ratio, wins, n in summarize(runs, better):
+        lines.append(f"{name:<18} {before:>10.4g} {after:>10.4g} {ratio:>7.3f}  {wins}/{n}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload's name, or all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=None, help="first seed (default: a random one)")
@@ -84,24 +96,25 @@ def main(argv=None) -> int:
     parser.add_argument("--parent-tree", type=Path, help="an existing checkout of the parent")
     args = parser.parse_args(argv)
     seed = random.randrange(1, 10**6) if args.seed is None else args.seed
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    names = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
+
+    def compare(parent: Path) -> None:
+        for i, name in enumerate(names):
+            runs = measure(parent, name, args.pairs, seed, args.seconds)
+            print(("\n" if i else "") + table(name, runs, better, seed, args.seconds), flush=True)
 
     if args.parent_tree is not None:
-        runs = measure(args.parent_tree.resolve(), args.workload, args.pairs, seed, args.seconds)
+        compare(args.parent_tree.resolve())
     else:
         with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
             tree = Path(tmp) / "parent"
             subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent],
                            cwd=ROOT, check=True, capture_output=True)
             try:
-                runs = measure(tree, args.workload, args.pairs, seed, args.seconds)
+                compare(tree)
             finally:
                 subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
-
-    print(f"{args.workload}: {args.pairs} pairs from seed {seed}, {args.seconds:g} s each")
-    print(f"{'metric':<18} {'parent':>10} {'this tree':>10} {'ratio':>7}  wins")
-    for name, before, after, ratio, wins, n in summarize(runs, better):
-        print(f"{name:<18} {before:>10.4g} {after:>10.4g} {ratio:>7.3f}  {wins}/{n}")
     return 0
 
 
