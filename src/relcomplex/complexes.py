@@ -44,8 +44,7 @@ from .errors import NotSimplicialError, TooManyFacesError, UnknownVertexError
 
 Face = tuple  # strictly increasing tuple of vertex indices
 
-# the most faces a complex may be built with, checked against a count or a
-# bound made before any face is
+# the most faces a complex may be built with (``_spanned``, ``posets.order_complex``)
 _MAX_FACES = 1 << 24
 
 
@@ -342,18 +341,17 @@ class VertexMap:
 def _spanned(universe: Universe, tops) -> SimplicialComplex:
     """The union of the full simplices on the nonempty index-set masks ``tops``, with its facets.
 
-    Raises :class:`TooManyFacesError` before building a face when the
-    distinct tops have more than ``_MAX_FACES`` nonempty subsets in all, an
-    upper bound on the faces.  Tops go largest first, each mirrored to a face
-    mask once: one already present lies in an equal or larger earlier top and
-    adds nothing, and a kept top lies in no other and adds its submasks.
+    Tops go largest first, each mirrored to a face mask once: one already
+    present lies in an equal or larger earlier top and adds nothing, and a
+    kept top lies in no other and adds its submasks.  Past ``_MAX_FACES``
+    faces the build stops with :class:`TooManyFacesError`: before a top
+    whose simplex alone has more, so before any face of a simplex that big,
+    or else after the top that takes the count past it.
     """
-    tops = dict.fromkeys(filter(None, tops))
-    bound = sum((1 << top.bit_count()) - 1 for top in tops)
-    if bound > _MAX_FACES:
-        raise TooManyFacesError(bound, _MAX_FACES, upper_bound=True)
     faces, maximal = set(), []
-    for top in sorted(tops, key=int.bit_count, reverse=True):
+    for top in sorted(filter(None, tops), key=int.bit_count, reverse=True):
+        if (size := (1 << top.bit_count()) - 1) > _MAX_FACES:
+            raise TooManyFacesError(size, _MAX_FACES)
         mask = universe._mirror(top)
         if mask in faces:
             continue
@@ -362,6 +360,8 @@ def _spanned(universe: Universe, tops) -> SimplicialComplex:
         while sub:  # every nonempty submask, in descending order
             faces.add(sub)
             sub = (sub - 1) & mask
+        if len(faces) > _MAX_FACES:
+            raise TooManyFacesError(len(faces), _MAX_FACES)
     return SimplicialComplex._trusted(universe, faces, maximal)
 
 

@@ -125,8 +125,7 @@ class NotClosedError(DomainError):
 
 
 class TooManyFacesError(DomainError):
-    def __init__(self, faces, limit, upper_bound=False):
-        size = f"up to {faces}" if upper_bound else faces
-        super().__init__(f"the complex would have {size} faces, more than the limit of {limit}")
+    def __init__(self, faces, limit):
+        super().__init__(f"the complex would have at least {faces} faces, more than the limit of {limit}")
         self.faces = faces
         self.limit = limit

@@ -7,30 +7,25 @@ byte-stable across runs.  Collapse steps are written as text straight from
 an engine's mask pairs, each face's from its prefix's, with no step object.
 
 Text is checked once, by ``parse``, in one pass over its lines: header,
-keywords, arity, declaration before use and distinct labels in a set.  Each
-record goes to its keyword's group in file order, and records are sorted
-only where order shows: in a document's canonical ``records``, which
-equality, hashing and ``serialize`` read, and for ``to_poset`` and
-``to_topology``, whose errors name a first offender (a cycle's witness, a
-pair of opens).  ``to_complex`` and ``to_relation`` build sets, so they read
-the groups as parsed, repeats included.  ``to_relation`` reads its supports
-straight off the universes' index dicts, through the unchecked
-``Relation._trusted``, since every pair's labels were declared.  The other
-converters hand the labels to the constructors that check values:
-``Universe``, ``FiniteTopology`` and ``complex_from_facets``, and
-``poset_from_pairs``, which builds through the unchecked ``Poset._trusted``
-once its closure has no cycle.
+keywords, arity, declaration before use and distinct labels in a set.
+Records keep their file order, grouped by keyword, and are sorted only where
+order shows: in a document's canonical ``records`` and in the ``le`` and
+``open`` groups, whose order picks the cycle or pair of opens an error names.
+The converters hand the labels to the constructors that check values:
+``Universe``, ``Relation``, ``FiniteTopology`` and ``complex_from_facets``,
+and ``poset_from_pairs``, which builds through the unchecked
+``Poset._trusted`` once its closure has no cycle.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, groupby
+from itertools import chain
 from operator import itemgetter
 
 from .collapses import CollapseSequence
 from .complexes import SimplicialComplex, Universe, complex_from_facets
-from .errors import EmptyRelationError, ParseError
+from .errors import ParseError
 from .homology import HomologyProfile
 from .posets import FiniteTopology, Poset, poset_from_pairs
 from .relations import Relation
@@ -45,7 +40,6 @@ _GRAMMAR = {
 }
 
 
-_KEYWORD = itemgetter(0)
 _LABEL = itemgetter(1)
 _PAIR = itemgetter(1, 2)
 _ARGS = itemgetter(slice(1, None))
@@ -70,7 +64,19 @@ class Document:
             groups.setdefault(record[0], []).append(record)
         if unknown := groups.keys() - _GRAMMAR[kind]:
             raise ValueError(f"unknown keyword {min(unknown)!r} in a {kind} document")
-        _fill(self, kind, name, header_line, groups)
+        self._set(kind=kind, name=name, header_line=header_line, _groups=groups, _records=None)
+
+    @classmethod
+    def _parsed(cls, kind: str, name: str, header_line: int, groups: dict) -> "Document":
+        """A document of groups (keywords of ``kind`` to their records) that
+        ``parse`` has checked."""
+        doc = cls.__new__(cls)
+        doc._set(kind=kind, name=name, header_line=header_line, _groups=groups, _records=None)
+        return doc
+
+    def _set(self, **fields) -> None:
+        for slot, value in fields.items():
+            object.__setattr__(self, slot, value)
 
     @property
     def records(self) -> tuple:
@@ -96,14 +102,6 @@ class Document:
     def __repr__(self) -> str:
         fields = f"kind={self.kind!r}, name={self.name!r}, records={self.records!r}"
         return f"Document({fields}, header_line={self.header_line!r})"
-
-
-def _fill(doc: Document, *fields) -> Document:
-    """Set a document's kind, name, header line and groups (keywords of its
-    kind to their records); its canonical records are built on first read."""
-    for slot, value in zip(Document.__slots__, (*fields, None)):
-        object.__setattr__(doc, slot, value)
-    return doc
 
 
 def parse(text: str) -> Document:
@@ -165,7 +163,7 @@ def parse(text: str) -> Document:
         groups[keyword].append(tuple(tokens))
     if kind is None:
         raise ParseError(1, "empty document")
-    return _fill(Document.__new__(Document), kind, name, header_line, groups)
+    return Document._parsed(kind, name, header_line, groups)
 
 
 def serialize(doc: Document) -> str:
@@ -175,12 +173,11 @@ def serialize(doc: Document) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _groups(doc: Document, kind: str, canonical: bool = False) -> dict:
-    """Each keyword's records: as given, or in the ``canonical`` order of
-    ``records``, for a converter whose error names the first offender."""
+def _groups(doc: Document, kind: str) -> dict:
+    """Each keyword's records, as given."""
     if doc.kind != kind:
         raise ValueError(f"expected a {kind} document, got {doc.kind}")
-    return {kw: list(g) for kw, g in groupby(doc.records, _KEYWORD)} if canonical else doc._groups
+    return doc._groups
 
 
 def to_complex(doc: Document) -> SimplicialComplex:
@@ -189,27 +186,22 @@ def to_complex(doc: Document) -> SimplicialComplex:
 
 
 def to_poset(doc: Document) -> Poset:  # a cycle's witness follows the order of the edges
-    groups = _groups(doc, "poset", canonical=True)
+    groups = _groups(doc, "poset")
     elements = map(_LABEL, groups.get("element", ()))
-    return poset_from_pairs(elements, map(_PAIR, groups.get("le", ())))
+    return poset_from_pairs(elements, map(_PAIR, sorted(set(groups.get("le", ())))))
 
 
 def to_relation(doc: Document) -> Relation:
     groups = _groups(doc, "relation")
-    xs = Universe(map(_LABEL, groups.get("xelement", ())))
-    ys = Universe(map(_LABEL, groups.get("yelement", ())))
-    if not xs or not ys:
-        raise EmptyRelationError("relation universes must be nonempty")
-    xi, yi, supports = xs._index, ys._index, [0] * len(ys)
-    for _, x, y in groups.get("pair", ()):  # parse checked that both are declared
-        supports[yi[y]] |= 1 << xi[x]
-    return Relation._trusted(xs, ys, supports)
+    xs = map(_LABEL, groups.get("xelement", ()))
+    ys = map(_LABEL, groups.get("yelement", ()))
+    return Relation(xs, ys, map(_PAIR, groups.get("pair", ())))
 
 
 def to_topology(doc: Document) -> FiniteTopology:  # a closure error names a pair in set order
-    groups = _groups(doc, "space", canonical=True)
+    groups = _groups(doc, "space")
     points = map(_LABEL, groups.get("point", ()))
-    return FiniteTopology(Universe(points), map(_ARGS, groups.get("open", ())))
+    return FiniteTopology(Universe(points), map(_ARGS, sorted(set(groups.get("open", ())))))
 
 
 def complex_to_document(k: SimplicialComplex, name: str) -> Document:

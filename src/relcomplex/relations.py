@@ -8,12 +8,11 @@ needs that, so infinite ground sets are out of scope.
 
 A relation keeps only its supports, one index-set mask (x index i at bit i)
 per y in y index order, and derives ``pairs`` from them.  ``Relation(...)``
-checks each pair against the universes' index dicts and names the first
-unknown label in input order, x before y.  Builders whose supports hold by
-construction skip that, through the unchecked ``Relation._trusted``:
+reads each pair's supports straight off the universes' index dicts and
+names the first unknown label in input order, x before y.  Builders whose
+supports hold by construction skip even that, through the unchecked
+``Relation._trusted``:
 
-- ``formats.to_relation``: ``parse`` has checked that every pair's labels
-  are declared, so the supports are read straight off the index dicts;
 - ``transpose``: the supports of each x, by ``_transpose`` of the bit matrix;
 - ``canonical_relation`` and ``posets.membership_relation``: each face, or
   nonempty open, is the support of the y its comma-joined labels name.
@@ -72,12 +71,11 @@ class Relation:
             raise EmptyRelationError("relation universes must be nonempty")
         xi, yi = x_universe._index, y_universe._index
         supports = [0] * len(y_universe)
-        for x, y in pairs:  # the first unknown label, in input order, is reported
-            if x not in xi:
-                raise UnknownVertexError(x)
-            if y not in yi:
-                raise UnknownVertexError(y)
-            supports[yi[y]] |= 1 << xi[x]
+        try:
+            for x, y in pairs:
+                supports[yi[y]] |= 1 << xi[x]
+        except KeyError:  # the pair that failed is the first with an unknown label
+            raise UnknownVertexError(x if x not in xi else y) from None
         self.x_universe = x_universe
         self.y_universe = y_universe
         self._supports = tuple(supports)

@@ -79,17 +79,28 @@ class TestConstruction:
         with pytest.raises(TooManyFacesError) as exc:
             rc.complex_from_facets(labels, [labels])
         assert (exc.value.faces, exc.value.limit) == (2**25 - 1, 1 << 24)
-        assert str(exc.value).startswith(f"the complex would have up to {2**25 - 1} faces")
+        assert str(exc.value) == f"the complex would have at least {2**25 - 1} faces, more than the limit of {1 << 24}"
+
+    def test_overlapping_facets_are_counted_once(self):
+        # the boundary of the 12-simplex: 13 facets of 4,095 faces each, but
+        # 2^13 - 2 faces in all
+        labels = [f"v{i:02d}" for i in range(13)]
+        facets = [labels[:i] + labels[i + 1:] for i in range(13)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes_module, "_MAX_FACES", 2**13 - 2)
+            assert len(rc.complex_from_facets(labels, facets).faces) == 2**13 - 2
+            mp.setattr(complexes_module, "_MAX_FACES", 2**13 - 3)
+            with pytest.raises(TooManyFacesError):
+                rc.complex_from_facets(labels, facets)
 
     @given(oracles.complexes())
-    def test_the_bound_counts_each_distinct_top_once(self, k):
+    def test_the_limit_is_the_exact_face_count(self, k):
         facets = k.facet_labels()
-        bound = sum(2 ** len(f) - 1 for f in facets)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(complexes_module, "_MAX_FACES", bound)
+            mp.setattr(complexes_module, "_MAX_FACES", len(k.faces))
             assert rc.complex_from_facets(k.universe, facets + facets) == k
             if facets:
-                mp.setattr(complexes_module, "_MAX_FACES", bound - 1)
+                mp.setattr(complexes_module, "_MAX_FACES", len(k.faces) - 1)
                 with pytest.raises(TooManyFacesError):
                     rc.complex_from_facets(k.universe, facets + facets)
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import relcomplex as rc
 from relcomplex import cli, formats
-from relcomplex.errors import CycleDetectedError, DomainError, EmptyRelationError, InvalidTopologyError, ParseError
+from relcomplex.errors import (
+    CycleDetectedError, DomainError, EmptyRelationError, InvalidTopologyError, ParseError, UnknownVertexError,
+)
 
 import oracles
 
@@ -441,6 +443,18 @@ class TestRecordOrder:
     def test_a_relation_needs_both_universes(self, text):
         with pytest.raises(EmptyRelationError, match="^relation universes must be nonempty$"):
             formats.to_relation(formats.parse(text))
+
+    @pytest.mark.parametrize("pairs, unknown", [
+        ((("b", "u"),), "b"),
+        ((("a", "v"),), "v"),
+        ((("a", "u"), ("b", "v"), ("c", "u")), "b"),
+    ])
+    def test_a_built_document_names_its_first_undeclared_label(self, pairs, unknown):
+        # a Document built by hand has had no parse to check its pairs
+        records = (("xelement", "a"), ("yelement", "u"), ("xelement", "c"), *(("pair", *p) for p in pairs))
+        with pytest.raises(UnknownVertexError) as exc:
+            formats.to_relation(formats.Document("relation", "R", records))
+        assert exc.value.label == unknown
 
     def test_of_two_unknown_keywords_the_least_is_named(self):
         records = (("vertex", "1"), ("element", "1"), ("edge", "2"), ("arc", "3"))
