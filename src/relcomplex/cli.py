@@ -200,6 +200,33 @@ _COMMANDS = [
 ]
 
 
+# (group, subcommand) -> its required options and its handler, built once
+_ROWS = {
+    (group, name): (options, _on_file(options[0][2:], handler, *extra) if isinstance(handler, str) else handler)
+    for group, name, options, handler, *extra in _COMMANDS
+}
+
+
+def _match(argv):
+    """The parser's namespace for a row's group and subcommand, then each of its
+    options once as ``--option value`` in any order, no value starting with
+    ``-`` and every choice allowed; else None, and the parser reads ``argv``."""
+    row = _ROWS.get(tuple(argv[:2]))
+    if row is None or len(argv) != 2 + 2 * len(row[0]):
+        return None
+    options, handler = row
+    values = dict(zip(argv[2::2], argv[3::2]))
+    if values.keys() != set(options) or any(
+        v.startswith("-") or (o in _CHOICES and v not in _CHOICES[o]) for o, v in values.items()
+    ):
+        return None
+    args = argparse.Namespace(command=argv[0], subcommand=argv[1], handler=handler)
+    if argv[0] == "homology":  # the group's own --complex, unset
+        args.complex = None
+    vars(args).update((option[2:], value) for option, value in values.items())
+    return args
+
+
 # argv[:2] when it names a command, else None -> the parser built for it
 _PARSERS = {}
 
@@ -215,7 +242,7 @@ def _build_parser(argv) -> _Parser:
     on every call.  Parsing leaves a parser as it was, and help is laid out
     at the terminal width when it is printed."""
     named = tuple(argv[:2])
-    if named not in {(group, name) for group, name, *_ in _COMMANDS}:
+    if named not in _ROWS:
         named = None
     if named in _PARSERS:
         return _PARSERS[named]
@@ -230,14 +257,12 @@ def _build_parser(argv) -> _Parser:
             p.add_argument("--complex")
             p.set_defaults(handler=_cmd_homology)
         groups[group] = p.add_subparsers(dest="subcommand", required=group != "homology")
-    for group, name, options, handler, *extra in _COMMANDS:
+    for (group, name), (options, handler) in _ROWS.items():
         if named and (group, name) != named:
             continue
         p = groups[group].add_parser(name)
         for option in options:
             p.add_argument(option, required=True, choices=_CHOICES.get(option))
-        if isinstance(handler, str):
-            handler = _on_file(options[0][2:], handler, *extra)
         p.set_defaults(handler=handler)
     _PARSERS[named] = parser
     return parser
@@ -246,7 +271,7 @@ def _build_parser(argv) -> _Parser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _match(argv) or _build_parser(argv).parse_args(argv)
         report = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, _require_labels
+from .complexes import SimplicialComplex, _Frozen, _require_labels
 from .errors import (
     EmptyComplexError,
     NotFreeError,
@@ -62,19 +61,15 @@ from .posets import (
 )
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(_Frozen):
     """A free face together with its unique proper coface, as label tuples."""
 
-    free_face: tuple
-    coface: tuple
+    __slots__ = _fields = ("free_face", "coface")
 
-    def __post_init__(self):
-        _require_labels((*self.free_face, *self.coface))
-        free = tuple(sorted(self.free_face))
-        coface = tuple(sorted(self.coface))
-        object.__setattr__(self, "free_face", free)
-        object.__setattr__(self, "coface", coface)
+    def __init__(self, free_face: tuple, coface: tuple):
+        _require_labels((*free_face, *coface))
+        free = tuple(sorted(free_face))
+        coface = tuple(sorted(coface))
         free_set = set(free)
         if len(free_set) != len(free):
             raise ValueError(f"face {free} repeats a label")
@@ -84,36 +79,34 @@ class CollapseStep:
             raise ValueError(
                 f"coface {coface} must properly contain {free} with one extra vertex"
             )
+        self._set(free_face=free, coface=coface)
 
     @classmethod
     def _trusted(cls, free_face: tuple, coface: tuple) -> "CollapseStep":
-        """A step without checks, for the labels of a replayed mask pair.
-
-        Each mask decodes to a strictly increasing index tuple over a
-        universe, whose labels are sorted, so it has sorted and distinct
-        labels.
-        """
+        """A step without checks, for the labels of a replayed mask pair: a mask
+        decodes to increasing indices of a universe, whose labels are sorted, so
+        to sorted and distinct labels."""
         step = object.__new__(cls)
-        step.__dict__.update(free_face=free_face, coface=coface)
+        step._set(free_face=free_face, coface=coface)
         return step
 
 
-@dataclass(frozen=True)
-class CollapseSequence:
+class CollapseSequence(_Frozen):
     """An ordered list of collapse steps applied to an initial complex.  An engine's
-    sequence holds its mask pairs instead, and labels them when ``steps`` is first read."""
+    sequence holds its mask pairs in ``_pairs`` instead, and labels them when
+    ``steps`` is first read; one built from steps has ``_pairs`` None."""
 
-    initial: SimplicialComplex
-    steps: Tuple[CollapseStep, ...]
+    __slots__ = ("initial", "steps", "_pairs")
+    _fields = ("initial", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, initial: SimplicialComplex, steps: Iterable[CollapseStep]):
+        self._set(initial=initial, steps=tuple(steps), _pairs=None)
 
-    def __getattr__(self, name):  # reached only for a name not in __dict__
-        if name != "steps" or "_pairs" not in self.__dict__:
+    def __getattr__(self, name):  # reached only for a name without a value
+        if name != "steps" or self._pairs is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         label = self.initial.universe._labeller()
-        self.__dict__["steps"] = tuple(CollapseStep._trusted(label(f), label(c)) for f, c in self._pairs)
+        self._set(steps=tuple(CollapseStep._trusted(label(f), label(c)) for f, c in self._pairs))
         return self.steps
 
 
@@ -173,7 +166,7 @@ def _certified(
     if faces != final._masks:
         raise AssertionError(message)
     seq = object.__new__(CollapseSequence)
-    seq.__dict__.update(initial=initial, _pairs=pairs)
+    seq._set(initial=initial, _pairs=pairs)
     return seq
 
 
@@ -233,7 +226,7 @@ def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     """
     universe = seq.initial.universe
     faces = set(seq.initial._masks)
-    if "_pairs" in seq.__dict__:
+    if seq._pairs is not None:
         _replay(universe, faces, seq._pairs)
     else:
         mask = universe._mask

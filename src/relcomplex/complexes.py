@@ -44,7 +44,7 @@ from .errors import NotSimplicialError, TooManyFacesError, UnknownVertexError
 
 Face = tuple  # strictly increasing tuple of vertex indices
 
-# the most faces a complex may be built with (``_spanned``, ``posets.order_complex``)
+# the most faces a complex, or opens a topology, may be built with (``_spanned``, ``posets``)
 _MAX_FACES = 1 << 24
 
 
@@ -53,6 +53,39 @@ def _require_labels(labels) -> None:
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise ValueError(f"vertex labels must be nonempty strings, got {lab!r}")
+
+
+class _Frozen:
+    """A value that cannot change once built, like a frozen dataclass: ``_fields``
+    names its constructor's arguments in order, for ``repr`` and for copies and
+    pickles, and ``==`` and ``hash`` read ``_key()``, all of them unless a class
+    says less.  A constructor sets its slots through ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Universe:

@@ -129,3 +129,10 @@ class TooManyFacesError(DomainError):
         super().__init__(f"the complex would have at least {faces} faces, more than the limit of {limit}")
         self.faces = faces
         self.limit = limit
+
+
+class TooManyOpensError(DomainError):
+    def __init__(self, opens, limit):
+        super().__init__(f"the topology would have at least {opens} open sets, more than the limit of {limit}")
+        self.opens = opens
+        self.limit = limit

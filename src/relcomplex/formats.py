@@ -9,8 +9,9 @@ an engine's mask pairs, each face's from its prefix's, with no step object.
 Text is checked once, by ``parse``, in one pass over its lines: header,
 keywords, arity, declaration before use and distinct labels in a set.
 Records keep their file order, grouped by keyword, and are sorted only where
-order shows: in a document's canonical ``records`` and in the ``le`` and
-``open`` groups, whose order picks the cycle or pair of opens an error names.
+order shows: in a document's canonical ``records``, in the ``open`` group,
+whose order picks the pair of opens an error names, and in the ``le`` group
+once it is known to close into a cycle, whose witness follows the edges.
 The converters hand the labels to the constructors that check values:
 ``Universe``, ``Relation``, ``FiniteTopology`` and ``complex_from_facets``,
 and ``poset_from_pairs``, which builds through the unchecked
@@ -24,8 +25,8 @@ from itertools import chain
 from operator import itemgetter
 
 from .collapses import CollapseSequence
-from .complexes import SimplicialComplex, Universe, complex_from_facets
-from .errors import ParseError
+from .complexes import SimplicialComplex, Universe, _Frozen, complex_from_facets
+from .errors import CycleDetectedError, ParseError
 from .homology import HomologyProfile
 from .posets import FiniteTopology, Poset, poset_from_pairs
 from .relations import Relation
@@ -45,7 +46,7 @@ _PAIR = itemgetter(1, 2)
 _ARGS = itemgetter(slice(1, None))
 
 
-class Document:
+class Document(_Frozen):
     """A parsed input file: kind, name, and its body records grouped by keyword.
 
     The groups keep the records as given, repeats included.  ``records``,
@@ -55,6 +56,7 @@ class Document:
     """
 
     __slots__ = ("kind", "name", "header_line", "_groups", "_records")
+    _fields = ("kind", "name", "records", "header_line")
 
     def __init__(self, kind: str, name: str, records, header_line: int = 1):
         if kind not in _GRAMMAR:
@@ -74,34 +76,16 @@ class Document:
         doc._set(kind=kind, name=name, header_line=header_line, _groups=groups, _records=None)
         return doc
 
-    def _set(self, **fields) -> None:
-        for slot, value in fields.items():
-            object.__setattr__(self, slot, value)
-
     @property
     def records(self) -> tuple:
         if self._records is None:  # a group's records share their keyword, so sort as their labels do
             groups = self._groups
             ordered = (sorted(set(groups[kw])) for kw in _GRAMMAR[self.kind] if kw in groups)
-            object.__setattr__(self, "_records", tuple(chain.from_iterable(ordered)))
+            self._set(_records=tuple(chain.from_iterable(ordered)))
         return self._records
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a document's {name!r} cannot be changed")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not Document:
-            return NotImplemented
-        return (self.kind, self.name, self.records) == (other.kind, other.name, other.records)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.name, self.records))
-
-    def __repr__(self) -> str:
-        fields = f"kind={self.kind!r}, name={self.name!r}, records={self.records!r}"
-        return f"Document({fields}, header_line={self.header_line!r})"
+    def _key(self) -> tuple:  # the header line is not compared
+        return self.kind, self.name, self.records
 
 
 def parse(text: str) -> Document:
@@ -185,10 +169,14 @@ def to_complex(doc: Document) -> SimplicialComplex:
     return complex_from_facets({lab for facet in facets for lab in facet}, facets)
 
 
-def to_poset(doc: Document) -> Poset:  # a cycle's witness follows the order of the edges
+def to_poset(doc: Document) -> Poset:
     groups = _groups(doc, "poset")
-    elements = map(_LABEL, groups.get("element", ()))
-    return poset_from_pairs(elements, map(_PAIR, sorted(set(groups.get("le", ())))))
+    elements = list(map(_LABEL, groups.get("element", ())))
+    edges = groups.get("le", ())
+    try:
+        return poset_from_pairs(elements, map(_PAIR, edges))
+    except CycleDetectedError:  # its witness follows the edge order: name the sorted edges' one
+        return poset_from_pairs(elements, map(_PAIR, sorted(set(edges))))
 
 
 def to_relation(doc: Document) -> Relation:
@@ -265,7 +253,7 @@ def _steps_text(seq: CollapseSequence) -> str:
     """The JSON text of a sequence's list of steps.  An engine's mask pairs are
     named through one memo (``Universe._walker``): a face's text is its
     prefix's, a comma and the JSON string of its last label."""
-    pairs = seq.__dict__.get("_pairs")
+    pairs = seq._pairs
     if pairs is None:  # steps given as labels
         return json.dumps([[list(s.free_face), list(s.coface)] for s in seq.steps], separators=(",", ":"))
     text = seq.initial.universe._walker("", json.dumps, "{},{}".format)

@@ -30,43 +30,28 @@ union-find makes over those edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _Frozen
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(_Frozen):
     """An immutable integer matrix, row-major; the shape and every entry must be ``int``."""
 
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        for name, v in (("rows", self.rows), ("cols", self.cols)):
+    def __init__(self, rows: int, cols: int, entries: Tuple[Tuple[int, ...], ...]):
+        for name, v in (("rows", rows), ("cols", cols)):
             if type(v) is not int:
                 raise TypeError(f"matrix {name} is not an int: {v!r}")
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match the declared dimensions")
-        entries = tuple(tuple(r) for r in self.entries)
+        entries = tuple(tuple(r) for r in entries)
         for i, row in enumerate(entries):
             for j, v in enumerate(row):
                 if type(v) is not int:
                     raise TypeError(f"matrix entry ({i}, {j}) is not an int: {v!r}")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows: List[List[int]]) -> "IntegerMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, ncols, tuple(tuple(r) for r in rows))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        self._set(rows=rows, cols=cols, entries=entries)
 
 
 def _boundary_columns(faces) -> list:
@@ -112,16 +97,15 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[int, ...]:
     return (1,) * (rank - len(torsion)) + torsion
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(_Frozen):
     """Betti numbers and torsion coefficients per dimension, up to the complex dimension."""
 
-    betti: Tuple[int, ...]
-    torsion: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("betti", "torsion")
 
-    def __post_init__(self):
-        if len(self.betti) != len(self.torsion):
+    def __init__(self, betti: Tuple[int, ...], torsion: Tuple[Tuple[int, ...], ...]):
+        if len(betti) != len(torsion):
             raise ValueError("betti and torsion must cover the same dimensions")
+        self._set(betti=betti, torsion=torsion)
 
     def as_report(self) -> dict:
         return {

@@ -59,6 +59,7 @@ from .errors import (
     NotRealizableError,
     NotT0Error,
     TooManyFacesError,
+    TooManyOpensError,
     UnknownVertexError,
 )
 from .relations import Relation, _bits, _membership, _transpose
@@ -462,10 +463,18 @@ class FiniteTopology:
 
 
 def order_to_topology(p: Poset) -> FiniteTopology:
-    """The T0 topology generated by the down-sets of the order."""
+    """The T0 topology generated by the down-sets of the order.  A down-set at
+    most doubles the opens: once that could pass ``_MAX_FACES`` they are added
+    one at a time, and the first past it raises :class:`TooManyOpensError`."""
     masks = {0}
     for d in p.down:
-        masks |= {m | d for m in masks}
+        if 2 * len(masks) <= _MAX_FACES:
+            masks |= {m | d for m in masks}
+            continue
+        for m in [*masks]:
+            masks.add(m | d)
+            if len(masks) > _MAX_FACES:
+                raise TooManyOpensError(len(masks), _MAX_FACES)
     return FiniteTopology._trusted(p.elements, masks, p.down)
 
 

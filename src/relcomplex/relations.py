@@ -23,12 +23,11 @@ supports hold by construction skip even that, through the unchecked
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 from typing import Dict, Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, Universe, VertexMap, _spanned
+from .complexes import SimplicialComplex, Universe, VertexMap, _Frozen, _spanned
 from .errors import (
     AmbiguousLabelError,
     EmptyComplexError,
@@ -199,17 +198,18 @@ def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bo
     return not any(s & ~rel2._supports[z] for z, s in zip(images, rel._supports))
 
 
-@dataclass(frozen=True)
-class RelationMorphism:
+class RelationMorphism(_Frozen):
     """A map Y -> Z satisfying the morphism law between two relations on one X."""
 
-    source: Relation
-    target: Relation
-    assignment: dict = field(compare=False)
+    __slots__ = _fields = ("source", "target", "assignment")
 
-    def __post_init__(self):
-        if not is_morphism(self.assignment, self.source, self.target):
+    def __init__(self, source: Relation, target: Relation, assignment: dict):
+        if not is_morphism(assignment, source, target):
             raise ValueError("assignment violates the morphism law")
+        self._set(source=source, target=target, assignment=assignment)
+
+    def _key(self) -> tuple:  # the assignment is not compared
+        return self.source, self.target
 
 
 def induced_l_map(m: RelationMorphism) -> VertexMap:

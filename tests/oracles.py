@@ -109,6 +109,15 @@ def gcd_of_k_minors(entries, k: int) -> int:
     return g
 
 
+def matrix_from_rows(rows) -> rc.IntegerMatrix:
+    """The IntegerMatrix of a list of rows."""
+    return rc.IntegerMatrix(len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))
+
+
+def is_zero(m: rc.IntegerMatrix) -> bool:
+    return all(v == 0 for row in m.entries for v in row)
+
+
 def matrix_product(a: rc.IntegerMatrix, b: rc.IntegerMatrix) -> rc.IntegerMatrix:
     if a.cols != b.rows:
         raise ValueError("inner dimensions must agree")

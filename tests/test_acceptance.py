@@ -263,7 +263,7 @@ def test_criterion_09_homology_engine():
     for k in corpus_cases():
         mats = rc.boundary_matrices(k)
         for low, high in zip(mats, mats[1:]):
-            assert oracles.matrix_product(low, high).is_zero()
+            assert oracles.is_zero(oracles.matrix_product(low, high))
         profile = rc.homology(k)
         assert k.euler_characteristic() == sum(
             (-1) ** n * b for n, b in enumerate(profile.betti)
@@ -273,7 +273,7 @@ def test_criterion_09_homology_engine():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        diag = rc.smith_normal_form(rc.IntegerMatrix.from_rows(mat))
+        diag = rc.smith_normal_form(oracles.matrix_from_rows(mat))
         assert all(d > 0 for d in diag)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         prod = 1

@@ -7,11 +7,17 @@ rename that the imports do not catch would only show at run time.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
+import os
+import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import relcomplex as rc
 from relcomplex import cli
@@ -98,3 +104,64 @@ def test_readme_module_map_line_counts():
     assert {name: int(n) for name, n in rows.items()} == counts
     total = re.search(r"`src/` has ([\d,]+) lines in all\.", section).group(1)
     assert int(total.replace(",", "")) == sum(counts.values())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh process: the CLI's import adds neither module to what the interpreter loaded."""
+    code = (
+        "import sys; before = set(sys.modules); import relcomplex.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def _value_classes():
+    """(build, repr) for each value class that was a frozen dataclass; ``build()``
+    makes a new value equal to the last one each time it is called."""
+    k = rc.complex_from_facets("abc", [("a", "b", "c")])
+    r = rc.Relation(["1"], ["u", "v"], [("1", "u"), ("1", "v")])
+    step = "CollapseStep(free_face=('a', 'b'), coface=('a', 'b', 'c'))"
+    return {
+        "CollapseStep": (lambda: rc.CollapseStep(("b", "a"), ("c", "a", "b")), step),
+        "CollapseSequence": (
+            lambda: rc.CollapseSequence(k, [rc.CollapseStep(("a", "b"), ("a", "b", "c"))]),
+            f"CollapseSequence(initial={k!r}, steps=({step},))",
+        ),
+        "IntegerMatrix": (lambda: rc.IntegerMatrix(1, 2, [[1, -1]]), "IntegerMatrix(rows=1, cols=2, entries=((1, -1),))"),
+        "HomologyProfile": (
+            lambda: rc.HomologyProfile((1, 0), ((), (2,))), "HomologyProfile(betti=(1, 0), torsion=((), (2,)))"
+        ),
+        "RelationMorphism": (
+            lambda: rc.RelationMorphism(r, r, {"u": "u", "v": "v"}),
+            f"RelationMorphism(source={r!r}, target={r!r}, assignment={{'u': 'u', 'v': 'v'}})",
+        ),
+    }
+
+
+VALUE_CLASSES = _value_classes()
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_classes_compare_hash_show_and_stay_frozen(name):
+    build, shown = VALUE_CLASSES[name]
+    value = build()
+    assert type(value) is getattr(rc, name)
+    assert value == build() and hash(value) == hash(build()) and repr(value) == shown
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    assert value != object() and value.__eq__(object()) is NotImplemented
+    field = shown[len(name) + 1:].split("=", 1)[0]  # the first field
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.other = None
+
+
+def test_a_morphism_compares_without_its_assignment():
+    r = rc.Relation(["1"], ["u", "v"], [("1", "u"), ("1", "v")])
+    swapped = rc.RelationMorphism(r, r, {"u": "v", "v": "u"})
+    assert swapped == rc.RelationMorphism(r, r, {"u": "u", "v": "v"})
+    assert hash(swapped) == hash(rc.RelationMorphism(r, r, {"u": "u", "v": "v"}))

@@ -20,18 +20,51 @@ def test_medians_ratio_and_wins_follow_each_metric_direction():
     ]
     rows = bench_pairs.summarize(pairs, {"jobs_per_s": "higher", "latency_p50_ms": "lower"})
     assert [row[0] for row in rows] == ["jobs_per_s", "latency_p50_ms"]
-    (_, before, after, ratio, wins, n), latency = rows
-    assert (before, after, wins, n) == (520, 600, 2, 3)
+    (_, before, after, ratio, wins, n, claimable), latency = rows
+    assert (before, after, wins, n, claimable) == ((510, 520, 530), (555, 600, 650), 2, 3, False)
     assert math.isclose(ratio, 600 / 520)
     # a tie is not a win
-    assert latency[1:3] == (1.5, 1.3) and latency[4:] == (2, 3)
+    assert (latency[1][1], latency[2][1]) == (1.5, 1.3) and latency[4:] == (2, 3, False)
 
 
 def test_an_even_number_of_pairs_takes_the_middle_mean():
     pairs = [({"setup_s": s}, {"setup_s": s / 2}) for s in (0.1, 0.3)]
-    [(_, before, after, ratio, wins, n)] = bench_pairs.summarize(pairs, {"setup_s": "lower"})
-    assert math.isclose(before, 0.2) and math.isclose(after, 0.1) and math.isclose(ratio, 0.5)
-    assert (wins, n) == (2, 2)
+    [(_, before, after, ratio, wins, n, claimable)] = bench_pairs.summarize(pairs, {"setup_s": "lower"})
+    assert math.isclose(before[1], 0.2) and math.isclose(after[1], 0.1) and math.isclose(ratio, 0.5)
+    assert (wins, n, claimable) == (2, 2, False)
+
+
+def test_quartiles_are_inclusive_and_a_single_run_is_all_three():
+    assert bench_pairs.quartiles(list(range(1, 10))) == (3, 5, 7)
+    assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+
+
+def _ten_pairs(parent, head):
+    return [({"jobs_per_s": p, "latency_p50_ms": 1000 / p}, {"jobs_per_s": h, "latency_p50_ms": 1000 / h})
+            for p, h in zip(parent, head)]
+
+
+def test_a_gain_is_claimable_past_nine_wins_in_ten_and_the_parents_quartiles():
+    better = {"jobs_per_s": "higher", "latency_p50_ms": "lower"}
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 102.25 and 106.75
+    claim = {
+        "ten wins, median up by 5": [p + 5 for p in parent],
+        "nine wins": [p + 8 for p in parent[:9]] + [parent[9] - 1],
+        "eight wins": [p + 5 for p in parent[:8]] + [p - 1 for p in parent[8:]],
+        "ten wins, median up by 4": [p + 4 for p in parent],
+    }
+    got = {case: [row[-1] for row in bench_pairs.summarize(_ten_pairs(parent, head), better)]
+           for case, head in claim.items()}
+    assert got == {
+        "ten wins, median up by 5": [True, True],
+        "nine wins": [True, True],
+        "eight wins": [False, False],
+        "ten wins, median up by 4": [False, False],
+    }
+    # every pair won by far, but fewer than ten pairs
+    assert bench_pairs.summarize(_ten_pairs(parent[:9], [p * 2 for p in parent[:9]]), better)[0][-1] is False
+    # a loss in every pair is never claimable
+    assert bench_pairs.summarize(_ten_pairs(parent, [p - 50 for p in parent]), better)[0][-1] is False
 
 
 def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tmp_path):
@@ -55,7 +88,7 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
     assert [t.splitlines()[0] for t in tables] == [f"{w}: 2 pairs from seed 5, 8 s each" for w in names]
     for t in tables:
         rows = [r.split() for r in t.splitlines()[2:]]
-        assert rows == [[name, "1", "2", "2.000", won] for name, won in zip(metrics, wins)]
+        assert rows == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "no"] for name, won in zip(metrics, wins)]
 
 
 def test_one_workload_prints_one_table(monkeypatch, capsys, tmp_path):

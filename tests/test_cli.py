@@ -396,6 +396,15 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: the complex would have at least {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
 
+    def test_a_topology_past_the_open_limit_is_a_precondition_error(self, capsys, monkeypatch, tmp_path):
+        # an antichain's opens are all 2^12 subsets; the build stops at the first past the limit
+        wide = tmp_path / "antichain12.poset"
+        wide.write_text("poset P\n" + "".join(f"element e{i:02d}\n" for i in range(12)))
+        monkeypatch.setattr("relcomplex.posets._MAX_FACES", 1000)
+        assert run(capsys, "poset", "to-topology", "--poset", str(wide)) == (
+            2, "", "error: the topology would have at least 1001 open sets, more than the limit of 1000\n"
+        )
+
     def test_comma_in_a_vertex_label_is_a_precondition_error(self, capsys, tmp_path):
         bad = tmp_path / "comma.complex"
         bad.write_text("complex C\nfacet a,b c\n")
@@ -913,6 +922,55 @@ class TestReducedParser:
             if other[:2] != (group, name):
                 argv = [*other[:2], *command_argv(other[2])]
                 assert parse(parser, argv)[0] == "usage error", argv
+
+
+def matcher_forms(group, name, options):
+    """argv of one row that the matcher might misread: ``argv_forms``, then the
+    first option as ``--option=value``, abbreviated and repeated, the options
+    reversed, the first value ``-``, ``-1`` or empty, a trailing ``--``, and
+    ``-h`` at each position."""
+    complete = [group, name, *command_argv(options)]
+    first, value = complete[2:4]
+    pairs = [complete[i:i + 2] for i in range(2, len(complete), 2)]
+    forms = argv_forms(group, name, options) + [
+        [group, name, f"{first}={value}", *complete[4:]],
+        [group, name, first[:-1], *complete[3:]],
+        complete + [first, value],
+        [group, name, *(word for pair in reversed(pairs) for word in pair)],
+        complete + ["--"],
+    ]
+    forms += [[*complete[:3], bad, *complete[4:]] for bad in ("-", "-1", "")]
+    forms += [complete[:i] + ["-h"] + complete[i:] for i in range(len(complete) + 1)]
+    return forms
+
+
+class TestMatcher:
+    """``cli._match`` reads argv as the parser does, or leaves it to the parser."""
+
+    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
+    def test_none_or_the_parsers_namespace(self, group, name, options):
+        matched = []
+        for argv in matcher_forms(group, name, options):
+            args = cli._match(argv)
+            if args is not None:
+                matched.append(argv)
+                expected = parse(cli._build_parser(argv), argv)
+                assert ("namespace", {**vars(args), "handler": calls(args.handler)}) == expected, argv
+        complete = [group, name, *command_argv(options)]
+        pairs = [complete[i:i + 2] for i in range(2, len(complete), 2)]
+        reordered = complete[:2] + [word for pair in reversed(pairs) for word in pair]
+        assert matched == [complete, reordered, [*complete[:3], "", *complete[4:]]]
+
+    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
+    def test_canonical_argv_needs_no_parser(self, capsys, monkeypatch, tmp_path, group, name, options):
+        def refuse(argv):
+            raise AssertionError("the parser was built")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        monkeypatch.chdir(tmp_path)  # the handler opens the file F, which is not there
+        assert run(capsys, group, name, *command_argv(options)) == (
+            1, "", "io error: [Errno 2] No such file or directory: 'F'\n"
+        )
 
 
 def test_fresh_process_matches_in_process(capsys, monkeypatch, data_dir):

@@ -16,7 +16,7 @@ homology_module = importlib.import_module("relcomplex.homology")
 
 
 def snf_matrix(rows):
-    return rc.smith_normal_form(rc.IntegerMatrix.from_rows(rows))
+    return rc.smith_normal_form(oracles.matrix_from_rows(rows))
 
 
 class TestBoundaryMatrices:
@@ -38,7 +38,7 @@ class TestBoundaryMatrices:
     def test_boundary_of_boundary_is_zero(self, k):
         mats = rc.boundary_matrices(k)
         for low, high in zip(mats, mats[1:]):
-            assert oracles.matrix_product(low, high).is_zero()
+            assert oracles.is_zero(oracles.matrix_product(low, high))
 
 
 class TestSmithNormalForm:
@@ -180,7 +180,7 @@ class TestSparseEngine:
             columns = [
                 {i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)
             ]
-            diag = oracles.dense_smith_normal_form(rc.IntegerMatrix.from_rows(mat))
+            diag = oracles.dense_smith_normal_form(oracles.matrix_from_rows(mat))
             assert homology_module._reduce(columns) == (
                 len(diag), tuple(d for d in diag if d > 1)
             )
@@ -219,10 +219,10 @@ class TestSparseEngine:
         for _ in range(times):
             k = oracles.suspension(k)
 
-        def no_matrix(self):
+        def no_matrix(self, *args):
             raise AssertionError("homology built an IntegerMatrix")
 
-        monkeypatch.setattr(rc.IntegerMatrix, "__post_init__", no_matrix)
+        monkeypatch.setattr(rc.IntegerMatrix, "__init__", no_matrix)
         assert rc.homology(k).torsion[1 + times] == (torsion,)
 
     @pytest.mark.parametrize("times", [0, 1, 2])
@@ -424,8 +424,8 @@ class TestIntegerMatrix:
             rc.IntegerMatrix(2, 2, ((1, 2),))
         with pytest.raises(ValueError):
             oracles.matrix_product(
-                rc.IntegerMatrix.from_rows([[1, 2]]),
-                rc.IntegerMatrix.from_rows([[1, 2]]),
+                oracles.matrix_from_rows([[1, 2]]),
+                oracles.matrix_from_rows([[1, 2]]),
             )
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, False, None])
@@ -441,6 +441,6 @@ class TestIntegerMatrix:
             rc.IntegerMatrix(shape["rows"], shape["cols"], ((1,),))
 
     def test_product(self):
-        a = rc.IntegerMatrix.from_rows([[1, 2], [3, 4]])
-        b = rc.IntegerMatrix.from_rows([[0, 1], [1, 0]])
+        a = oracles.matrix_from_rows([[1, 2], [3, 4]])
+        b = oracles.matrix_from_rows([[0, 1], [1, 0]])
         assert oracles.matrix_product(a, b).entries == ((2, 1), (4, 3))

@@ -19,6 +19,7 @@ from relcomplex.errors import (
     NotRealizableError,
     NotT0Error,
     TooManyFacesError,
+    TooManyOpensError,
     UnknownVertexError,
 )
 from relcomplex import posets as posets_module
@@ -150,6 +151,18 @@ class TestTopologyDictionary:
     def test_round_trip_from_topology(self, p):
         t = rc.order_to_topology(p)
         assert rc.order_to_topology(rc.topology_to_order(t)) == t
+
+    @given(posets(max_elements=6) | odd_posets())
+    def test_open_limit_is_the_exact_open_count(self, p):
+        # the down-sets, counted over every subset of the elements
+        opens = sum(all(d & ~m == 0 for i, d in enumerate(p.down) if m >> i & 1) for m in range(1 << len(p)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posets_module, "_MAX_FACES", opens)
+            assert len(rc.order_to_topology(p).opens) == opens
+            mp.setattr(posets_module, "_MAX_FACES", opens - 1)
+            with pytest.raises(TooManyOpensError, match="open sets") as exc:
+                rc.order_to_topology(p)
+        assert (exc.value.opens, exc.value.limit) == (opens, opens - 1)
 
 
 @st.composite

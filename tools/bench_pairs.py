@@ -9,9 +9,12 @@ add`` into a temporary directory, which is removed afterwards; or
 ``--parent-tree`` names a checkout to use instead.  Each pair runs
 ``bench/run.py --trace 0`` once on each tree with the same fresh seed
 (``--seed``, ``--seed + 1``, ...), the parent first in even pairs and this
-tree first in odd ones.  The script prints each end-to-end metric's median
-on both sides, their ratio (this tree over the parent) and the pairs this
-tree won, by the direction ``BENCHMARK.json`` gives.  ``--workload all``
+tree first in odd ones.  The script prints each end-to-end metric's
+quartiles on both sides, the ratio of the medians (this tree over the
+parent), the pairs this tree won, by the direction ``BENCHMARK.json``
+gives, and whether the gain is claimable: won in at least 9 of every 10
+pairs, of at least 10, with the median better by more than the distance
+between the parent's quartiles.  ``--workload all``
 runs every workload ``BENCHMARK.json`` lists, one after another from the
 same first seed, and prints one table for each.  It writes nothing
 itself; ``bench/run.py`` leaves its detail files in each tree's
@@ -32,21 +35,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def quartiles(values) -> tuple:
+    """(first quartile, median, third quartile), by the inclusive method; a
+    single value is all three."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summarize(pairs, better: dict) -> list:
-    """One row per metric of ``better`` (name -> "higher" or "lower"):
-    (name, parent median, this tree's median, ratio, wins, pairs).
+    """One row per metric of ``better`` (name -> "higher" or "lower"): (name,
+    the parent's quartiles, this tree's quartiles, ratio, wins, pairs,
+    claimable).
 
     ``pairs`` is a list of (parent metrics, this tree's metrics), each a dict
     of metric name -> value.  A pair is a win when this tree's value is
-    strictly better; the ratio is this tree's median over the parent's.
+    strictly better; the ratio is this tree's median over the parent's.  A
+    gain is claimable when this tree won at least 9 of every 10 pairs, of at
+    least 10, and its median is better than the parent's by more than the
+    distance between the parent's quartiles.
     """
     rows = []
     for name, direction in better.items():
         parent = [p[name] for p, _ in pairs]
         head = [h[name] for _, h in pairs]
         wins = sum((h > p) if direction == "higher" else (h < p) for p, h in zip(parent, head))
-        before, after = statistics.median(parent), statistics.median(head)
-        rows.append((name, before, after, after / before if before else float("nan"), wins, len(pairs)))
+        before, after = quartiles(parent), quartiles(head)
+        gain = after[1] - before[1] if direction == "higher" else before[1] - after[1]
+        claimable = len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gain > before[2] - before[0]
+        ratio = after[1] / before[1] if before[1] else float("nan")
+        rows.append((name, before, after, ratio, wins, len(pairs), claimable))
     return rows
 
 
@@ -79,9 +97,11 @@ def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float) 
 
 def table(workload: str, runs: list, better: dict, seed: int, seconds: float) -> str:
     lines = [f"{workload}: {len(runs)} pairs from seed {seed}, {seconds:g} s each",
-             f"{'metric':<18} {'parent':>10} {'this tree':>10} {'ratio':>7}  wins"]
-    for name, before, after, ratio, wins, n in summarize(runs, better):
-        lines.append(f"{name:<18} {before:>10.4g} {after:>10.4g} {ratio:>7.3f}  {wins}/{n}")
+             f"{'metric':<18} {'parent q1':>10} {'median':>10} {'q3':>10} {'this q1':>10} {'median':>10}"
+             f" {'q3':>10} {'ratio':>7}  wins  claimable"]
+    for name, parent, head, ratio, wins, n, claimable in summarize(runs, better):
+        values = " ".join(f"{v:>10.4g}" for v in (*parent, *head))
+        lines.append(f"{name:<18} {values} {ratio:>7.3f}  {wins}/{n}  {'yes' if claimable else 'no'}")
     return "\n".join(lines)
 
 
