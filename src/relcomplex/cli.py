@@ -8,6 +8,7 @@ singleton component, unrealizable complex, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,51 +228,36 @@ def _match(argv):
     return args
 
 
-# argv[:2] when it names a command, else None -> the parser built for it
-_PARSERS = {}
+@functools.cache
+def _build_parser() -> _Parser:
+    """The whole command tree, for help, usage errors and every argv that
+    ``_match`` leaves to it.
 
-
-def _build_parser(argv) -> _Parser:
-    """The parser for ``argv``: only the group and subcommand that ``argv[:2]``
-    names when they are a row of the table, since a subcommand's help and
-    errors do not depend on its siblings; else the whole tree, whose help and
-    errors list the choices.
-
-    Each parser is built once per process and kept: argparse's constructors
-    look their messages up through gettext, which searches the file system
-    on every call.  Parsing leaves a parser as it was, and help is laid out
-    at the terminal width when it is printed."""
-    named = tuple(argv[:2])
-    if named not in _ROWS:
-        named = None
-    if named in _PARSERS:
-        return _PARSERS[named]
+    It is built once per process and kept: argparse's constructors look
+    their messages up through gettext, which searches the file system on
+    every call.  Parsing leaves a parser as it was, and help is laid out at
+    the terminal width when it is printed."""
     parser = _Parser(prog="relcomplex", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for group, summary in _GROUPS.items():
-        if named and group != named[0]:
-            continue
         p = top.add_parser(group, help=summary)
         if group == "homology":  # `homology --complex F` sits beside `homology same`
             p.add_argument("--complex")
             p.set_defaults(handler=_cmd_homology)
         groups[group] = p.add_subparsers(dest="subcommand", required=group != "homology")
     for (group, name), (options, handler) in _ROWS.items():
-        if named and (group, name) != named:
-            continue
         p = groups[group].add_parser(name)
         for option in options:
             p.add_argument(option, required=True, choices=_CHOICES.get(option))
         p.set_defaults(handler=handler)
-    _PARSERS[named] = parser
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _match(argv) or _build_parser(argv).parse_args(argv)
+        args = _match(argv) or _build_parser().parse_args(argv)
         report = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from operator import and_, or_
 from typing import Iterable, Optional, Tuple
 
 from .collapses import greedy_collapse
+from .complexes import _Frozen
 from .errors import EmptyFiberError, NotClosedError
 from .homology import homology
 from .posets import (
@@ -58,27 +59,17 @@ def closedness_witness(
     return None
 
 
-class ClosedRelation:
+class ClosedRelation(_Frozen):
     """A validated closed relation between two posets."""
 
-    __slots__ = ("x_poset", "y_poset", "pairs")
+    __slots__ = _fields = ("x_poset", "y_poset", "pairs")
 
     def __init__(self, x_poset: Poset, y_poset: Poset, pairs: Iterable[Tuple[str, str]]):
         pairs = [(x, y) for x, y in pairs]  # labels are checked in input order
         witness = closedness_witness(pairs, x_poset, y_poset)
         if witness is not None:
             raise NotClosedError(*witness)
-        self.x_poset = x_poset
-        self.y_poset = y_poset
-        self.pairs = frozenset(pairs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClosedRelation)
-            and self.x_poset == other.x_poset
-            and self.y_poset == other.y_poset
-            and self.pairs == other.pairs
-        )
+        self._set(x_poset=x_poset, y_poset=y_poset, pairs=frozenset(pairs))
 
     def __repr__(self) -> str:
         return f"ClosedRelation({len(self.pairs)} pairs)"
@@ -114,9 +105,9 @@ def weak_hypothesis(rel: ClosedRelation) -> dict:
     holds = True
     for side, element, sub in _iter_fibers(rel):
         top = maximum(sub)
-        entry = {"side": side, "element": element, "elements": sorted(sub.labels()), "maximum": top}
+        entry = {"side": side, "element": element, "elements": list(sub.labels()), "maximum": top}
         if top is None:
-            entry["maximal"] = sorted(maximal_elements(sub))
+            entry["maximal"] = list(maximal_elements(sub))
             holds = False
         fibers.append(entry)
     return {"hypothesis": "weak", "holds": holds, "fibers": fibers}

@@ -7,8 +7,9 @@ of an n-vertex universe; only this module knows that convention.  Index
 tuples (strictly increasing) and labels are views made at the public
 boundary, by ``Universe``.  Among faces of one size descending mask order is
 lexicographic order: the first vertex where two faces differ is the highest
-bit where their masks do.  All values are immutable and all operations are
-pure, so they can be shared freely across workers.
+bit where their masks do.  All values are immutable, since every value class
+of the package derives from ``_Frozen``, and all operations are pure, so they
+can be shared freely across workers.
 
 ``SimplicialComplex(...)`` validates a face set of index tuples given from
 outside.  Builders whose face set is closed by construction go through the
@@ -56,10 +57,13 @@ def _require_labels(labels) -> None:
 
 
 class _Frozen:
-    """A value that cannot change once built, like a frozen dataclass: ``_fields``
-    names its constructor's arguments in order, for ``repr`` and for copies and
-    pickles, and ``==`` and ``hash`` read ``_key()``, all of them unless a class
-    says less.  A constructor sets its slots through ``_set``."""
+    """A value that cannot change once built, like a frozen dataclass, and the base
+    of every value class of the package: ``_fields`` names its constructor's
+    arguments in order, for ``repr`` and for copies and pickles, and ``==`` and
+    ``hash`` read ``_key()``, all of them unless a class says otherwise (a class
+    whose equality reads a stored form overrides ``_key``).  A constructor, or a
+    trusted builder, sets its slots with one ``_set`` call; a lazy cache starts
+    as None and is filled through ``_set`` too."""
 
     __slots__ = ()
 
@@ -88,7 +92,7 @@ class _Frozen:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-class Universe:
+class Universe(_Frozen):
     """An immutable vertex label set with a label <-> dense index bijection.
 
     Labels are interned in sorted order, so "least index" tie-breaking is
@@ -96,13 +100,13 @@ class Universe:
     """
 
     __slots__ = ("labels", "_index", "_bit")
+    _fields = ("labels",)
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
         _require_labels(labels)
-        self.labels: tuple = tuple(sorted(set(labels)))
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._bit = None
+        labels = tuple(sorted(set(labels)))
+        self._set(labels=labels, _index={lab: i for i, lab in enumerate(labels)}, _bit=None)
 
     def index(self, label: str) -> int:
         try:
@@ -123,7 +127,7 @@ class Universe:
     def _bits(self) -> tuple:
         """The mask bit of each index, built on first use: vertex i is bit n - 1 - i."""
         if self._bit is None:
-            self._bit = tuple(1 << i for i in range(len(self.labels) - 1, -1, -1))
+            self._set(_bit=tuple(1 << i for i in range(len(self.labels) - 1, -1, -1)))
         return self._bit
 
     def _encode(self, face: Face) -> int:
@@ -184,17 +188,11 @@ class Universe:
     def __iter__(self):
         return iter(self.labels)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Universe) and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
-
     def __repr__(self) -> str:
         return f"Universe({list(self.labels)!r})"
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A downward-closed set of nonempty faces over a vertex universe.
 
     The universe may be larger than the vertex set (vertices are the
@@ -203,6 +201,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("universe", "_masks", "_faces", "_facet_masks", "_facets", "_graded", "_label_faces")
+    _fields = ("universe", "faces")
 
     def __init__(self, universe: Universe, faces: Iterable[Face]):
         faces = frozenset(tuple(f) for f in faces)
@@ -220,10 +219,8 @@ class SimplicialComplex:
                         raise ValueError(
                             f"face set is not downward closed: {face} present, {sub} missing"
                         )
-        self.universe = universe
-        self._masks = frozenset(map(universe._encode, faces))
-        self._faces = faces
-        self._facet_masks = self._facets = self._graded = self._label_faces = None
+        self._set(universe=universe, _masks=frozenset(map(universe._encode, faces)), _faces=faces,
+                  _facet_masks=None, _facets=None, _graded=None, _label_faces=None)
 
     @classmethod
     def _trusted(cls, universe: Universe, masks, facet_masks=None) -> "SimplicialComplex":
@@ -234,17 +231,15 @@ class SimplicialComplex:
         inclusion-maximal faces, decoded when ``facets()`` is first called.
         """
         k = cls.__new__(cls)
-        k.universe = universe
-        k._masks = frozenset(masks)
-        k._facet_masks = facet_masks
-        k._faces = k._facets = k._graded = k._label_faces = None
+        k._set(universe=universe, _masks=frozenset(masks), _faces=None,
+               _facet_masks=facet_masks, _facets=None, _graded=None, _label_faces=None)
         return k
 
     @property
     def faces(self) -> frozenset:
         """Every face as an index tuple, decoded once, on first use."""
         if self._faces is None:
-            self._faces = frozenset(map(self.universe._face, self._masks))
+            self._set(_faces=frozenset(map(self.universe._face, self._masks)))
         return self._faces
 
     @property
@@ -262,7 +257,7 @@ class SimplicialComplex:
             sized = {}
             for face in self._masks:
                 sized.setdefault(face.bit_count(), []).append(face)
-            self._graded = tuple(tuple(sorted(sized[n], reverse=True)) for n in range(1, len(sized) + 1))
+            self._set(_graded=tuple(tuple(sorted(sized[n], reverse=True)) for n in range(1, len(sized) + 1)))
         return self._graded
 
     def dimension(self) -> int:
@@ -297,13 +292,13 @@ class SimplicialComplex:
                     low = rest & -rest
                     marked.add(face ^ low)
                     rest ^= low
-            self._facet_masks = self._masks - marked
+            self._set(_facet_masks=self._masks - marked)
         return self._facet_masks
 
     def facets(self) -> tuple:
         """Inclusion-maximal faces in lexicographic order."""
         if self._facets is None:
-            self._facets = tuple(sorted(map(self.universe._face, self._tops())))
+            self._set(_facets=tuple(sorted(map(self.universe._face, self._tops()))))
         return self._facets
 
     def facet_labels(self) -> tuple:
@@ -315,7 +310,7 @@ class SimplicialComplex:
     def label_faces(self) -> frozenset:
         """Faces as sorted label tuples (comparable across universes)."""
         if self._label_faces is None:
-            self._label_faces = frozenset(map(self.universe._labels, self._masks))
+            self._set(_label_faces=frozenset(map(self.universe._labels, self._masks)))
         return self._label_faces
 
     def has_face_labels(self, labels: Iterable[str]) -> bool:
@@ -324,15 +319,8 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum(1 if f.bit_count() % 2 else -1 for f in self._masks)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.universe == other.universe
-            and self._masks == other._masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self._masks))
+    def _key(self) -> tuple:  # the face masks, not the decoded faces
+        return self.universe, self._masks
 
     def __repr__(self) -> str:
         return (
@@ -341,10 +329,11 @@ class SimplicialComplex:
         )
 
 
-class VertexMap:
-    """A total label assignment between universes, inducing maps of complexes."""
+class VertexMap(_Frozen):
+    """A total label assignment between universes, inducing maps of complexes;
+    unhashable, since it holds a dict."""
 
-    __slots__ = ("domain", "codomain", "mapping")
+    __slots__ = _fields = ("domain", "codomain", "mapping")
 
     def __init__(self, domain: Universe, codomain: Universe, mapping: Mapping[str, str]):
         for src, dst in mapping.items():
@@ -352,20 +341,10 @@ class VertexMap:
                 raise UnknownVertexError(src)
             if dst not in codomain:
                 raise UnknownVertexError(dst)
-        self.domain = domain
-        self.codomain = codomain
-        self.mapping = dict(mapping)
+        self._set(domain=domain, codomain=codomain, mapping=dict(mapping))
 
     def __getitem__(self, label: str) -> str:
         return self.mapping[label]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexMap)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.mapping == other.mapping
-        )
 
     def __repr__(self) -> str:
         return f"VertexMap({self.mapping!r})"

@@ -49,7 +49,7 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Iterable, Optional, Tuple
 
-from .complexes import _MAX_FACES, SimplicialComplex, Universe, _spanned
+from .complexes import _MAX_FACES, SimplicialComplex, Universe, _Frozen, _spanned
 from .errors import (
     AmbiguousLabelError,
     CycleDetectedError,
@@ -65,7 +65,7 @@ from .errors import (
 from .relations import Relation, _bits, _membership, _transpose
 
 
-class Poset:
+class Poset(_Frozen):
     """A finite partial order over a label universe.
 
     ``up[i]`` is the bitmask of elements above (and including) i and
@@ -74,6 +74,7 @@ class Poset:
     """
 
     __slots__ = ("elements", "up", "down")
+    _fields = ("elements", "up")
 
     def __init__(self, elements: Universe, up: Tuple[int, ...]):
         n = len(elements)
@@ -87,18 +88,16 @@ class Poset:
                     raise ValueError("order must be antisymmetric")
                 if up[j] & ~up[i]:
                     raise ValueError("order must be transitive")
-        self.elements = elements
-        self.up = tuple(up)
-        self.down = _transpose(self.up, n)
+        up = tuple(up)
+        self._set(elements=elements, up=up, down=_transpose(up, n))
 
     @classmethod
     def _trusted(cls, elements: Universe, up, down=None) -> "Poset":
         """The partial order ``up``, known by construction; ``down`` is its
         transpose, computed when not given."""
+        up = tuple(up)
         p = cls.__new__(cls)
-        p.elements = elements
-        p.up = tuple(up)
-        p.down = _transpose(p.up, len(p.up)) if down is None else tuple(down)
+        p._set(elements=elements, up=up, down=_transpose(up, len(up)) if down is None else tuple(down))
         return p
 
     def __len__(self) -> int:
@@ -131,20 +130,11 @@ class Poset:
                 between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
                 if not between:
                     covers.append((labs[i], labs[j]))
-        return tuple(sorted(covers))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poset)
-            and self.elements == other.elements
-            and self.up == other.up
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.up))
+        return tuple(covers)  # in (i, j) order, which is label order
 
     def __repr__(self) -> str:
-        return f"Poset({list(self.elements.labels)!r}, {len(self.strict_pairs())} strict pairs)"
+        strict = sum(map(int.bit_count, self.up)) - len(self)
+        return f"Poset({list(self.elements.labels)!r}, {strict} strict pairs)"
 
 
 def _witness_cycle(universe: Universe, edges, i: int, j: int) -> tuple:
@@ -375,7 +365,7 @@ def connected_components(p: Poset) -> tuple:
             grown = reduce(or_, [comp[j] for j in _bits(mask)])
         seen |= mask
         out.append(tuple(p.elements.label(j) for j in _bits(mask)))
-    return tuple(sorted(out))
+    return tuple(out)  # each found from its least element, so already in order
 
 
 def singleton_component_witness(p: Poset) -> Optional[str]:
@@ -386,10 +376,11 @@ def singleton_component_witness(p: Poset) -> Optional[str]:
     return None
 
 
-class FiniteTopology:
+class FiniteTopology(_Frozen):
     """A finite space with every open set, and each point's minimal open, stored as masks."""
 
     __slots__ = ("points", "opens", "_mins")
+    _fields = ("points", "opens")
 
     def __init__(self, points: Universe, opens: Iterable[Iterable[str]]):
         if not isinstance(points, Universe):
@@ -416,17 +407,13 @@ class FiniteTopology:
                     raise InvalidTopologyError("open sets must be closed under union")
                 if a & b not in masks:
                     raise InvalidTopologyError("open sets must be closed under intersection")
-        self.points = points
-        self.opens = frozenset(masks)
-        self._mins = tuple(mins)
+        self._set(points=points, opens=frozenset(masks), _mins=tuple(mins))
 
     @classmethod
     def _trusted(cls, points: Universe, masks, mins) -> "FiniteTopology":
         """A topology over ``masks``, known by construction, with minimal opens ``mins``."""
         t = cls.__new__(cls)
-        t.points = points
-        t.opens = frozenset(masks)
-        t._mins = tuple(mins)
+        t._set(points=points, opens=frozenset(masks), _mins=tuple(mins))
         return t
 
     def open_label_sets(self) -> tuple:
@@ -448,15 +435,8 @@ class FiniteTopology:
                 return (self.points.label(i), self.points.label(j))
         return None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteTopology)
-            and self.points == other.points
-            and self.opens == other.opens
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.points, self.opens))
+    def __reduce__(self):  # the constructor takes label sets, not masks
+        return type(self), (self.points, self.open_label_sets())
 
     def __repr__(self) -> str:
         return f"FiniteTopology({len(self.points)} points, {len(self.opens)} opens)"

@@ -56,10 +56,11 @@ def _transpose(rows, width: int) -> tuple:
     return tuple(cols)
 
 
-class Relation:
+class Relation(_Frozen):
     """An immutable subset of X x Y over two label universes."""
 
     __slots__ = ("x_universe", "y_universe", "_supports")
+    _fields = ("x_universe", "y_universe", "pairs")
 
     def __init__(self, x_universe, y_universe, pairs: Iterable[Tuple[str, str]]):
         if not isinstance(x_universe, Universe):
@@ -75,18 +76,14 @@ class Relation:
                 supports[yi[y]] |= 1 << xi[x]
         except KeyError:  # the pair that failed is the first with an unknown label
             raise UnknownVertexError(x if x not in xi else y) from None
-        self.x_universe = x_universe
-        self.y_universe = y_universe
-        self._supports = tuple(supports)
+        self._set(x_universe=x_universe, y_universe=y_universe, _supports=tuple(supports))
 
     @classmethod
     def _trusted(cls, x_universe: Universe, y_universe: Universe, supports) -> "Relation":
         """A relation over nonempty universes with ``supports`` known by
         construction: one x index-set mask per y, in y index order."""
         r = cls.__new__(cls)
-        r.x_universe = x_universe
-        r.y_universe = y_universe
-        r._supports = tuple(supports)
+        r._set(x_universe=x_universe, y_universe=y_universe, _supports=tuple(supports))
         return r
 
     @property
@@ -103,16 +100,8 @@ class Relation:
         """Sorted labels of all x related to ``y`` (possibly empty)."""
         return self.x_universe.face_labels(_bits(self._supports[self.y_universe.index(y)]))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Relation)
-            and self.x_universe == other.x_universe
-            and self.y_universe == other.y_universe
-            and self._supports == other._supports
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x_universe, self.y_universe, self._supports))
+    def _key(self) -> tuple:  # the supports, not the decoded pairs
+        return self.x_universe, self.y_universe, self._supports
 
     def __repr__(self) -> str:
         size = f"{len(self.x_universe)}x{len(self.y_universe)}"
@@ -206,7 +195,7 @@ class RelationMorphism(_Frozen):
     def __init__(self, source: Relation, target: Relation, assignment: dict):
         if not is_morphism(assignment, source, target):
             raise ValueError("assignment violates the morphism law")
-        self._set(source=source, target=target, assignment=assignment)
+        self._set(source=source, target=target, assignment=dict(assignment))
 
     def _key(self) -> tuple:  # the assignment is not compared
         return self.source, self.target

@@ -21,6 +21,7 @@ import pytest
 
 import relcomplex as rc
 from relcomplex import cli
+from relcomplex.complexes import _Frozen
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,12 +119,37 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def _value_classes():
-    """(build, repr) for each value class that was a frozen dataclass; ``build()``
-    makes a new value equal to the last one each time it is called."""
+    """(build, repr) for each value class of the package; ``build()`` makes a new
+    value equal to the last one each time it is called."""
     k = rc.complex_from_facets("abc", [("a", "b", "c")])
     r = rc.Relation(["1"], ["u", "v"], [("1", "u"), ("1", "v")])
     step = "CollapseStep(free_face=('a', 'b'), coface=('a', 'b', 'c'))"
+
+    def chain():
+        return rc.poset_from_pairs("ba", [("a", "b")])
+
     return {
+        "Universe": (lambda: rc.Universe(["c", "a", "b", "a"]), "Universe(['a', 'b', 'c'])"),
+        "SimplicialComplex": (
+            lambda: rc.SimplicialComplex(rc.Universe("abc"), [(0,), (1,), (0, 1)]),
+            "SimplicialComplex(3 vertices, 3 faces, dim 1)",
+        ),
+        "VertexMap": (
+            lambda: rc.VertexMap(rc.Universe("ab"), rc.Universe("xy"), {"b": "x", "a": "y"}),
+            "VertexMap({'b': 'x', 'a': 'y'})",
+        ),
+        "Relation": (lambda: rc.Relation(["1", "2"], ["u"], [("2", "u"), ("1", "u")]), "Relation(2x1, 2 pairs)"),
+        "Poset": (chain, "Poset(['a', 'b'], 1 strict pairs)"),
+        "FiniteTopology": (lambda: rc.FiniteTopology("ab", [["b", "a"], ["a"]]), "FiniteTopology(2 points, 3 opens)"),
+        "ClosedRelation": (
+            lambda: rc.ClosedRelation(chain(), chain(), [("b", "a"), ("a", "b"), ("b", "b")]),
+            "ClosedRelation(3 pairs)",
+        ),
+        "Document": (
+            lambda: rc.formats.parse("poset p\nelement b\nelement a\nle a b\nelement b\n"),
+            "Document(kind='poset', name='p', records=(('element', 'a'), ('element', 'b'), "
+            "('le', 'a', 'b')), header_line=1)",
+        ),
         "CollapseStep": (lambda: rc.CollapseStep(("b", "a"), ("c", "a", "b")), step),
         "CollapseSequence": (
             lambda: rc.CollapseSequence(k, [rc.CollapseStep(("a", "b"), ("a", "b", "c"))]),
@@ -143,21 +169,136 @@ def _value_classes():
 VALUE_CLASSES = _value_classes()
 
 
+def _variants():
+    """For each value class, one value per field that equality reads, differing
+    from ``VALUE_CLASSES``' value in that field; then, for the fields that
+    equality ignores, a value differing only there."""
+    k = rc.complex_from_facets("abc", [("a", "b", "c")])
+    step = rc.CollapseStep(("a", "b"), ("a", "b", "c"))
+    r = rc.Relation(["1"], ["u", "v"], [("1", "u"), ("1", "v")])
+    u = rc.Relation(["1"], ["u"], [("1", "u")])
+    chain = rc.poset_from_pairs("ba", [("a", "b")])
+    closed = [("b", "a"), ("a", "b"), ("b", "b")]
+    records = [("element", "a"), ("element", "b"), ("le", "a", "b")]
+    unequal = {
+        "Universe": {"labels": rc.Universe("abd")},
+        "SimplicialComplex": {
+            "universe": rc.SimplicialComplex(rc.Universe("abd"), [(0,), (1,), (0, 1)]),
+            "faces": rc.SimplicialComplex(rc.Universe("abc"), [(0,), (1,), (2,)]),
+        },
+        "VertexMap": {
+            "domain": rc.VertexMap(rc.Universe("ac"), rc.Universe("xy"), {"c": "x", "a": "y"}),
+            "codomain": rc.VertexMap(rc.Universe("ab"), rc.Universe("xyz"), {"b": "x", "a": "y"}),
+            "mapping": rc.VertexMap(rc.Universe("ab"), rc.Universe("xy"), {"b": "y", "a": "x"}),
+        },
+        "Relation": {
+            "x_universe": rc.Relation(["1", "3"], ["u"], [("3", "u"), ("1", "u")]),  # the same supports
+            "y_universe": rc.Relation(["1", "2"], ["w"], [("2", "w"), ("1", "w")]),
+            "pairs": rc.Relation(["1", "2"], ["u"], [("1", "u")]),
+        },
+        "Poset": {"elements": rc.poset_from_pairs("abc", [("a", "b")]), "up": rc.poset_from_pairs("ab", [])},
+        "FiniteTopology": {
+            "points": rc.FiniteTopology("abc", [["a", "b", "c"], ["a"]]),
+            "opens": rc.FiniteTopology("ab", [["a", "b"], ["b"]]),
+        },
+        "ClosedRelation": {
+            "x_poset": rc.ClosedRelation(rc.poset_from_pairs("ab", []), chain, closed),
+            "y_poset": rc.ClosedRelation(chain, rc.poset_from_pairs("abc", [("a", "b")]), closed),
+            "pairs": rc.ClosedRelation(chain, chain, [("b", "b")]),
+        },
+        "Document": {  # a kind has its own keywords, so the records differ too
+            "kind": rc.formats.Document("space", "p", [("point", "a"), ("point", "b")]),
+            "name": rc.formats.Document("poset", "q", records),
+            "records": rc.formats.Document("poset", "p", records[:2]),
+        },
+        "CollapseStep": {
+            "free_face": rc.CollapseStep(("a", "c"), ("a", "b", "c")),
+            "coface": rc.CollapseStep(("a", "b"), ("a", "b", "d")),
+        },
+        "CollapseSequence": {
+            "initial": rc.CollapseSequence(rc.complex_from_facets("abcd", [("a", "b", "c"), ("d",)]), [step]),
+            "steps": rc.CollapseSequence(k, []),
+        },
+        "IntegerMatrix": {
+            "rows": rc.IntegerMatrix(2, 2, [[1, -1], [0, 0]]),
+            "cols": rc.IntegerMatrix(1, 3, [[1, -1, 0]]),
+            "entries": rc.IntegerMatrix(1, 2, [[1, 1]]),
+        },
+        "HomologyProfile": {
+            "betti": rc.HomologyProfile((2, 0), ((), (2,))),
+            "torsion": rc.HomologyProfile((1, 0), ((), (3,))),
+        },
+        "RelationMorphism": {
+            "source": rc.RelationMorphism(u, r, {"u": "v"}),
+            "target": rc.RelationMorphism(r, u, {"u": "u", "v": "u"}),
+        },
+    }
+    equal = {
+        "Document": {"header_line": rc.formats.Document("poset", "p", records[::-1], header_line=3)},
+        "RelationMorphism": {"assignment": rc.RelationMorphism(r, r, {"u": "v", "v": "u"})},
+    }
+    return unequal, equal
+
+
+UNEQUAL_VARIANTS, EQUAL_VARIANTS = _variants()
+
+
+def _package_classes():
+    """Every class defined in a module of the package, but the exceptions."""
+    for path in sorted((ROOT / "src" / "relcomplex").glob("*.py")):
+        module = importlib.import_module("relcomplex" if path.stem == "__init__" else f"relcomplex.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__ and not issubclass(value, Exception):
+                yield value
+
+
+def test_value_class_table_names_every_value_class():
+    frozen = {cls.__name__ for cls in _package_classes() if issubclass(cls, _Frozen) and cls is not _Frozen}
+    assert frozen == set(VALUE_CLASSES)
+
+
 @pytest.mark.parametrize("name", VALUE_CLASSES)
 def test_value_classes_compare_hash_show_and_stay_frozen(name):
     build, shown = VALUE_CLASSES[name]
     value = build()
-    assert type(value) is getattr(rc, name)
-    assert value == build() and hash(value) == hash(build()) and repr(value) == shown
+    assert type(value).__name__ == name and isinstance(value, _Frozen)
+    assert value == build() and repr(value) == shown
+    if name == "VertexMap":  # it holds a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(build())
     assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    assert repr(copy.deepcopy(value)) == shown
     assert value != object() and value.__eq__(object()) is NotImplemented
-    field = shown[len(name) + 1:].split("=", 1)[0]  # the first field
-    with pytest.raises(AttributeError):
-        setattr(value, field, None)
-    with pytest.raises(AttributeError):
-        delattr(value, field)
-    with pytest.raises(AttributeError):
-        value.other = None
+    slots = {slot for cls in type(value).__mro__ for slot in getattr(cls, "__slots__", ())}
+    for field in sorted(slots) + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == build() and repr(value) == shown
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_values_are_equal_exactly_where_the_compared_fields_are(name):
+    value = VALUE_CLASSES[name][0]()
+    unequal, equal = UNEQUAL_VARIANTS[name], EQUAL_VARIANTS.get(name, {})
+    assert sorted([*unequal, *equal]) == sorted(type(value)._fields)
+    for field, other in unequal.items():
+        assert type(other) is type(value) and getattr(other, field) != getattr(value, field), field
+        assert value != other and other != value and not value == other, field
+    for field, other in equal.items():
+        assert getattr(other, field) != getattr(value, field), field
+        assert value == other and hash(value) == hash(other), field
+
+
+def test_every_slotted_class_is_frozen_and_only_frozen_defines_equality():
+    for cls in _package_classes():
+        if "__slots__" in vars(cls):
+            assert issubclass(cls, _Frozen), cls.__name__
+        if cls is not _Frozen:
+            assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
 
 
 def test_a_morphism_compares_without_its_assignment():
@@ -165,3 +306,13 @@ def test_a_morphism_compares_without_its_assignment():
     swapped = rc.RelationMorphism(r, r, {"u": "v", "v": "u"})
     assert swapped == rc.RelationMorphism(r, r, {"u": "u", "v": "v"})
     assert hash(swapped) == hash(rc.RelationMorphism(r, r, {"u": "u", "v": "v"}))
+
+
+def test_a_checked_map_keeps_its_own_copy_of_the_callers_dict():
+    r = rc.Relation(["1"], ["u", "v"], [("1", "u")])
+    assignment = {"u": "u", "v": "v"}
+    m = rc.RelationMorphism(r, r, assignment)
+    vm = rc.VertexMap(r.y_universe, r.y_universe, assignment)
+    assignment["u"] = "v"  # sends u, related to 1, to v, related to nothing
+    assert not rc.is_morphism(assignment, r, r)
+    assert m.assignment == vm.mapping == {"u": "u", "v": "v"}

@@ -11,6 +11,8 @@ SPEC = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
 
+BOUNDS = {"jobs_per_s": 0.25, "latency_p50_ms": 0.25, "setup_s": 0.25}
+
 
 def test_medians_ratio_and_wins_follow_each_metric_direction():
     pairs = [
@@ -18,18 +20,18 @@ def test_medians_ratio_and_wins_follow_each_metric_direction():
         ({"jobs_per_s": 520, "latency_p50_ms": 1.4}, {"jobs_per_s": 510, "latency_p50_ms": 1.4}),
         ({"jobs_per_s": 540, "latency_p50_ms": 1.6}, {"jobs_per_s": 700, "latency_p50_ms": 1.3}),
     ]
-    rows = bench_pairs.summarize(pairs, {"jobs_per_s": "higher", "latency_p50_ms": "lower"})
+    rows = bench_pairs.summarize(pairs, {"jobs_per_s": "higher", "latency_p50_ms": "lower"}, BOUNDS)
     assert [row[0] for row in rows] == ["jobs_per_s", "latency_p50_ms"]
-    (_, before, after, ratio, wins, n, claimable), latency = rows
+    (_, before, after, ratio, wins, n, claimable, _), latency = rows
     assert (before, after, wins, n, claimable) == ((510, 520, 530), (555, 600, 650), 2, 3, False)
     assert math.isclose(ratio, 600 / 520)
     # a tie is not a win
-    assert (latency[1][1], latency[2][1]) == (1.5, 1.3) and latency[4:] == (2, 3, False)
+    assert (latency[1][1], latency[2][1]) == (1.5, 1.3) and latency[4:7] == (2, 3, False)
 
 
 def test_an_even_number_of_pairs_takes_the_middle_mean():
     pairs = [({"setup_s": s}, {"setup_s": s / 2}) for s in (0.1, 0.3)]
-    [(_, before, after, ratio, wins, n, claimable)] = bench_pairs.summarize(pairs, {"setup_s": "lower"})
+    [(_, before, after, ratio, wins, n, claimable, _)] = bench_pairs.summarize(pairs, {"setup_s": "lower"}, BOUNDS)
     assert math.isclose(before[1], 0.2) and math.isclose(after[1], 0.1) and math.isclose(ratio, 0.5)
     assert (wins, n, claimable) == (2, 2, False)
 
@@ -53,7 +55,7 @@ def test_a_gain_is_claimable_past_nine_wins_in_ten_and_the_parents_quartiles():
         "eight wins": [p + 5 for p in parent[:8]] + [p - 1 for p in parent[8:]],
         "ten wins, median up by 4": [p + 4 for p in parent],
     }
-    got = {case: [row[-1] for row in bench_pairs.summarize(_ten_pairs(parent, head), better)]
+    got = {case: [row[6] for row in bench_pairs.summarize(_ten_pairs(parent, head), better, BOUNDS)]
            for case, head in claim.items()}
     assert got == {
         "ten wins, median up by 5": [True, True],
@@ -62,9 +64,31 @@ def test_a_gain_is_claimable_past_nine_wins_in_ten_and_the_parents_quartiles():
         "ten wins, median up by 4": [False, False],
     }
     # every pair won by far, but fewer than ten pairs
-    assert bench_pairs.summarize(_ten_pairs(parent[:9], [p * 2 for p in parent[:9]]), better)[0][-1] is False
+    assert bench_pairs.summarize(_ten_pairs(parent[:9], [p * 2 for p in parent[:9]]), better, BOUNDS)[0][6] is False
     # a loss in every pair is never claimable
-    assert bench_pairs.summarize(_ten_pairs(parent, [p - 50 for p in parent]), better)[0][-1] is False
+    assert bench_pairs.summarize(_ten_pairs(parent, [p - 50 for p in parent]), better, BOUNDS)[0][6] is False
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # median 104.5
+    assert bench_pairs.verdict(parent, [p - 10 for p in parent], "higher", 0.1) == "held"  # 10 < 10.45
+    assert bench_pairs.verdict(parent, [p - 11 for p in parent], "higher", 0.1) == "regressed"
+    assert bench_pairs.verdict(parent, [p + 11 for p in parent], "lower", 0.1) == "regressed"
+    assert bench_pairs.verdict(parent, [p - 11 for p in parent], "lower", 0.1) == "held"
+    # a regression is one even where the parent's spread is wide
+    assert bench_pairs.verdict(parent, [p - 11 for p in parent], "higher", 0.01) == "regressed"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_beats_the_parent():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 102.25 and 106.75
+    # 4.5 / 104.5 is past a bound of 4 %, within one of 5 %
+    assert bench_pairs.verdict(parent, parent, "higher", 0.04) == "unresolved"
+    assert bench_pairs.verdict(parent, parent, "higher", 0.05) == "held"
+    assert bench_pairs.verdict(parent, [p + 1 for p in parent], "higher", 0.04) == "unresolved"
+    assert bench_pairs.verdict(parent, [110] * 10, "higher", 0.04) == "held"
+    assert bench_pairs.verdict(parent, [109] * 10, "higher", 0.04) == "unresolved"  # ties the best run
+    assert bench_pairs.verdict(parent, [99] * 10, "lower", 0.04) == "held"
+    assert bench_pairs.verdict(parent, [105] * 10, "lower", 0.04) == "unresolved"
 
 
 def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tmp_path):
@@ -74,6 +98,8 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
     names = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
     wins = [("2/2" if m["better"] == "higher" else "0/2") for m in bench["end_to_end"]]
+    # this tree doubles every metric: a gain where higher is better, else a regression past every bound
+    verdicts = [("held" if m["better"] == "higher" else "regressed") for m in bench["end_to_end"]]
     calls = []
 
     def fake_run(tree, workload, seed, seconds):
@@ -88,11 +114,12 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
     assert [t.splitlines()[0] for t in tables] == [f"{w}: 2 pairs from seed 5, 8 s each" for w in names]
     for t in tables:
         rows = [r.split() for r in t.splitlines()[2:]]
-        assert rows == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "no"] for name, won in zip(metrics, wins)]
+        assert rows == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "no", held]
+                        for name, won, held in zip(metrics, wins, verdicts)]
 
 
 def test_one_workload_prints_one_table(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, workload, seed, seconds: {"jobs_per_s": 1.0})
-    monkeypatch.setattr(bench_pairs, "summarize", lambda runs, better: [])
+    monkeypatch.setattr(bench_pairs, "summarize", lambda runs, better, bounds: [])
     bench_pairs.main(["--workload", "cli-files", "--pairs", "1", "--seed", "3", "--parent-tree", str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[0] == "cli-files: 1 pairs from seed 3, 8 s each"

@@ -903,27 +903,6 @@ def argv_forms(group, name, options):
 ROWS = [(group, name, options) for group, name, options, *_ in cli._COMMANDS]
 
 
-class TestReducedParser:
-    """A parser built for one command parses that command as the whole tree
-    does, and nothing else."""
-
-    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
-    def test_same_outcome_as_the_whole_tree(self, capsys, monkeypatch, group, name, options):
-        monkeypatch.setenv("COLUMNS", "80")
-        for argv in argv_forms(group, name, options):
-            reduced = parse(cli._build_parser(argv), argv), capsys.readouterr()
-            whole = parse(cli._build_parser(()), argv), capsys.readouterr()
-            assert reduced == whole, argv
-
-    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
-    def test_rejects_every_other_command(self, group, name, options):
-        parser = cli._build_parser([group, name, *command_argv(options)])
-        for other in ROWS:
-            if other[:2] != (group, name):
-                argv = [*other[:2], *command_argv(other[2])]
-                assert parse(parser, argv)[0] == "usage error", argv
-
-
 def matcher_forms(group, name, options):
     """argv of one row that the matcher might misread: ``argv_forms``, then the
     first option as ``--option=value``, abbreviated and repeated, the options
@@ -954,7 +933,7 @@ class TestMatcher:
             args = cli._match(argv)
             if args is not None:
                 matched.append(argv)
-                expected = parse(cli._build_parser(argv), argv)
+                expected = parse(cli._build_parser(), argv)
                 assert ("namespace", {**vars(args), "handler": calls(args.handler)}) == expected, argv
         complete = [group, name, *command_argv(options)]
         pairs = [complete[i:i + 2] for i in range(2, len(complete), 2)]
@@ -962,8 +941,15 @@ class TestMatcher:
         assert matched == [complete, reordered, [*complete[:3], "", *complete[4:]]]
 
     @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
+    def test_the_options_of_another_command_are_a_usage_error(self, group, name, options):
+        for other in sorted({tuple(row[2]) for row in ROWS} - {tuple(options)}):
+            argv = [group, name, *command_argv(other)]
+            assert cli._match(argv) is None, argv
+            assert parse(cli._build_parser(), argv)[0] == "usage error", argv
+
+    @pytest.mark.parametrize("group, name, options", ROWS, ids=[f"{g} {n}" for g, n, _ in ROWS])
     def test_canonical_argv_needs_no_parser(self, capsys, monkeypatch, tmp_path, group, name, options):
-        def refuse(argv):
+        def refuse():
             raise AssertionError("the parser was built")
 
         monkeypatch.setattr(cli, "_build_parser", refuse)
@@ -1002,13 +988,13 @@ def outcome(capsys, argv):
 
 
 class TestCachedParsers:
-    """A parser is built once per command and process, and later calls give
-    the bytes that the first one gave."""
+    """The parser is built once per process, and later calls give the bytes
+    that the first one gave."""
 
     @pytest.mark.parametrize("row", USAGE, ids=[" ".join(r["argv"]) for r in USAGE])
     def test_each_usage_row_twice(self, capsys, monkeypatch, row):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.setattr(cli, "_PARSERS", {})
+        cli._build_parser.cache_clear()
         first = outcome(capsys, row["argv"])
         assert outcome(capsys, ["verify", "dowker", "--relation", "circle4_leq.relation"])[0] == 0
         assert outcome(capsys, ["dowker", "k"])[0] == 1
@@ -1018,16 +1004,14 @@ class TestCachedParsers:
         ["--help"], ["poset", "--help"], ["homology", "--help"], ["closed", "verify", "--help"],
     ])
     def test_help_is_laid_out_at_the_current_width(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "_PARSERS", {})
+        cli._build_parser.cache_clear()
         monkeypatch.setenv("COLUMNS", "80")
         wide = outcome(capsys, argv)
         monkeypatch.setenv("COLUMNS", "40")
         narrow = outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_PARSERS", {})
+        cli._build_parser.cache_clear()
         assert narrow == outcome(capsys, argv)
         assert narrow != wide
 
-    def test_one_parser_per_command(self):
-        assert cli._build_parser(["dowker", "k"]) is cli._build_parser(["dowker", "k", "--relation", "F"])
-        assert cli._build_parser(["--help"]) is cli._build_parser(["bogus"])
-        assert cli._build_parser(["dowker", "k"]) is not cli._build_parser(["dowker", "l"])
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()

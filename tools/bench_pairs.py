@@ -12,9 +12,10 @@ add`` into a temporary directory, which is removed afterwards; or
 tree first in odd ones.  The script prints each end-to-end metric's
 quartiles on both sides, the ratio of the medians (this tree over the
 parent), the pairs this tree won, by the direction ``BENCHMARK.json``
-gives, and whether the gain is claimable: won in at least 9 of every 10
+gives, whether the gain is claimable: won in at least 9 of every 10
 pairs, of at least 10, with the median better by more than the distance
-between the parent's quartiles.  ``--workload all``
+between the parent's quartiles, and the no-regression verdict against the
+metric's ``bound`` in ``BENCHMARK.json`` (see ``verdict``).  ``--workload all``
 runs every workload ``BENCHMARK.json`` lists, one after another from the
 same first seed, and prints one table for each.  It writes nothing
 itself; ``bench/run.py`` leaves its detail files in each tree's
@@ -43,10 +44,30 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs, better: dict) -> list:
+def verdict(parent, head, direction: str, bound: float) -> str:
+    """Whether this tree's runs ``head`` hold the metric against the parent's
+    runs ``parent``, within ``bound``, a share of the parent's median:
+
+    - "regressed": the median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    - "unresolved": else, when the parent's quartile distance over its median
+      exceeds ``bound``, unless every run of this tree beats every parent run;
+    - "held": otherwise.
+    """
+    before, after = quartiles(parent), quartiles(head)
+    worse = before[1] - after[1] if direction == "higher" else after[1] - before[1]
+    if worse > bound * abs(before[1]):
+        return "regressed"
+    beats_all = min(head) > max(parent) if direction == "higher" else max(head) < min(parent)
+    if before[2] - before[0] > bound * abs(before[1]) and not beats_all:
+        return "unresolved"
+    return "held"
+
+
+def summarize(pairs, better: dict, bounds: dict) -> list:
     """One row per metric of ``better`` (name -> "higher" or "lower"): (name,
     the parent's quartiles, this tree's quartiles, ratio, wins, pairs,
-    claimable).
+    claimable, and the ``verdict`` against the metric's bound in ``bounds``).
 
     ``pairs`` is a list of (parent metrics, this tree's metrics), each a dict
     of metric name -> value.  A pair is a win when this tree's value is
@@ -64,7 +85,8 @@ def summarize(pairs, better: dict) -> list:
         gain = after[1] - before[1] if direction == "higher" else before[1] - after[1]
         claimable = len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gain > before[2] - before[0]
         ratio = after[1] / before[1] if before[1] else float("nan")
-        rows.append((name, before, after, ratio, wins, len(pairs), claimable))
+        status = verdict(parent, head, direction, bounds[name])
+        rows.append((name, before, after, ratio, wins, len(pairs), claimable, status))
     return rows
 
 
@@ -95,13 +117,13 @@ def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float) 
     return runs
 
 
-def table(workload: str, runs: list, better: dict, seed: int, seconds: float) -> str:
+def table(workload: str, runs: list, better: dict, bounds: dict, seed: int, seconds: float) -> str:
     lines = [f"{workload}: {len(runs)} pairs from seed {seed}, {seconds:g} s each",
              f"{'metric':<18} {'parent q1':>10} {'median':>10} {'q3':>10} {'this q1':>10} {'median':>10}"
-             f" {'q3':>10} {'ratio':>7}  wins  claimable"]
-    for name, parent, head, ratio, wins, n, claimable in summarize(runs, better):
+             f" {'q3':>10} {'ratio':>7}  wins  claimable  verdict"]
+    for name, parent, head, ratio, wins, n, claimable, status in summarize(runs, better, bounds):
         values = " ".join(f"{v:>10.4g}" for v in (*parent, *head))
-        lines.append(f"{name:<18} {values} {ratio:>7.3f}  {wins}/{n}  {'yes' if claimable else 'no'}")
+        lines.append(f"{name:<18} {values} {ratio:>7.3f}  {wins}/{n}  {'yes' if claimable else 'no':<9}  {status}")
     return "\n".join(lines)
 
 
@@ -117,12 +139,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seed = random.randrange(1, 10**6) if args.seed is None else args.seed
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     names = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
 
     def compare(parent: Path) -> None:
         for i, name in enumerate(names):
             runs = measure(parent, name, args.pairs, seed, args.seconds)
-            print(("\n" if i else "") + table(name, runs, better, seed, args.seconds), flush=True)
+            print(("\n" if i else "") + table(name, runs, better, bounds, seed, args.seconds), flush=True)
 
     if args.parent_tree is not None:
         compare(args.parent_tree.resolve())
