@@ -170,7 +170,8 @@ def _preimage_facets(rel, side, base_k) -> dict:
     for pair in rel.pairs:
         related[here.elements.index(pair[at])] |= 1 << there.elements.index(pair[1 - at])
     facets = []
-    for face, labels in zip(base_k.facets(), base_k.facet_labels()):
+    for face in base_k.facets():
+        labels = base_k.face_labels(face)
         vertices = sorted(pair_label(*pair) for pair in rel.pairs if pair[at] in labels)
         own = [i for i in face if related[i]]  # the side's elements of the preimage
         full = False

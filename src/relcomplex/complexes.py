@@ -1,15 +1,16 @@
 """Abstract simplicial complexes over interned vertex labels.
 
 Vertices are opaque string labels, interned per universe to dense integer
-indices in sorted label order.  A complex stores its full downward-closed
-face set explicitly, each face as an int mask with vertex i at bit n - 1 - i
-of an n-vertex universe; only this module knows that convention.  Index
-tuples (strictly increasing) and labels are views made at the public
-boundary, by ``Universe``.  Among faces of one size descending mask order is
-lexicographic order: the first vertex where two faces differ is the highest
-bit where their masks do.  All values are immutable, since every value class
-of the package derives from ``_Frozen``, and all operations are pure, so they
-can be shared freely across workers.
+indices in sorted label order.  A complex keeps only its face masks, its
+full downward-closed face set with vertex i at bit n - 1 - i of an n-vertex
+universe (a convention only this module knows), and its facet masks; every
+other view is computed on each call.  Index tuples (strictly increasing) and
+labels are views made at the public boundary, by ``Universe``.  Among faces
+of one size descending mask order is lexicographic order: the first vertex
+where two faces differ is the highest bit where their masks do.  All values
+are immutable, since every value class of the package derives from
+``_Frozen``, and all operations are pure, so they can be shared freely
+across workers.
 
 ``SimplicialComplex(...)`` validates a face set of index tuples given from
 outside.  Builders whose face set is closed by construction go through the
@@ -31,7 +32,7 @@ labels they take in are checked by ``Universe``:
 These four set their facets, the maximal input facets or distinct supports,
 through ``_spanned``, which takes index-set masks (index i at bit i) largest
 first and keeps those not yet inside an earlier one, so no kept face lies in
-another.  Every other complex gets the linear marking scan of ``_tops()``.
+another.  The rest fill that one lazy field by the scan of ``_tops()``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class _Frozen:
     arguments in order, for ``repr`` and for copies and pickles, and ``==`` and
     ``hash`` read ``_key()``, all of them unless a class says otherwise (a class
     whose equality reads a stored form overrides ``_key``).  A constructor, or a
-    trusted builder, sets its slots with one ``_set`` call; a lazy cache starts
+    trusted builder, sets its slots with one ``_set`` call; a lazy field starts
     as None and is filled through ``_set`` too."""
 
     __slots__ = ()
@@ -200,7 +201,7 @@ class SimplicialComplex(_Frozen):
     reachable value satisfies it.
     """
 
-    __slots__ = ("universe", "_masks", "_faces", "_facet_masks", "_facets", "_graded", "_label_faces")
+    __slots__ = ("universe", "_masks", "_facet_masks")
     _fields = ("universe", "faces")
 
     def __init__(self, universe: Universe, faces: Iterable[Face]):
@@ -219,8 +220,7 @@ class SimplicialComplex(_Frozen):
                         raise ValueError(
                             f"face set is not downward closed: {face} present, {sub} missing"
                         )
-        self._set(universe=universe, _masks=frozenset(map(universe._encode, faces)), _faces=faces,
-                  _facet_masks=None, _facets=None, _graded=None, _label_faces=None)
+        self._set(universe=universe, _masks=frozenset(map(universe._encode, faces)), _facet_masks=None)
 
     @classmethod
     def _trusted(cls, universe: Universe, masks, facet_masks=None) -> "SimplicialComplex":
@@ -228,19 +228,16 @@ class SimplicialComplex(_Frozen):
 
         Only for face sets downward closed by construction (see the module
         docstring); ``facet_masks``, when given, are the masks of the
-        inclusion-maximal faces, decoded when ``facets()`` is first called.
+        inclusion-maximal faces, which ``_tops()`` then need not find.
         """
         k = cls.__new__(cls)
-        k._set(universe=universe, _masks=frozenset(masks), _faces=None,
-               _facet_masks=facet_masks, _facets=None, _graded=None, _label_faces=None)
+        k._set(universe=universe, _masks=frozenset(masks), _facet_masks=facet_masks)
         return k
 
     @property
     def faces(self) -> frozenset:
-        """Every face as an index tuple, decoded once, on first use."""
-        if self._faces is None:
-            self._set(_faces=frozenset(map(self.universe._face, self._masks)))
-        return self._faces
+        """Every face as an index tuple, decoded on each call."""
+        return frozenset(map(self.universe._face, self._masks))
 
     @property
     def is_empty(self) -> bool:
@@ -252,29 +249,27 @@ class SimplicialComplex(_Frozen):
         return len(self._masks) == 1
 
     def _by_dimension(self) -> tuple:
-        """The face masks of each dimension 0..dim in descending order, computed once."""
-        if self._graded is None:
-            sized = {}
-            for face in self._masks:
-                sized.setdefault(face.bit_count(), []).append(face)
-            self._set(_graded=tuple(tuple(sorted(sized[n], reverse=True)) for n in range(1, len(sized) + 1)))
-        return self._graded
+        """The face masks of each dimension 0..dim in descending order."""
+        sized = {}
+        for face in self._masks:
+            sized.setdefault(face.bit_count(), []).append(face)
+        return tuple(tuple(sorted(sized[n], reverse=True)) for n in range(1, len(sized) + 1))
 
     def dimension(self) -> int:
-        """Max face dimension; -1 for the empty complex."""
-        return len(self._by_dimension()) - 1
+        """Max face dimension, that of the largest facet; -1 for the empty complex."""
+        return max(map(int.bit_count, self._tops()), default=0) - 1
 
     def vertices(self) -> tuple:
-        """Sorted indices of the 0-faces."""
-        return tuple(v for (v,) in self.n_faces(0))
+        """Sorted indices of the 0-faces, the vertices of the facets."""
+        return self.universe._face(reduce(or_, self._tops(), 0))
 
     def vertex_labels(self) -> tuple:
         return tuple(self.universe.label(i) for i in self.vertices())
 
     def n_faces(self, n: int) -> tuple:
         """All n-dimensional faces in lexicographic order."""
-        graded = self._by_dimension()
-        return tuple(map(self.universe._face, graded[n])) if 0 <= n < len(graded) else ()
+        sized = sorted([f for f in self._masks if f.bit_count() == n + 1], reverse=True)
+        return tuple(map(self.universe._face, sized))
 
     def _tops(self) -> Collection[int]:
         """The masks of the inclusion-maximal faces, computed once.
@@ -297,9 +292,7 @@ class SimplicialComplex(_Frozen):
 
     def facets(self) -> tuple:
         """Inclusion-maximal faces in lexicographic order."""
-        if self._facets is None:
-            self._set(_facets=tuple(sorted(map(self.universe._face, self._tops()))))
-        return self._facets
+        return tuple(sorted(map(self.universe._face, self._tops())))
 
     def facet_labels(self) -> tuple:
         return tuple(self.universe.face_labels(f) for f in self.facets())
@@ -309,9 +302,7 @@ class SimplicialComplex(_Frozen):
 
     def label_faces(self) -> frozenset:
         """Faces as sorted label tuples (comparable across universes)."""
-        if self._label_faces is None:
-            self._set(_label_faces=frozenset(map(self.universe._labels, self._masks)))
-        return self._label_faces
+        return frozenset(map(self.universe._labels, self._masks))
 
     def has_face_labels(self, labels: Iterable[str]) -> bool:
         return self.universe._mask(labels) in self._masks
@@ -333,7 +324,8 @@ class VertexMap(_Frozen):
     """A total label assignment between universes, inducing maps of complexes;
     unhashable, since it holds a dict."""
 
-    __slots__ = _fields = ("domain", "codomain", "mapping")
+    __slots__ = ("domain", "codomain", "_mapping")
+    _fields = ("domain", "codomain", "mapping")
 
     def __init__(self, domain: Universe, codomain: Universe, mapping: Mapping[str, str]):
         for src, dst in mapping.items():
@@ -341,13 +333,18 @@ class VertexMap(_Frozen):
                 raise UnknownVertexError(src)
             if dst not in codomain:
                 raise UnknownVertexError(dst)
-        self._set(domain=domain, codomain=codomain, mapping=dict(mapping))
+        self._set(domain=domain, codomain=codomain, _mapping=dict(mapping))
+
+    @property
+    def mapping(self) -> dict:
+        """A copy of the assignment: editing it leaves the map as it was checked."""
+        return dict(self._mapping)
 
     def __getitem__(self, label: str) -> str:
-        return self.mapping[label]
+        return self._mapping[label]
 
     def __repr__(self) -> str:
-        return f"VertexMap({self.mapping!r})"
+        return f"VertexMap({self._mapping!r})"
 
 
 def _spanned(universe: Universe, tops) -> SimplicialComplex:
@@ -407,12 +404,12 @@ def apply_simplicial_map(
     order) whose image is not a face of ``target``.
     """
     for v in source.vertex_labels():
-        if v not in f.mapping:
+        if v not in f._mapping:
             raise ValueError(f"map is not total on the source vertices: missing {v!r}")
     image = set()
     for face in itertools.chain.from_iterable(source._by_dimension()):
         labels = source.universe._labels(face)
-        img = target.universe._mask(map(f.mapping.__getitem__, labels))
+        img = target.universe._mask(map(f._mapping.__getitem__, labels))
         if img not in target._masks:
             raise NotSimplicialError(labels)
         image.add(img)

@@ -192,30 +192,6 @@ def to_topology(doc: Document) -> FiniteTopology:  # a closure error names a pai
     return FiniteTopology(Universe(points), map(_ARGS, sorted(set(groups.get("open", ())))))
 
 
-def complex_to_document(k: SimplicialComplex, name: str) -> Document:
-    records = tuple(("facet", *labels) for labels in k.facet_labels())
-    return Document("complex", name, records)
-
-
-def poset_to_document(p: Poset, name: str) -> Document:
-    records = [("element", lab) for lab in p.labels()]
-    records.extend(("le", a, b) for a, b in p.cover_pairs())
-    return Document("poset", name, tuple(records))
-
-
-def relation_to_document(r: Relation, name: str) -> Document:
-    records = [("xelement", lab) for lab in r.x_universe]
-    records.extend(("yelement", lab) for lab in r.y_universe)
-    records.extend(("pair", x, y) for x, y in sorted(r.pairs))
-    return Document("relation", name, tuple(records))
-
-
-def topology_to_document(t: FiniteTopology, name: str) -> Document:
-    records = [("point", lab) for lab in t.points]
-    records.extend(("open", *labels) for labels in t.open_label_sets() if labels)
-    return Document("space", name, tuple(records))
-
-
 def to_jsonable(value):
     """Convert library values into canonical JSON-ready structures."""
     if isinstance(value, (str, int)) or value is None:  # bool is an int

@@ -190,12 +190,18 @@ def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bo
 class RelationMorphism(_Frozen):
     """A map Y -> Z satisfying the morphism law between two relations on one X."""
 
-    __slots__ = _fields = ("source", "target", "assignment")
+    __slots__ = ("source", "target", "_assignment")
+    _fields = ("source", "target", "assignment")
 
     def __init__(self, source: Relation, target: Relation, assignment: dict):
         if not is_morphism(assignment, source, target):
             raise ValueError("assignment violates the morphism law")
-        self._set(source=source, target=target, assignment=dict(assignment))
+        self._set(source=source, target=target, _assignment=dict(assignment))
+
+    @property
+    def assignment(self) -> dict:
+        """A copy of the map Y -> Z: editing it leaves the morphism as it was checked."""
+        return dict(self._assignment)
 
     def _key(self) -> tuple:  # the assignment is not compared
         return self.source, self.target
@@ -206,7 +212,7 @@ def induced_l_map(m: RelationMorphism) -> VertexMap:
 
     Always simplicial into the target L-complex, by the morphism law.
     """
-    return VertexMap(m.source.y_universe, m.target.y_universe, m.assignment)
+    return VertexMap(m.source.y_universe, m.target.y_universe, m._assignment)
 
 
 def find_morphism(rel: Relation, rel2: Relation) -> Optional[Dict[str, str]]:

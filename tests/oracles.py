@@ -818,6 +818,34 @@ def shuffled_text(doc: Document, rnd) -> str:
 
 
 # ---------------------------------------------------------------------------
+# document builders: a value's document, which the format readers turn back into it
+
+
+def complex_to_document(k: rc.SimplicialComplex, name: str) -> Document:
+    records = tuple(("facet", *labels) for labels in k.facet_labels())
+    return Document("complex", name, records)
+
+
+def poset_to_document(p: rc.Poset, name: str) -> Document:
+    records = [("element", lab) for lab in p.labels()]
+    records.extend(("le", a, b) for a, b in p.cover_pairs())
+    return Document("poset", name, tuple(records))
+
+
+def relation_to_document(r: rc.Relation, name: str) -> Document:
+    records = [("xelement", lab) for lab in r.x_universe]
+    records.extend(("yelement", lab) for lab in r.y_universe)
+    records.extend(("pair", x, y) for x, y in sorted(r.pairs))
+    return Document("relation", name, tuple(records))
+
+
+def topology_to_document(t: rc.FiniteTopology, name: str) -> Document:
+    records = [("point", lab) for lab in t.points]
+    records.extend(("open", *labels) for labels in t.open_label_sets() if labels)
+    return Document("space", name, tuple(records))
+
+
+# ---------------------------------------------------------------------------
 # closed-relation oracles: the complexes the checks answer without
 
 

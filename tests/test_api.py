@@ -316,3 +316,15 @@ def test_a_checked_map_keeps_its_own_copy_of_the_callers_dict():
     assignment["u"] = "v"  # sends u, related to 1, to v, related to nothing
     assert not rc.is_morphism(assignment, r, r)
     assert m.assignment == vm.mapping == {"u": "u", "v": "v"}
+
+
+def test_a_checked_map_hands_out_copies_that_cannot_change_it():
+    r = rc.Relation(["1"], ["u", "v"], [("1", "u")])
+    m = rc.RelationMorphism(r, r, {"u": "u", "v": "v"})
+    vm = rc.VertexMap(r.y_universe, r.y_universe, {"u": "u", "v": "v"})
+    m.assignment["u"] = "v"  # would send u, related to 1, to v, related to nothing
+    vm.mapping["zz"] = "q"  # a label in neither universe
+    assert rc.is_morphism(m.assignment, r, r) and m.assignment == {"u": "u", "v": "v"}
+    assert vm.mapping == {"u": "u", "v": "v"} and repr(vm) == "VertexMap({'u': 'u', 'v': 'v'})"
+    with pytest.raises(KeyError):
+        vm["zz"]

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -102,7 +103,7 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
     verdicts = [("held" if m["better"] == "higher" else "regressed") for m in bench["end_to_end"]]
     calls = []
 
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed, seconds, pycache):
         calls.append((tree == bench_pairs.ROOT, workload, seed))
         return {name: 2.0 if tree == bench_pairs.ROOT else 1.0 for name in metrics}
 
@@ -119,7 +120,34 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
 
 
 def test_one_workload_prints_one_table(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, workload, seed, seconds: {"jobs_per_s": 1.0})
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, workload, seed, seconds, pycache: {"jobs_per_s": 1.0})
     monkeypatch.setattr(bench_pairs, "summarize", lambda runs, better, bounds: [])
     bench_pairs.main(["--workload", "cli-files", "--pairs", "1", "--seed", "3", "--parent-tree", str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[0] == "cli-files: 1 pairs from seed 3, 8 s each"
+
+
+def test_every_run_writes_its_bytecode_under_one_fresh_prefix_removed_afterwards(monkeypatch, tmp_path):
+    """Both trees' runs get one new PYTHONPYCACHEPREFIX, outside either tree, so neither
+    loads bytecode from its own __pycache__; on a stand-in for subprocess.run."""
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}
+    line = json.dumps({"correct": True, "failed": 0, "metrics": metrics})
+    runs = []
+
+    def fake_subprocess_run(args, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        runs.append((Path(cwd), prefix, prefix.is_dir()))
+        return SimpleNamespace(stdout=line + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    main = ["--workload", "cli-files", "--pairs", "2", "--seed", "1", "--parent-tree", str(tmp_path)]
+    assert bench_pairs.main(main) == 0
+    assert [tree for tree, _, _ in runs] == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path]
+    prefixes = {prefix for _, prefix, _ in runs}
+    assert len(prefixes) == 1 and all(made for _, _, made in runs)
+    (prefix,) = prefixes
+    assert not prefix.exists()
+    assert bench_pairs.ROOT not in prefix.parents and tmp_path not in prefix.parents
+    # a second invocation gets a new prefix
+    assert bench_pairs.main(main) == 0
+    assert runs[-1][1] != prefix

@@ -152,15 +152,18 @@ def _nested_supports(rng, labels, count):
 
 
 def _assert_derived_data(k):
-    """Facets (cached and rescanned) and the per-dimension grouping against plain scans."""
-    want = oracles.scan_facets(k)
-    assert k.facets() == want
-    assert rc.SimplicialComplex(k.universe, k.faces).facets() == want
-    dim = max((len(f) for f in k.faces), default=0) - 1
-    assert k.dimension() == dim
-    for n in range(-1, dim + 2):
-        assert k.n_faces(n) == tuple(sorted(f for f in k.faces if len(f) == n + 1))
-    assert k.vertices() == tuple(sorted(f[0] for f in k.faces if len(f) == 1))
+    """Dimension, per-dimension faces, vertices and facets against plain scans, on ``k``,
+    on ``k`` rebuilt from its faces and on its greedy collapse core: the last two are
+    built from faces alone, so ``_tops()`` finds their facets by its marking scan."""
+    rebuilt = rc.SimplicialComplex(k.universe, k.faces)
+    for c in (k, rebuilt) if k.is_empty else (k, rebuilt, rc.greedy_collapse(k)[0]):
+        faces = c.faces
+        dim = max((len(f) for f in faces), default=0) - 1
+        assert c.dimension() == dim
+        for n in range(-1, dim + 2):
+            assert c.n_faces(n) == tuple(sorted(f for f in faces if len(f) == n + 1))
+        assert c.vertices() == tuple(sorted(f[0] for f in faces if len(f) == 1))
+    assert k.facets() == rebuilt.facets() == oracles.scan_facets(k)
 
 
 class TestDerivedDataAgainstScans:

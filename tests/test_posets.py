@@ -221,7 +221,7 @@ class TestTopologyCheck:
         p = rc.poset_from_pairs([f"a{i:02}" for i in range(12)], [])
         t = rc.order_to_topology(p)
         assert len(t.opens) == 4096
-        text = rc.formats.serialize(rc.formats.topology_to_document(t, "A"))
+        text = rc.formats.serialize(oracles.topology_to_document(t, "A"))
         assert rc.formats.to_topology(rc.formats.parse(text)) == t
         assert rc.topology_to_order(t) == p
 

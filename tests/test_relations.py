@@ -452,10 +452,14 @@ class TestOneRepresentation:
         assert rebuilt(r) == r
         assert r == oracles.label_membership_relation(t.universe, t.label_faces())
 
-    def test_canonical_relation_decodes_no_faces(self):
+    def test_canonical_relation_decodes_no_faces(self, monkeypatch):
         t = rc.complex_from_facets("abcde", [("a", "b", "c"), ("c", "d"), ("e",)])
+
+        def no_decoding(universe, mask):
+            raise AssertionError("a face mask was decoded")
+
+        monkeypatch.setattr(rc.Universe, "_face", no_decoding)
         r = rc.canonical_relation(t)
-        assert t._faces is None
         assert r.support("a,b,c") == ("a", "b", "c") and len(r.y_universe) == 10
 
     @given(relations(), relations(), st.randoms(use_true_random=False))

@@ -17,7 +17,11 @@ pairs, of at least 10, with the median better by more than the distance
 between the parent's quartiles, and the no-regression verdict against the
 metric's ``bound`` in ``BENCHMARK.json`` (see ``verdict``).  ``--workload all``
 runs every workload ``BENCHMARK.json`` lists, one after another from the
-same first seed, and prints one table for each.  It writes nothing
+same first seed, and prints one table for each.  All runs of one
+invocation write their bytecode under one fresh temporary directory, their
+``PYTHONPYCACHEPREFIX``, removed afterwards, so neither tree loads bytecode
+left in its ``__pycache__`` (the prefix mirrors each source's absolute path,
+so the two trees share it without clashing).  It writes nothing else
 itself; ``bench/run.py`` leaves its detail files in each tree's
 ``bench/results/``.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -90,12 +95,14 @@ def summarize(pairs, better: dict, bounds: dict) -> list:
     return rows
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run in ``tree``: its metrics, name -> value."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+    """One ``bench/run.py --trace 0`` run in ``tree``, with its bytecode under ``pycache``:
+    its metrics, name -> value."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)),
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
@@ -103,13 +110,13 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float) -> list:
+def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float, pycache: Path) -> list:
     runs = []
     for i in range(pairs):
         order = [("parent", parent), ("head", ROOT)]
         if i % 2:
             order.reverse()
-        got = {side: run_bench(tree, workload, seed + i, seconds) for side, tree in order}
+        got = {side: run_bench(tree, workload, seed + i, seconds, pycache) for side, tree in order}
         runs.append((got["parent"], got["head"]))
         print(f"pair {i + 1}/{pairs} (seed {seed + i}, {order[0][0]} first): "
               + ", ".join(f"{n} {got['parent'][n]:.4g} -> {got['head'][n]:.4g}" for n in got["head"]),
@@ -143,9 +150,10 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
 
     def compare(parent: Path) -> None:
-        for i, name in enumerate(names):
-            runs = measure(parent, name, args.pairs, seed, args.seconds)
-            print(("\n" if i else "") + table(name, runs, better, bounds, seed, args.seconds), flush=True)
+        with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+            for i, name in enumerate(names):
+                runs = measure(parent, name, args.pairs, seed, args.seconds, Path(pycache))
+                print(("\n" if i else "") + table(name, runs, better, bounds, seed, args.seconds), flush=True)
 
     if args.parent_tree is not None:
         compare(args.parent_tree.resolve())
