@@ -993,6 +993,41 @@ def c4xc6_poset() -> rc.Poset:
     return rc.product_poset(circle4_poset(), c6)
 
 
+def _c4_le(a: str, b: str) -> bool:
+    """The order of circle4: 1 and 2 below 3 and 4."""
+    return a == b or (a in "12" and b in "34")
+
+
+# circle4 cubed with flat labels, since ``product_poset`` refuses a pair label
+# as a factor label: element "abc" is (a, b, c), each coordinate a circle4 element
+C4CUBED = tuple("".join(t) for t in itertools.product("1234", repeat=3))
+
+
+def c4cubed_pairs() -> list:
+    """The covers of circle4 cubed: one coordinate goes up from 1 or 2 to 3 or 4."""
+    return [
+        (x, x[:i] + b + x[i + 1:])
+        for x in C4CUBED for i, a in enumerate(x) if a in "12" for b in "34"
+    ]
+
+
+def c4cubed_poset() -> rc.Poset:
+    """circle4 cubed: 64 elements, 8 maximal and 8 minimal, each maximal one over
+    27 elements; the poset of tests/data/c4cubed.poset."""
+    return rc.poset_from_pairs(C4CUBED, c4cubed_pairs())
+
+
+def c4cubed_dowker_facets(strict: bool, side: str) -> list:
+    """The facets of a Dowker complex of circle4 cubed, from coordinates alone and
+    sorted: the down-set of each maximal element (side k) or the up-set of each
+    minimal one (side l), less the element itself when ``strict``."""
+    ends, le = ("34", _c4_le) if side == "k" else ("12", lambda a, b: _c4_le(b, a))
+    return sorted(
+        sorted(x for x in C4CUBED if all(map(le, x, m)) and not (strict and x == m))
+        for m in C4CUBED if all(c in ends for c in m)
+    )
+
+
 def circle6_poset() -> rc.Poset:
     """Six-point crown whose chain complex is a 6-cycle."""
     return rc.poset_from_pairs(

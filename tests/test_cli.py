@@ -698,6 +698,10 @@ GOLDEN = [
     (('poset', 'k-strict', '--poset', 'circle6.poset'), 0, '{"facets":[["a","b"],["a","c"],["b","c"]]}\n'),
     (('poset', 'l-strict', '--poset', 'circle4.poset'), 0, '{"facets":[["3","4"]]}\n'),
     (('poset', 'l-strict', '--poset', 'circle6.poset'), 0, '{"facets":[["d","e"],["d","f"],["e","f"]]}\n'),
+    (('poset', 'k', '--poset', 'c4cubed.poset'), 2, ''),
+    (('poset', 'l', '--poset', 'c4cubed.poset'), 2, ''),
+    (('poset', 'k-strict', '--poset', 'c4cubed.poset'), 2, ''),
+    (('poset', 'l-strict', '--poset', 'c4cubed.poset'), 2, ''),
     (('poset', 'realize', '--complex', 'boundary2.complex'), 2, ''),
     (('poset', 'realize', '--complex', 'circle4_k.complex'), 0, '{"elements":["1","2","3","4"],"less_than":[["1","3"],["1","4"],["2","3"],["2","4"]]}\n'),
     (('poset', 'realize', '--complex', 'moore3.complex'), 2, ''),

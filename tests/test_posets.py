@@ -22,7 +22,7 @@ from relcomplex.errors import (
     TooManyOpensError,
     UnknownVertexError,
 )
-from relcomplex import posets as posets_module
+from relcomplex import formats, posets as posets_module
 from relcomplex.posets import singleton_component_witness
 
 import oracles
@@ -468,6 +468,15 @@ class TestProductAndComponents:
         # products do not iterate: (P x Q) x R meets its own "(x,x)" labels
         with pytest.raises(AmbiguousLabelError, match=r"'\(x,x\)'"):
             rc.product_poset(rc.product_poset(single, single), single)
+
+    def test_c4cubed_file_is_the_componentwise_cube(self, data_dir):
+        # built by hand, since the product of products would nest pair labels
+        p = formats.to_poset(formats.parse((data_dir / "c4cubed.poset").read_text(encoding="utf-8")))
+        assert p == oracles.c4cubed_poset()
+        le = lambda a, b: a == b or (a in "12" and b in "34")
+        assert p.pairs() == frozenset(
+            (x, y) for x in oracles.C4CUBED for y in oracles.C4CUBED if all(map(le, x, y))
+        )
 
     def test_components(self, circle4):
         assert rc.connected_components(circle4) == (("1", "2", "3", "4"),)
