@@ -161,9 +161,9 @@ def _certified(
     the end state must be the face set of ``final``; else AssertionError
     with ``message``.  No face is labelled until the steps are read.
     """
-    faces = set(initial._masks)
+    faces = set(initial._faces())
     _replay(initial.universe, faces, pairs)
-    if faces != final._masks:
+    if faces != final._faces():
         raise AssertionError(message)
     seq = object.__new__(CollapseSequence)
     seq._set(initial=initial, _pairs=pairs)
@@ -173,18 +173,18 @@ def _certified(
 def _coface_counts(k: SimplicialComplex) -> dict:
     """The codimension-1 coface count of each face mask of ``k``: from the facets
     when they are fewer than the largest one's vertices, else by increments."""
-    tops = k._facet_masks
+    tops, faces = k._facet_masks, k._faces()
     if tops and len(tops) < max(map(int.bit_count, tops)):
         counts = {}
-        for f in k._masks:
+        for f in faces:
             union = 0
             for top in tops:
                 if f & top == f:
                     union |= top
             counts[f] = union.bit_count() - f.bit_count()
         return counts
-    counts = dict.fromkeys(k._masks, 0)
-    for g in k._masks:
+    counts = dict.fromkeys(faces, 0)
+    for g in faces:
         rest = g
         while rest:
             bit = rest & -rest
@@ -201,11 +201,11 @@ def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:
     outside it is probed once, so it costs O(|universe|) whatever the size
     of ``k``.
     """
-    f = k.universe._mask(face)
-    if f not in k._masks:
+    f, faces = k.universe._mask(face), k._faces()
+    if f not in faces:
         k.universe.face_from_labels(face)  # an unknown label raises UnknownVertexError
         raise NotFreeError(tuple(face), None)
-    cofaces = _cofaces(k._masks, f, (1 << len(k.universe)) - 1)
+    cofaces = _cofaces(faces, f, (1 << len(k.universe)) - 1)
     return k.universe._labels(cofaces[0]) if len(cofaces) == 1 else None
 
 
@@ -225,7 +225,7 @@ def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     sequence is replayed on its mask pairs, and no step is labelled.
     """
     universe = seq.initial.universe
-    faces = set(seq.initial._masks)
+    faces = set(seq.initial._faces())
     if seq._pairs is not None:
         _replay(universe, faces, seq._pairs)
     else:
@@ -254,6 +254,7 @@ def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
     if witness is not None:
         raise SingletonComponentError(witness)
     initial = poset_dowker_complex(p, False, side)
+    initial._faces()  # too many faces are refused here, before any cone is listed
     target = poset_dowker_complex(p, True, side)
     q = p if side == "k" else dual_poset(p)
     bits = initial.universe._bits()
@@ -286,7 +287,7 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
     if k.is_empty:
         raise EmptyComplexError("cannot collapse the empty complex")
     n = len(k.universe)
-    faces = set(k._masks)
+    faces = set(k._faces())
     counts = _coface_counts(k)
     heap = [-(f.bit_count() << n | f) for f, c in counts.items() if c == 1]
     heapq.heapify(heap)

@@ -3,9 +3,10 @@
 Vertices are opaque string labels, interned per universe to dense integer
 indices in sorted label order.  A complex keeps only its face masks, its
 full downward-closed face set with vertex i at bit n - 1 - i of an n-vertex
-universe (a convention only this module knows), and its facet masks; every
-other view is computed on each call.  Index tuples (strictly increasing) and
-labels are views made at the public boundary, by ``Universe``.  Among faces
+universe (a convention only this module knows), and its facet masks, each
+built on first use unless given; every other view is computed on each call.
+Index tuples (strictly increasing) and labels are views made at the public
+boundary, by ``Universe``.  Among faces
 of one size descending mask order is lexicographic order: the first vertex
 where two faces differ is the highest bit where their masks do.  All values
 are immutable, since every value class of the package derives from
@@ -13,8 +14,8 @@ are immutable, since every value class of the package derives from
 across workers.
 
 ``SimplicialComplex(...)`` validates a face set of index tuples given from
-outside.  Builders whose face set is closed by construction go through the
-private, unchecked ``SimplicialComplex._trusted``, on masks, instead; the
+outside.  Builders whose face set is closed by construction skip the check,
+on masks, through ``_spanned`` or ``SimplicialComplex._trusted``; the
 labels they take in are checked by ``Universe``:
 
 - ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``, and
@@ -29,10 +30,10 @@ labels they take in are checked by ``Universe``:
   only proper coface, which is maximal, so no remaining face loses a
   subface.
 
-These four set their facets, the maximal input facets or distinct supports,
-through ``_spanned``, which takes index-set masks (index i at bit i) largest
-first and keeps those not yet inside an earlier one, so no kept face lies in
-another.  The rest fill that one lazy field by the scan of ``_tops()``.
+The first four give only their facets, through ``_spanned``, on index-set
+masks (index i at bit i), and ``_faces()`` walks their submasks on first use
+(``_walk``: the one face walk and the one refusal of too many faces).  The
+rest give their faces, through ``_trusted``, and ``_tops()`` finds facets.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import NotSimplicialError, TooManyFacesError, UnknownVertexError
 
 Face = tuple  # strictly increasing tuple of vertex indices
 
-# the most faces a complex, or opens a topology, may be built with (``_spanned``, ``posets``)
+# the most faces a complex, or opens a topology, may be built with (``_walk``, ``posets``)
 _MAX_FACES = 1 << 24
 
 
@@ -223,35 +224,37 @@ class SimplicialComplex(_Frozen):
         self._set(universe=universe, _masks=frozenset(map(universe._encode, faces)), _facet_masks=None)
 
     @classmethod
-    def _trusted(cls, universe: Universe, masks, facet_masks=None) -> "SimplicialComplex":
-        """A complex over the face ``masks`` without validation.
-
-        Only for face sets downward closed by construction (see the module
-        docstring); ``facet_masks``, when given, are the masks of the
-        inclusion-maximal faces, which ``_tops()`` then need not find.
-        """
+    def _trusted(cls, universe: Universe, masks) -> "SimplicialComplex":
+        """A complex over the face ``masks``, unchecked: only for face sets closed by construction."""
         k = cls.__new__(cls)
-        k._set(universe=universe, _masks=frozenset(masks), _facet_masks=facet_masks)
+        k._set(universe=universe, _masks=frozenset(masks), _facet_masks=None)
         return k
 
     @property
     def faces(self) -> frozenset:
         """Every face as an index tuple, decoded on each call."""
-        return frozenset(map(self.universe._face, self._masks))
+        return frozenset(map(self.universe._face, self._faces()))
+
+    def _faces(self) -> frozenset:
+        """The face masks, walked from the facets on first use unless a builder gave them."""
+        if self._masks is None:
+            self._set(_masks=frozenset(_walk(self._facet_masks)))
+        return self._masks
 
     @property
     def is_empty(self) -> bool:
-        return not self._masks
+        return not (self._facet_masks if self._masks is None else self._masks)
 
     @property
     def is_point(self) -> bool:
         # a face with two vertices brings two more faces by downward closure
-        return len(self._masks) == 1
+        stored = self._facet_masks if self._masks is None else self._masks
+        return len(stored) == 1 and min(stored).bit_count() == 1
 
     def _by_dimension(self) -> tuple:
         """The face masks of each dimension 0..dim in descending order."""
         sized = {}
-        for face in self._masks:
+        for face in self._faces():
             sized.setdefault(face.bit_count(), []).append(face)
         return tuple(tuple(sorted(sized[n], reverse=True)) for n in range(1, len(sized) + 1))
 
@@ -268,11 +271,11 @@ class SimplicialComplex(_Frozen):
 
     def n_faces(self, n: int) -> tuple:
         """All n-dimensional faces in lexicographic order."""
-        sized = sorted([f for f in self._masks if f.bit_count() == n + 1], reverse=True)
+        sized = sorted([f for f in self._faces() if f.bit_count() == n + 1], reverse=True)
         return tuple(map(self.universe._face, sized))
 
     def _tops(self) -> Collection[int]:
-        """The masks of the inclusion-maximal faces, computed once.
+        """The masks of the inclusion-maximal faces, found once.
 
         Unless a builder gave them, every face marks its codimension-1
         subfaces, one cleared bit each, and the unmarked faces are the facets,
@@ -302,21 +305,22 @@ class SimplicialComplex(_Frozen):
 
     def label_faces(self) -> frozenset:
         """Faces as sorted label tuples (comparable across universes)."""
-        return frozenset(map(self.universe._labels, self._masks))
+        return frozenset(map(self.universe._labels, self._faces()))
 
     def has_face_labels(self, labels: Iterable[str]) -> bool:
-        return self.universe._mask(labels) in self._masks
+        mask = self.universe._mask(labels)  # None for a label outside the universe
+        return bool(mask) and any(mask & top == mask for top in self._tops())
 
     def euler_characteristic(self) -> int:
-        return sum(1 if f.bit_count() % 2 else -1 for f in self._masks)
+        return sum(1 if f.bit_count() % 2 else -1 for f in self._faces())
 
-    def _key(self) -> tuple:  # the face masks, not the decoded faces
-        return self.universe, self._masks
+    def _key(self) -> tuple:  # equal face sets have equal facet sets
+        return self.universe, frozenset(self._tops())
 
     def __repr__(self) -> str:
         return (
             f"SimplicialComplex({len(self.universe)} vertices, "
-            f"{len(self._masks)} faces, dim {self.dimension()})"
+            f"{len(self._faces())} faces, dim {self.dimension()})"
         )
 
 
@@ -347,31 +351,36 @@ class VertexMap(_Frozen):
         return f"VertexMap({self._mapping!r})"
 
 
-def _spanned(universe: Universe, tops) -> SimplicialComplex:
-    """The union of the full simplices on the nonempty index-set masks ``tops``, with its facets.
-
-    Tops go largest first, each mirrored to a face mask once: one already
-    present lies in an equal or larger earlier top and adds nothing, and a
-    kept top lies in no other and adds its submasks.  Past ``_MAX_FACES``
-    faces the build stops with :class:`TooManyFacesError`: before a top
-    whose simplex alone has more, so before any face of a simplex that big,
-    or else after the top that takes the count past it.
-    """
-    faces, maximal = set(), []
-    for top in sorted(filter(None, tops), key=int.bit_count, reverse=True):
+def _walk(tops) -> set:
+    """Every nonempty submask of ``tops`` (``_spanned``'s come largest first), stopped past
+    ``_MAX_FACES`` by :class:`TooManyFacesError`: before a top whose simplex alone has more,
+    so before any face of a simplex that big, or else after the top that takes the count past it."""
+    faces = set()
+    for top in tops:
         if (size := (1 << top.bit_count()) - 1) > _MAX_FACES:
             raise TooManyFacesError(size, _MAX_FACES)
-        mask = universe._mirror(top)
-        if mask in faces:
-            continue
-        maximal.append(mask)
-        sub = mask
+        sub = top
         while sub:  # every nonempty submask, in descending order
             faces.add(sub)
-            sub = (sub - 1) & mask
+            sub = (sub - 1) & top
         if len(faces) > _MAX_FACES:
             raise TooManyFacesError(len(faces), _MAX_FACES)
-    return SimplicialComplex._trusted(universe, faces, maximal)
+    return faces
+
+
+def _spanned(universe: Universe, tops) -> SimplicialComplex:
+    """The union of the full simplices on the nonempty index-set masks ``tops``, as its facets:
+    distinct tops largest first (ties in input order), each kept, then mirrored to a face mask,
+    unless inside a larger kept one (distinct tops of one size never nest)."""
+    kept, size, larger = [], None, ()
+    for top in sorted(dict.fromkeys(filter(None, tops)), key=int.bit_count, reverse=True):
+        if top.bit_count() != size:
+            size, larger = top.bit_count(), tuple(kept)
+        if all(top & big != top for big in larger):
+            kept.append(top)
+    k = SimplicialComplex.__new__(SimplicialComplex)
+    k._set(universe=universe, _masks=None, _facet_masks=tuple(map(universe._mirror, kept)))
+    return k
 
 
 def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> SimplicialComplex:
@@ -389,10 +398,9 @@ def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> Simplicial
 
 
 def is_subcomplex(t: SimplicialComplex, k: SimplicialComplex) -> bool:
-    """True iff every face of ``t`` is a face of ``k``."""
-    if t.universe == k.universe:
-        return t._masks <= k._masks
-    return t.label_faces() <= k.label_faces()
+    """True iff every face of ``t`` is a face of ``k``: each facet of ``t``, by
+    its labels, lies in a facet of ``k``, whatever the two universes."""
+    return all(map(k.has_face_labels, map(t.universe._labels, t._tops())))
 
 
 def apply_simplicial_map(
@@ -410,7 +418,7 @@ def apply_simplicial_map(
     for face in itertools.chain.from_iterable(source._by_dimension()):
         labels = source.universe._labels(face)
         img = target.universe._mask(map(f._mapping.__getitem__, labels))
-        if img not in target._masks:
+        if img not in target._faces():
             raise NotSimplicialError(labels)
         image.add(img)
     return SimplicialComplex._trusted(target.universe, image)
@@ -424,8 +432,8 @@ def are_contiguous(
     apply_simplicial_map(g, source, target)
     return all(
         target.universe._mask(v for lab in source.universe._labels(face) for v in (f[lab], g[lab]))
-        in target._masks
-        for face in source._masks
+        in target._faces()
+        for face in source._faces()
     )
 
 

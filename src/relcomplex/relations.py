@@ -27,7 +27,7 @@ from functools import reduce
 from operator import and_
 from typing import Dict, Iterable, Optional, Tuple
 
-from .complexes import SimplicialComplex, Universe, VertexMap, _Frozen, _spanned
+from .complexes import SimplicialComplex, Universe, VertexMap, _Frozen, _spanned, _walk
 from .errors import (
     AmbiguousLabelError,
     EmptyComplexError,
@@ -169,7 +169,8 @@ def canonical_relation(t: SimplicialComplex) -> Relation:
     """
     if t.is_empty:
         raise EmptyComplexError("the canonical relation needs a nonempty complex")
-    return _membership(t.universe, map(t.universe._mirror, t._masks), "face labels")
+    # the faces as index-set masks: every submask of a mirrored facet, no face mask built
+    return _membership(t.universe, _walk(map(t.universe._mirror, t._tops())), "face labels")
 
 
 def is_morphism(assignment: Dict[str, str], rel: Relation, rel2: Relation) -> bool:

@@ -638,8 +638,8 @@ def rebuild_verify_sequence(seq: rc.CollapseSequence) -> rc.SimplicialComplex:
 def increment_coface_counts(k: rc.SimplicialComplex) -> dict:
     """The codimension-1 coface count of each face mask: every face adds one
     to each of its codimension-1 sub-faces (the greedy engine's first count)."""
-    counts = dict.fromkeys(k._masks, 0)
-    for g in k._masks:
+    counts = dict.fromkeys(k._faces(), 0)
+    for g in k._faces():
         for i in range(g.bit_length()):
             if g >> i & 1 and g != 1 << i:
                 counts[g ^ 1 << i] += 1

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relcomplex import cli, formats
+import relcomplex as rc
+from relcomplex import cli, complexes, formats
 from relcomplex.cli import main
 
 import oracles
@@ -321,6 +322,29 @@ class TestClosedAndVerify:
         assert report["k"] == {"betti": [1, 0, 0], "torsion": [[], [], []]}
 
 
+def _chain1200(tmp_path) -> str:
+    """The path of a 1,200-element chain, written to ``tmp_path``."""
+    chain = [f"c{i:04d}" for i in range(1200)]
+    big = tmp_path / "chain1200.poset"
+    big.write_text("poset P\n" + "".join(f"element {c}\n" for c in chain)
+                   + "".join(f"le {a} {b}\n" for a, b in zip(chain, chain[1:])))
+    return str(big)
+
+
+def _capped(*argv):
+    """The CLI run on ``argv`` in a fresh process with 1 GB of address space (ulimit -v 1000000)."""
+    limit = 1_000_000 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "relcomplex.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        preexec_fn=cap, timeout=120,
+    )
+
+
 class TestExitCodes:
     def test_unparseable_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.poset"
@@ -368,33 +392,30 @@ class TestExitCodes:
 
     def test_an_order_complex_past_the_face_limit_is_a_precondition_error(self, capsys, tmp_path):
         # 2^1200 - 1 chains: counted, not enumerated, and no recursion 1,200 deep
-        chain = [f"c{i:04d}" for i in range(1200)]
-        big = tmp_path / "chain1200.poset"
-        big.write_text("poset P\n" + "".join(f"element {c}\n" for c in chain)
-                       + "".join(f"le {a} {b}\n" for a, b in zip(chain, chain[1:])))
-        code, out, err = run(capsys, "poset", "order-complex", "--poset", str(big))
+        code, out, err = run(capsys, "poset", "order-complex", "--poset", _chain1200(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: the complex would have at least {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
 
     def test_a_k_complex_past_the_face_limit_fails_before_building(self, tmp_path):
         # the 1,200 down-sets of a chain span 2^1200 - 1 faces; under 1 GB of
-        # address space the refusal must come before any face is built
-        chain = [f"c{i:04d}" for i in range(1200)]
-        big = tmp_path / "chain1200.poset"
-        big.write_text("poset P\n" + "".join(f"element {c}\n" for c in chain)
-                       + "".join(f"le {a} {b}\n" for a, b in zip(chain, chain[1:])))
-        limit = 1_000_000 * 1024  # ulimit -v 1000000
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "relcomplex.cli", "poset", "k", "--poset", str(big)],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            preexec_fn=cap, timeout=120,
-        )
+        # address space its K-complex is one facet, and a command that needs
+        # the faces is refused before any face is built
+        big = _chain1200(tmp_path)
+        proc = _capped("poset", "k", "--poset", big)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {"facets": [[f"c{i:04d}" for i in range(1200)]]}
+        proc = _capped("collapse", "leq-strict", "--poset", big, "--side", "l")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: the complex would have at least {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
+
+    @pytest.mark.parametrize("name, faces", [("chain1200", 2**1200 - 1), ("c4cubed", 2**27 - 1)])
+    def test_a_collapse_past_the_face_limit_lists_no_cone(self, tmp_path, name, faces):
+        # the cones of the maximal elements would be listed pair by pair: 2^1199
+        # pairs on the chain, and 2^26 per maximal element of c4 cubed
+        poset = _chain1200(tmp_path) if name == "chain1200" else str(DATA / "c4cubed.poset")
+        proc = _capped("collapse", "leq-strict", "--poset", poset, "--side", "k")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: the complex would have at least {faces} faces, more than the limit of {1 << 24}\n"
 
     def test_a_topology_past_the_open_limit_is_a_precondition_error(self, capsys, monkeypatch, tmp_path):
         # an antichain's opens are all 2^12 subsets; the build stops at the first past the limit
@@ -649,7 +670,9 @@ def pinned(name):
 # labels hold a quote, a backslash and a non-ASCII letter, before reports
 # were written as text from mask pairs.  The chain5 x chain4
 # row was recorded while the weak check still spanned the relation poset's
-# K-complex, there the full simplex on all 20 pairs.
+# K-complex, there the full simplex on all 20 pairs.  The c4cubed rows, each
+# eight facets of 26 or 27 vertices, were exit 2 while building a complex
+# built its faces, and are checked against the oracle below.
 GOLDEN = [
     (('homology', '--complex', 'boundary2.complex'), 0, '{"betti":[1,1],"torsion":[[],[]]}\n'),
     (('homology', '--complex', 'circle4_k.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[],[]]}\n'),
@@ -698,10 +721,10 @@ GOLDEN = [
     (('poset', 'k-strict', '--poset', 'circle6.poset'), 0, '{"facets":[["a","b"],["a","c"],["b","c"]]}\n'),
     (('poset', 'l-strict', '--poset', 'circle4.poset'), 0, '{"facets":[["3","4"]]}\n'),
     (('poset', 'l-strict', '--poset', 'circle6.poset'), 0, '{"facets":[["d","e"],["d","f"],["e","f"]]}\n'),
-    (('poset', 'k', '--poset', 'c4cubed.poset'), 2, ''),
-    (('poset', 'l', '--poset', 'c4cubed.poset'), 2, ''),
-    (('poset', 'k-strict', '--poset', 'c4cubed.poset'), 2, ''),
-    (('poset', 'l-strict', '--poset', 'c4cubed.poset'), 2, ''),
+    (('poset', 'k', '--poset', 'c4cubed.poset'), 0, pinned('c4cubed_k.json')),
+    (('poset', 'l', '--poset', 'c4cubed.poset'), 0, pinned('c4cubed_l.json')),
+    (('poset', 'k-strict', '--poset', 'c4cubed.poset'), 0, pinned('c4cubed_k_strict.json')),
+    (('poset', 'l-strict', '--poset', 'c4cubed.poset'), 0, pinned('c4cubed_l_strict.json')),
     (('poset', 'realize', '--complex', 'boundary2.complex'), 2, ''),
     (('poset', 'realize', '--complex', 'circle4_k.complex'), 0, '{"elements":["1","2","3","4"],"less_than":[["1","3"],["1","4"],["2","3"],["2","4"]]}\n'),
     (('poset', 'realize', '--complex', 'moore3.complex'), 2, ''),
@@ -739,6 +762,47 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("argv, code, out", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
     def test_stdout_and_exit_code(self, capsys, argv, code, out):
         assert run(capsys, *resolve(argv))[:2] == (code, out)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("side", ["k", "l"])
+    def test_c4cubed_rows_are_the_oracle_facets(self, side, strict):
+        name = f"c4cubed_{side}{'_strict' if strict else ''}.json"
+        assert json.loads(pinned(name)) == {"facets": oracles.c4cubed_dowker_facets(strict, side)}
+
+
+class TestFacetsOnly:
+    """What reads only the facets builds no face: the one walk over submasks,
+    patched to raise, is never reached."""
+
+    @pytest.fixture(autouse=True)
+    def no_face_walk(self, monkeypatch):
+        def walk(tops):
+            raise AssertionError("a face was built")
+
+        monkeypatch.setattr(complexes, "_walk", walk)
+
+    @pytest.mark.parametrize("argv", [
+        *(("poset", side, "--poset", name) for side in ("k", "l", "k-strict", "l-strict")
+          for name in ("circle6.poset", "c4cubed.poset")),
+        *(("dowker", side, "--relation", "crown_pairs.relation") for side in "kl"),
+        ("poset", "realize", "--complex", "circle4_k.complex"),
+    ], ids=" ".join)
+    def test_commands_that_print_facets_or_read_them(self, capsys, argv):
+        code, out = next(row[1:] for row in GOLDEN if row[0] == argv)
+        assert run(capsys, *resolve(argv)) == (code, out, "")
+
+    def test_facet_readers(self):
+        p = oracles.c4cubed_poset()
+        k, strict = rc.poset_dowker_complex(p, False, "k"), rc.poset_dowker_complex(p, True, "k")
+        assert rc.cone_apex(k) == rc.cone_apex(strict) == "111"
+        assert rc.is_subcomplex(strict, k) and not rc.is_subcomplex(k, strict)
+        edge = rc.complex_from_facets(["111", "333", "zzz"], [["111", "333"]])  # another universe
+        assert rc.is_subcomplex(edge, k) and not rc.is_subcomplex(k, edge)
+        assert k.has_face_labels(["333", "111"]) and not k.has_face_labels(["333", "444"])
+        assert not k.has_face_labels(["zzz"]) and not k.has_face_labels([])
+        again = rc.poset_dowker_complex(p, False, "k")
+        assert again == k and hash(again) == hash(k) and k != strict
+        assert (k.dimension(), len(k.vertices()), k.is_empty, k.is_point) == (26, 64, False, False)
 
 
 # A relation whose labels circle6 lacks: the first unknown one in sorted

@@ -427,7 +427,7 @@ class TestCofaceCounts:
 
     def test_every_face_of_c4xc6_k(self):
         k = rc.poset_dowker_complex(oracles.c4xc6_poset(), False, "k")
-        assert len(k._masks) == 121_087 and _reads_facets(k)
+        assert len(k._faces()) == 121_087 and _reads_facets(k)
         _counts_agree(k)
 
 

@@ -74,10 +74,13 @@ class TestConstruction:
             rc.SimplicialComplex(u, [(0, 5)])
 
     def test_a_build_past_the_face_bound_is_refused_first(self):
-        # one 25-vertex facet: 2^25 - 1 faces, refused without building one
+        # one 25-vertex facet: 2^25 - 1 faces, refused at the first face read
+        # without building one; the facet alone is not refused
         labels = [f"v{i:02d}" for i in range(25)]
+        k = rc.complex_from_facets(labels, [labels])
+        assert k.dimension() == 24
         with pytest.raises(TooManyFacesError) as exc:
-            rc.complex_from_facets(labels, [labels])
+            k.faces
         assert (exc.value.faces, exc.value.limit) == (2**25 - 1, 1 << 24)
         assert str(exc.value) == f"the complex would have at least {2**25 - 1} faces, more than the limit of {1 << 24}"
 
@@ -90,19 +93,21 @@ class TestConstruction:
             mp.setattr(complexes_module, "_MAX_FACES", 2**13 - 2)
             assert len(rc.complex_from_facets(labels, facets).faces) == 2**13 - 2
             mp.setattr(complexes_module, "_MAX_FACES", 2**13 - 3)
+            k = rc.complex_from_facets(labels, facets)
             with pytest.raises(TooManyFacesError):
-                rc.complex_from_facets(labels, facets)
+                k.faces
 
     @given(oracles.complexes())
     def test_the_limit_is_the_exact_face_count(self, k):
         facets = k.facet_labels()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(complexes_module, "_MAX_FACES", len(k.faces))
-            assert rc.complex_from_facets(k.universe, facets + facets) == k
+            built = rc.complex_from_facets(k.universe, facets + facets)
+            assert built == k and built.faces == k.faces
             if facets:
                 mp.setattr(complexes_module, "_MAX_FACES", len(k.faces) - 1)
                 with pytest.raises(TooManyFacesError):
-                    rc.complex_from_facets(k.universe, facets + facets)
+                    rc.complex_from_facets(k.universe, facets + facets).faces
 
     def test_empty_complex_representable(self):
         k = rc.SimplicialComplex(rc.Universe("ab"), [])
@@ -224,6 +229,7 @@ class TestDerivedDataAgainstScans:
         ]
         assert [k.facets() for k in built] == [((0, 1, 2),), ((0, 1, 2),), ((0, 2), (1,))]
         assert rc.cone_apex(built[0]) == "a"
+        assert [k._masks for k in built] == [None, None, None]  # no face built
 
 
 WIDE = [f"v{i:02}" for i in range(70)]
@@ -310,7 +316,7 @@ def labelled_complexes(draw):
         min_size=1, max_size=8,
     ))
     k = rc.complex_from_facets(labels, facets)
-    return k, draw(st.permutations(sorted(k._masks)))
+    return k, draw(st.permutations(sorted(k._faces())))
 
 
 class TestLabeller:
@@ -321,7 +327,7 @@ class TestLabeller:
     def test_every_face_in_descending_size_order(self, case):
         k, _ = case
         label = k.universe._labeller()
-        by_size = sorted(k._masks, key=lambda m: (-m.bit_count(), -m))
+        by_size = sorted(k._faces(), key=lambda m: (-m.bit_count(), -m))
         assert [label(m) for m in by_size] == [k.universe._labels(m) for m in by_size]
 
     @given(labelled_complexes())
