@@ -64,14 +64,15 @@ class _Frozen:
     arguments in order, for ``repr`` and for copies and pickles, and ``==`` and
     ``hash`` read ``_key()``, all of them unless a class says otherwise (a class
     whose equality reads a stored form overrides ``_key``).  A constructor, or a
-    trusted builder, sets its slots with one ``_set`` call; a lazy field starts
-    as None and is filled through ``_set`` too."""
+    trusted builder, sets its slots with one ``_set`` call, which returns the value;
+    a lazy field starts as None and is filled through ``_set`` too."""
 
     __slots__ = ()
 
-    def _set(self, **fields) -> None:
+    def _set(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} cannot be changed")
@@ -226,9 +227,7 @@ class SimplicialComplex(_Frozen):
     @classmethod
     def _trusted(cls, universe: Universe, masks) -> "SimplicialComplex":
         """A complex over the face ``masks``, unchecked: only for face sets closed by construction."""
-        k = cls.__new__(cls)
-        k._set(universe=universe, _masks=frozenset(masks), _facet_masks=None)
-        return k
+        return cls.__new__(cls)._set(universe=universe, _masks=frozenset(masks), _facet_masks=None)
 
     @property
     def faces(self) -> frozenset:
@@ -370,17 +369,18 @@ def _walk(tops) -> set:
 
 def _spanned(universe: Universe, tops) -> SimplicialComplex:
     """The union of the full simplices on the nonempty index-set masks ``tops``, as its facets:
-    distinct tops largest first (ties in input order), each kept, then mirrored to a face mask,
-    unless inside a larger kept one (distinct tops of one size never nest)."""
+    distinct tops largest first (ties in input order), each kept unless inside a larger kept one."""
     kept, size, larger = [], None, ()
     for top in sorted(dict.fromkeys(filter(None, tops)), key=int.bit_count, reverse=True):
         if top.bit_count() != size:
             size, larger = top.bit_count(), tuple(kept)
-        if all(top & big != top for big in larger):
+        for big in larger:  # distinct tops of one size never nest
+            if top & big == top:
+                break
+        else:
             kept.append(top)
     k = SimplicialComplex.__new__(SimplicialComplex)
-    k._set(universe=universe, _masks=None, _facet_masks=tuple(map(universe._mirror, kept)))
-    return k
+    return k._set(universe=universe, _masks=None, _facet_masks=tuple(map(universe._mirror, kept)))
 
 
 def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> SimplicialComplex:
