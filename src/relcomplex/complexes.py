@@ -274,7 +274,7 @@ class SimplicialComplex(_Frozen):
         return tuple(map(self.universe._face, sized))
 
     def _tops(self) -> Collection[int]:
-        """The masks of the inclusion-maximal faces, found once.
+        """The masks of the inclusion-maximal faces, computed once.
 
         Unless a builder gave them, every face marks its codimension-1
         subfaces, one cleared bit each, and the unmarked faces are the facets,
