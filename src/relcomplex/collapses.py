@@ -173,7 +173,7 @@ def _certified(
 def _coface_counts(k: SimplicialComplex) -> dict:
     """The codimension-1 coface count of each face mask of ``k``: from the facets
     when they are fewer than the largest one's vertices, else by increments."""
-    tops, faces = k._facet_masks, k._faces()
+    tops, faces = k._tops(), k._faces()
     if tops and len(tops) < max(map(int.bit_count, tops)):
         counts = {}
         for f in faces:

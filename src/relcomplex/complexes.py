@@ -1,17 +1,16 @@
 """Abstract simplicial complexes over interned vertex labels.
 
 Vertices are opaque string labels, interned per universe to dense integer
-indices in sorted label order.  A complex keeps only its face masks, its
-full downward-closed face set with vertex i at bit n - 1 - i of an n-vertex
-universe (a convention only this module knows), and its facet masks, each
-built on first use unless given; every other view is computed on each call.
-Index tuples (strictly increasing) and labels are views made at the public
-boundary, by ``Universe``.  Among faces
-of one size descending mask order is lexicographic order: the first vertex
-where two faces differ is the highest bit where their masks do.  All values
-are immutable, since every value class of the package derives from
-``_Frozen``, and all operations are pure, so they can be shared freely
-across workers.
+indices in sorted label order.  A complex keeps only its facet masks, which
+every builder sets, and its face masks, its full downward-closed face set,
+built on first use unless given, with vertex i at bit n - 1 - i of an
+n-vertex universe (a convention only this module knows); every other view is
+computed on each call.  Index tuples (strictly increasing) and labels are
+views made at the public boundary, by ``Universe``.  Among faces of one size
+descending mask order is lexicographic order: the first vertex where two
+faces differ is the highest bit where their masks do.  All values are
+immutable, since every value class of the package derives from ``_Frozen``,
+and all operations are pure, so they can be shared freely across workers.
 
 ``SimplicialComplex(...)`` validates a face set of index tuples given from
 outside.  Builders whose face set is closed by construction skip the check,
@@ -33,7 +32,7 @@ labels they take in are checked by ``Universe``:
 The first four give only their facets, through ``_spanned``, on index-set
 masks (index i at bit i), and ``_faces()`` walks their submasks on first use
 (``_walk``: the one face walk and the one refusal of too many faces).  The
-rest give their faces, through ``_trusted``, and ``_tops()`` finds facets.
+rest give their faces, through ``_trusted``, and ``_subfaces`` finds facets.
 """
 
 from __future__ import annotations
@@ -216,18 +215,21 @@ class SimplicialComplex(_Frozen):
                 raise ValueError(f"face {face} is not strictly increasing")
             if face[0] < 0 or face[-1] >= n:
                 raise ValueError(f"face {face} has vertices outside the universe")
-            if len(face) > 1:
-                for sub in itertools.combinations(face, len(face) - 1):
-                    if sub not in faces:
-                        raise ValueError(
-                            f"face set is not downward closed: {face} present, {sub} missing"
-                        )
-        self._set(universe=universe, _masks=frozenset(map(universe._encode, faces)), _facet_masks=None)
+        masks = frozenset(map(universe._encode, faces))
+        subs = _subfaces(masks)
+        if not subs <= masks:  # the least missing face, by dimension and then lexicographic, and
+            # the least face holding it with one more vertex: of faces of one size, the largest mask
+            sub = min(subs - masks, key=lambda mask: (mask.bit_count(), -mask))
+            face = max(g for g in masks if g & sub == sub and (g ^ sub).bit_count() == 1)
+            face, sub = universe._face(face), universe._face(sub)
+            raise ValueError(f"face set is not downward closed: {face} present, {sub} missing")
+        self._set(universe=universe, _masks=masks, _facet_masks=masks - subs)
 
     @classmethod
     def _trusted(cls, universe: Universe, masks) -> "SimplicialComplex":
         """A complex over the face ``masks``, unchecked: only for face sets closed by construction."""
-        return cls.__new__(cls)._set(universe=universe, _masks=frozenset(masks), _facet_masks=None)
+        masks = frozenset(masks)
+        return cls.__new__(cls)._set(universe=universe, _masks=masks, _facet_masks=masks - _subfaces(masks))
 
     @property
     def faces(self) -> frozenset:
@@ -242,13 +244,11 @@ class SimplicialComplex(_Frozen):
 
     @property
     def is_empty(self) -> bool:
-        return not (self._facet_masks if self._masks is None else self._masks)
+        return not self._facet_masks
 
     @property
     def is_point(self) -> bool:
-        # a face with two vertices brings two more faces by downward closure
-        stored = self._facet_masks if self._masks is None else self._masks
-        return len(stored) == 1 and min(stored).bit_count() == 1
+        return len(self._facet_masks) == 1 and min(self._facet_masks).bit_count() == 1
 
     def _by_dimension(self) -> tuple:
         """The face masks of each dimension 0..dim in descending order."""
@@ -274,22 +274,7 @@ class SimplicialComplex(_Frozen):
         return tuple(map(self.universe._face, sized))
 
     def _tops(self) -> Collection[int]:
-        """The masks of the inclusion-maximal faces, computed once.
-
-        Unless a builder gave them, every face marks its codimension-1
-        subfaces, one cleared bit each, and the unmarked faces are the facets,
-        in O(|faces| * dim): exact by downward closure, since a face f inside
-        a larger face g has the coface f + {v}, for any v in g outside f.
-        """
-        if self._facet_masks is None:
-            marked = set()
-            for face in self._masks:
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    marked.add(face ^ low)
-                    rest ^= low
-            self._set(_facet_masks=self._masks - marked)
+        """The masks of the inclusion-maximal faces, set by every builder."""
         return self._facet_masks
 
     def facets(self) -> tuple:
@@ -317,10 +302,11 @@ class SimplicialComplex(_Frozen):
         return self.universe, frozenset(self._tops())
 
     def __repr__(self) -> str:
-        return (
-            f"SimplicialComplex({len(self.universe)} vertices, "
-            f"{len(self._faces())} faces, dim {self.dimension()})"
-        )
+        shown = f"{len(self.universe)} vertices, {len(self._tops())} facets, dim {self.dimension()}"
+        return f"SimplicialComplex({shown})"
+
+    def __reduce__(self):  # rebuilt from the facets, so no face is built
+        return complex_from_facets, (self.universe, self.facet_labels())
 
 
 class VertexMap(_Frozen):
@@ -348,6 +334,21 @@ class VertexMap(_Frozen):
 
     def __repr__(self) -> str:
         return f"VertexMap({self._mapping!r})"
+
+
+def _subfaces(masks) -> set:
+    """Every nonempty codimension-1 subface of the face ``masks``, one cleared bit each, in
+    O(|masks| * dim): the masks are closed exactly when they hold these, and then the rest are
+    the facets, since a face f inside a larger face g has the coface f + {v}, for v in g - f."""
+    subs = set()
+    for face in masks:
+        rest = face
+        while rest:
+            low = rest & -rest
+            subs.add(face ^ low)
+            rest ^= low
+    subs.discard(0)
+    return subs
 
 
 def _walk(tops) -> set:
@@ -424,9 +425,7 @@ def apply_simplicial_map(
     return SimplicialComplex._trusted(target.universe, image)
 
 
-def are_contiguous(
-    f: VertexMap, g: VertexMap, source: SimplicialComplex, target: SimplicialComplex
-) -> bool:
+def are_contiguous(f: VertexMap, g: VertexMap, source: SimplicialComplex, target: SimplicialComplex) -> bool:
     """True iff f(s) and g(s) always span a common face of the target."""
     apply_simplicial_map(f, source, target)
     apply_simplicial_map(g, source, target)

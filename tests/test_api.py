@@ -107,6 +107,15 @@ def test_readme_module_map_line_counts():
     assert int(total.replace(",", "")) == sum(counts.values())
 
 
+def test_only_complexes_reads_the_stored_forms_of_a_complex():
+    """Every complex holds its facet masks once built, and its face masks on first
+    ``_faces()``: another module reads them through ``_tops()`` and ``_faces()``."""
+    for path in sorted((ROOT / "src" / "relcomplex").glob("*.py")):
+        if path.name != "complexes.py":
+            found = re.findall(r"\._(?:facet_)?masks\b", path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name} reads {found}"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """A fresh process: the CLI's import adds neither module to what the interpreter loaded."""
     code = (
@@ -132,7 +141,7 @@ def _value_classes():
         "Universe": (lambda: rc.Universe(["c", "a", "b", "a"]), "Universe(['a', 'b', 'c'])"),
         "SimplicialComplex": (
             lambda: rc.SimplicialComplex(rc.Universe("abc"), [(0,), (1,), (0, 1)]),
-            "SimplicialComplex(3 vertices, 3 faces, dim 1)",
+            "SimplicialComplex(3 vertices, 1 facets, dim 1)",
         ),
         "VertexMap": (
             lambda: rc.VertexMap(rc.Universe("ab"), rc.Universe("xy"), {"b": "x", "a": "y"}),

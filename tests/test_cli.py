@@ -1,9 +1,11 @@
 import contextlib
+import copy
 import gc
 import io
 import itertools
 import json
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -803,6 +805,11 @@ class TestFacetsOnly:
         again = rc.poset_dowker_complex(p, False, "k")
         assert again == k and hash(again) == hash(k) and k != strict
         assert (k.dimension(), len(k.vertices()), k.is_empty, k.is_point) == (26, 64, False, False)
+        assert [repr(k), repr(strict)] == [
+            "SimplicialComplex(64 vertices, 8 facets, dim 26)", "SimplicialComplex(64 vertices, 8 facets, dim 25)"
+        ]
+        for c in (k, strict):  # rebuilt from the facets
+            assert copy.copy(c) == copy.deepcopy(c) == pickle.loads(pickle.dumps(c)) == c
 
 
 # A relation whose labels circle6 lacks: the first unknown one in sorted

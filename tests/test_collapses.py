@@ -356,9 +356,9 @@ class TestSelfChecksCannotVanish:
 
 
 def _reads_facets(k):
-    """Whether ``_coface_counts`` takes the facet path: fewer stored facets
-    than the vertices of the largest."""
-    tops = k._facet_masks
+    """Whether ``_coface_counts`` takes the facet path: fewer facets than the
+    vertices of the largest."""
+    tops = k._tops()
     return bool(tops) and len(tops) < max(map(int.bit_count, tops))
 
 
@@ -407,11 +407,12 @@ class TestCofaceCounts:
         _counts_agree(k)
 
     @given(oracles.complexes(max_vertices=7, max_facets=5))
-    def test_without_stored_facets(self, k):
+    def test_facets_found_by_the_subface_scan(self, k):
+        """A greedy core and a complex rebuilt from faces get their facets from the scan."""
         core, _ = rc.greedy_collapse(k)
-        for unstored in (core, rc.SimplicialComplex(k.universe, k.faces)):
-            assert unstored._facet_masks is None
-            _counts_agree(unstored)
+        for scanned in (core, rc.SimplicialComplex(k.universe, k.faces)):
+            assert scanned.facets() == oracles.scan_facets(scanned)
+            _counts_agree(scanned)
         _counts_agree(k)
 
     @given(st.integers(0, 2**32), st.integers(1, 6))

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import relcomplex as rc
 from relcomplex import complexes as complexes_module
@@ -122,6 +122,35 @@ class TestConstruction:
         assert rc.complex_from_facets(k.universe, k.facet_labels()) == k
 
 
+class TestClosureCheck:
+    """The validating constructor checks closure, and finds the facets, by one subface scan."""
+
+    @settings(max_examples=60, deadline=2000)
+    @given(oracles.complexes(max_vertices=6, max_facets=5), st.data())
+    def test_rebuilt_or_with_a_face_dropped(self, k, data):
+        again = rc.SimplicialComplex(k.universe, k.faces)
+        assert again == k and again.facets() == oracles.scan_facets(k)
+        inner = sorted(k.faces - set(k.facets()))
+        if inner:  # a face with a coface: the least such coface is named
+            gone = data.draw(st.sampled_from(inner))
+            kept = k.faces - {gone}
+            assert not oracles.is_downward_closed(map(k.face_labels, kept))
+            coface = min(f for f in kept if set(gone) < set(f) and len(f) == len(gone) + 1)
+            with pytest.raises(ValueError) as exc:
+                rc.SimplicialComplex(k.universe, kept)
+            assert str(exc.value) == f"face set is not downward closed: {coface} present, {gone} missing"
+
+    @pytest.mark.parametrize("faces, named", [
+        ([(0, 1, 2), (0, 1), (0, 2), (0,), (1,), (2,)], "(0, 1, 2) present, (1, 2) missing"),
+        ([(0, 1, 2), (1, 2)], "(1, 2) present, (1,) missing"),  # by dimension first
+        ([(0, 1), (1, 2), (0,), (2,)], "(0, 1) present, (1,) missing"),  # the least of two holders
+    ])
+    def test_the_least_missing_face_is_named(self, faces, named):
+        with pytest.raises(ValueError) as exc:
+            rc.SimplicialComplex(rc.Universe("abc"), faces)
+        assert str(exc.value) == f"face set is not downward closed: {named}"
+
+
 class TestUncheckedBuilders:
     """Builders that skip validation give complexes the validating constructor accepts."""
 
@@ -159,7 +188,7 @@ def _nested_supports(rng, labels, count):
 def _assert_derived_data(k):
     """Dimension, per-dimension faces, vertices and facets against plain scans, on ``k``,
     on ``k`` rebuilt from its faces and on its greedy collapse core: the last two are
-    built from faces alone, so ``_tops()`` finds their facets by its marking scan."""
+    built from faces alone, so their facets come from the subface scan."""
     rebuilt = rc.SimplicialComplex(k.universe, k.faces)
     for c in (k, rebuilt) if k.is_empty else (k, rebuilt, rc.greedy_collapse(k)[0]):
         faces = c.faces
