@@ -36,8 +36,9 @@ a complex downward closed.  Only an error report scans the whole complex,
 to list every proper coface of a face that is not free.
 
 ``_coface_counts`` uses that f + {v} is a face exactly when v lies in a facet
-holding f (a face lies in a facet; a facet's subsets are faces), so f has
-popcount(OR of the facets holding f) - |f| codimension-1 cofaces.
+holding f (a face lies in a facet; a facet's subsets are faces).  It ORs each
+facet into the entry of each of its nonempty submasks, once per facet holding a
+face, Σ_F (2^|F| - 1) entries in all; f has popcount(entry) - |f| cofaces f + {v}.
 """
 
 from __future__ import annotations
@@ -171,27 +172,16 @@ def _certified(
 
 
 def _coface_counts(k: SimplicialComplex) -> dict:
-    """The codimension-1 coface count of each face mask of ``k``: from the facets
-    when they are fewer than the largest one's vertices, else by increments."""
-    tops, faces = k._tops(), k._faces()
-    if tops and len(tops) < max(map(int.bit_count, tops)):
-        counts = {}
-        for f in faces:
-            union = 0
-            for top in tops:
-                if f & top == f:
-                    union |= top
-            counts[f] = union.bit_count() - f.bit_count()
-        return counts
-    counts = dict.fromkeys(faces, 0)
-    for g in faces:
-        rest = g
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if g != bit:  # a vertex has no nonempty sub-face
-                counts[g ^ bit] += 1
-    return counts
+    """Each face mask's codimension-1 coface count, by the walk of the facets' submasks above."""
+    unions = {}
+    for top in k._tops():
+        sub = top
+        while sub:  # every nonempty submask, in descending order
+            unions[sub] = unions.get(sub, 0) | top
+            sub = (sub - 1) & top
+    for f, union in unions.items():
+        unions[f] = union.bit_count() - f.bit_count()
+    return unions
 
 
 def free_coface(k: SimplicialComplex, face: Iterable[str]) -> Optional[tuple]:

@@ -23,16 +23,18 @@ def test_medians_ratio_and_wins_follow_each_metric_direction():
     ]
     rows = bench_pairs.summarize(pairs, {"jobs_per_s": "higher", "latency_p50_ms": "lower"}, BOUNDS)
     assert [row[0] for row in rows] == ["jobs_per_s", "latency_p50_ms"]
-    (_, before, after, ratio, wins, n, claimable, _), latency = rows
+    (_, before, after, ratio, wins, n, claimable, _, second), latency = rows
     assert (before, after, wins, n, claimable) == ((510, 520, 530), (555, 600, 650), 2, 3, False)
+    # pairs 0 and 2 ran this tree second and it won them; pair 1 ran the parent second, and it won
+    assert second == 3
     assert math.isclose(ratio, 600 / 520)
-    # a tie is not a win
-    assert (latency[1][1], latency[2][1]) == (1.5, 1.3) and latency[4:7] == (2, 3, False)
+    # a tie is not a win, nor a second run that read better
+    assert (latency[1][1], latency[2][1]) == (1.5, 1.3) and latency[4:7] == (2, 3, False) and latency[8] == 2
 
 
 def test_an_even_number_of_pairs_takes_the_middle_mean():
     pairs = [({"setup_s": s}, {"setup_s": s / 2}) for s in (0.1, 0.3)]
-    [(_, before, after, ratio, wins, n, claimable, _)] = bench_pairs.summarize(pairs, {"setup_s": "lower"}, BOUNDS)
+    [(_, before, after, ratio, wins, n, claimable, _, _)] = bench_pairs.summarize(pairs, {"setup_s": "lower"}, BOUNDS)
     assert math.isclose(before[1], 0.2) and math.isclose(after[1], 0.1) and math.isclose(ratio, 0.5)
     assert (wins, n, claimable) == (2, 2, False)
 
@@ -113,10 +115,35 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
     assert [head for head, _, _ in calls] == [False, True, True, False] * len(names)
     tables = capsys.readouterr().out.split("\n\n")
     assert [t.splitlines()[0] for t in tables] == [f"{w}: 2 pairs from seed 5, 8 s each" for w in names]
+    # pair 0 ran this tree second, pair 1 the parent: the better value came second in one of them
     for t in tables:
         rows = [r.split() for r in t.splitlines()[2:]]
-        assert rows == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "no", held]
+        assert rows == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "1/2", "no", held]
                         for name, won, held in zip(metrics, wins, verdicts)]
+
+
+def test_a_run_order_bias_shows_as_second_runs_that_read_better(monkeypatch, tmp_path):
+    """Two equal trees on a stand-in whose second run of each pair reads 10 % better: the
+    wins split with the run order, and the second run read better in every pair."""
+    better = {"jobs_per_s": "higher", "latency_p50_ms": "lower"}
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, pycache):
+        calls.append(tree)
+        second = len(calls) % 2 == 0
+        return {"jobs_per_s": 110.0 if second else 100.0, "latency_p50_ms": 9.0 if second else 10.0}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    runs = bench_pairs.measure(tmp_path, "cli-files", 10, 1, 8.0, tmp_path)
+    assert calls == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path] * 5
+    rows = bench_pairs.summarize(runs, better, BOUNDS)
+    assert [(row[4], row[5], row[6], row[8]) for row in rows] == [(5, 10, False, 10), (5, 10, False, 10)]
+    # the same trees with the bias taken out: no second run reads better
+    flat = [(p, p) for p, _ in runs]
+    assert [(row[4], row[8]) for row in bench_pairs.summarize(flat, better, BOUNDS)] == [(0, 0), (0, 0)]
+    header, *rows = bench_pairs.table("cli-files", runs, better, BOUNDS, 1, 8.0).splitlines()[1:]
+    assert header.split()[-4:] == ["wins", "second", "claimable", "verdict"]
+    assert [r.split()[-4:-2] for r in rows] == [["5/10", "10/10"], ["5/10", "10/10"]]
 
 
 def test_one_workload_prints_one_table(monkeypatch, capsys, tmp_path):

@@ -419,6 +419,15 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: the complex would have at least {faces} faces, more than the limit of {1 << 24}\n"
 
+    def test_a_greedy_collapse_past_the_face_limit_counts_no_coface(self, tmp_path):
+        # the face limit refuses the one 30-vertex facet before its 2^30 - 1
+        # submasks are walked for their coface counts
+        big = tmp_path / "simplex30.complex"
+        big.write_text("complex S\nfacet " + " ".join(f"v{i:02d}" for i in range(30)) + "\n")
+        proc = _capped("collapse", "greedy", "--complex", str(big))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: the complex would have at least 1073741823 faces, more than the limit of 16777216\n"
+
     def test_a_topology_past_the_open_limit_is_a_precondition_error(self, capsys, monkeypatch, tmp_path):
         # an antichain's opens are all 2^12 subsets; the build stops at the first past the limit
         wide = tmp_path / "antichain12.poset"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -355,13 +356,6 @@ class TestSelfChecksCannotVanish:
         assert len(exc.value.cofaces) > 1
 
 
-def _reads_facets(k):
-    """Whether ``_coface_counts`` takes the facet path: fewer facets than the
-    vertices of the largest."""
-    tops = k._tops()
-    return bool(tops) and len(tops) < max(map(int.bit_count, tops))
-
-
 def _counts_agree(k):
     assert collapses._coface_counts(k) == oracles.increment_coface_counts(k)
 
@@ -372,7 +366,7 @@ def _c4chain3():
 
 @st.composite
 def poset_complexes(draw):
-    """K or L of a random poset of 3 to 9 elements; about 6 in 10 read their facets."""
+    """K or L of a random poset of 3 to 9 elements."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     p = oracles.random_poset(rng, [str(i) for i in range(draw(st.integers(3, 9)))])
     strict = draw(st.booleans()) and bool(p.strict_pairs())  # a discrete poset has no strict complex
@@ -388,22 +382,19 @@ def cli_shaped_complexes(draw):
 
 
 class TestCofaceCounts:
-    """``_coface_counts`` on both paths against the increment oracle."""
+    """``_coface_counts``, a walk of the facets' submasks, against the increment oracle."""
 
     @given(poset_complexes())
     def test_poset_complexes(self, k):
         _counts_agree(k)
 
-    def test_poset_complexes_read_their_facets(self):
+    def test_k_and_l_of_c4chain3_and_circle4(self):
         for p in (_c4chain3(), oracles.circle4_poset()):
             for side in "kl":
-                k = rc.poset_dowker_complex(p, False, side)
-                assert _reads_facets(k)
-                _counts_agree(k)
+                _counts_agree(rc.poset_dowker_complex(p, False, side))
 
     @given(cli_shaped_complexes())
-    def test_many_facets_keep_the_increments(self, k):
-        assert not _reads_facets(k)
+    def test_benchmark_shaped_complexes(self, k):
         _counts_agree(k)
 
     @given(oracles.complexes(max_vertices=7, max_facets=5))
@@ -417,18 +408,37 @@ class TestCofaceCounts:
 
     @given(st.integers(0, 2**32), st.integers(1, 6))
     def test_wide_universes(self, seed, m):
-        """m facets over 70 vertices: a few large ones read the facets, many small ones do not."""
+        """m facets over 70 vertices: a few large ones, and many small ones."""
         rng = random.Random(seed)
         labels = [f"v{i:02}" for i in range(70)]
         big = rc.complex_from_facets(labels, [rng.sample(labels, rng.randint(m + 1, m + 3)) for _ in range(m)])
         small = rc.complex_from_facets(labels, [rng.sample(labels, rng.randint(1, 3)) for _ in range(12 * m)])
-        assert _reads_facets(big) and not _reads_facets(small)
         _counts_agree(big)
         _counts_agree(small)
 
+    def test_skeleta(self):
+        """Every (d+1)-subset of n vertices is a facet, so each face lies in many facets."""
+        for n in range(1, 10):
+            labels = [f"s{i}" for i in range(n)]
+            for d in range(min(n, 4)):
+                k = rc.complex_from_facets(labels, itertools.combinations(labels, d + 1))
+                assert len(k._tops()) == math.comb(n, d + 1)
+                _counts_agree(k)
+
+    def test_reads_no_face_set(self, monkeypatch):
+        """The counts come from ``_tops()`` alone: building or reading the faces raises."""
+        ks = [rc.poset_dowker_complex(_c4chain3(), False, "k"), rc.complex_from_facets("abcdef", ["abc", "cde", "aef", "bd"])]
+        want = [oracles.increment_coface_counts(k) for k in ks]
+
+        def refuse(self):
+            raise AssertionError("a face set was read")
+
+        monkeypatch.setattr(rc.SimplicialComplex, "_faces", refuse)
+        assert [collapses._coface_counts(k) for k in ks] == want
+
     def test_every_face_of_c4xc6_k(self):
         k = rc.poset_dowker_complex(oracles.c4xc6_poset(), False, "k")
-        assert len(k._faces()) == 121_087 and _reads_facets(k)
+        assert len(k._faces()) == 121_087
         _counts_agree(k)
 
 

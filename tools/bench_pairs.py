@@ -12,10 +12,12 @@ add`` into a temporary directory, which is removed afterwards; or
 tree first in odd ones.  The script prints each end-to-end metric's
 quartiles on both sides, the ratio of the medians (this tree over the
 parent), the pairs this tree won, by the direction ``BENCHMARK.json``
-gives, whether the gain is claimable: won in at least 9 of every 10
-pairs, of at least 10, with the median better by more than the distance
-between the parent's quartiles, and the no-regression verdict against the
-metric's ``bound`` in ``BENCHMARK.json`` (see ``verdict``).  ``--workload all``
+gives, the pairs whose second run read better (a count far from half
+the pairs says the readings track run order), whether the gain is
+claimable: won in at least 9 of every 10 pairs, of at least 10, with the
+median better by more than the distance between the parent's quartiles,
+and the no-regression verdict against the metric's ``bound`` in
+``BENCHMARK.json`` (see ``verdict``).  ``--workload all``
 runs every workload ``BENCHMARK.json`` lists, one after another from the
 same first seed, and prints one table for each.  All runs of one
 invocation write their bytecode under one fresh temporary directory, their
@@ -69,13 +71,21 @@ def verdict(parent, head, direction: str, bound: float) -> str:
     return "held"
 
 
+def _better(a, b, direction: str) -> bool:
+    """Whether the value ``a`` is strictly better than ``b`` in ``direction``."""
+    return a > b if direction == "higher" else a < b
+
+
 def summarize(pairs, better: dict, bounds: dict) -> list:
     """One row per metric of ``better`` (name -> "higher" or "lower"): (name,
     the parent's quartiles, this tree's quartiles, ratio, wins, pairs,
-    claimable, and the ``verdict`` against the metric's bound in ``bounds``).
+    claimable, the ``verdict`` against the metric's bound in ``bounds``, and
+    the pairs whose second run read better).
 
     ``pairs`` is a list of (parent metrics, this tree's metrics), each a dict
-    of metric name -> value.  A pair is a win when this tree's value is
+    of metric name -> value, in run order: pair i ran the parent first when i
+    is even.  A pair is a win when this tree's value is strictly better, and
+    its second run read better when the value of the tree that ran second is
     strictly better; the ratio is this tree's median over the parent's.  A
     gain is claimable when this tree won at least 9 of every 10 pairs, of at
     least 10, and its median is better than the parent's by more than the
@@ -85,13 +95,15 @@ def summarize(pairs, better: dict, bounds: dict) -> list:
     for name, direction in better.items():
         parent = [p[name] for p, _ in pairs]
         head = [h[name] for _, h in pairs]
-        wins = sum((h > p) if direction == "higher" else (h < p) for p, h in zip(parent, head))
+        wins = sum(_better(h, p, direction) for p, h in zip(parent, head))
+        second = sum(_better(p, h, direction) if i % 2 else _better(h, p, direction)
+                     for i, (p, h) in enumerate(zip(parent, head)))
         before, after = quartiles(parent), quartiles(head)
         gain = after[1] - before[1] if direction == "higher" else before[1] - after[1]
         claimable = len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gain > before[2] - before[0]
         ratio = after[1] / before[1] if before[1] else float("nan")
         status = verdict(parent, head, direction, bounds[name])
-        rows.append((name, before, after, ratio, wins, len(pairs), claimable, status))
+        rows.append((name, before, after, ratio, wins, len(pairs), claimable, status, second))
     return rows
 
 
@@ -127,10 +139,11 @@ def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float, 
 def table(workload: str, runs: list, better: dict, bounds: dict, seed: int, seconds: float) -> str:
     lines = [f"{workload}: {len(runs)} pairs from seed {seed}, {seconds:g} s each",
              f"{'metric':<18} {'parent q1':>10} {'median':>10} {'q3':>10} {'this q1':>10} {'median':>10}"
-             f" {'q3':>10} {'ratio':>7}  wins  claimable  verdict"]
-    for name, parent, head, ratio, wins, n, claimable, status in summarize(runs, better, bounds):
+             f" {'q3':>10} {'ratio':>7}  wins  second  claimable  verdict"]
+    for name, parent, head, ratio, wins, n, claimable, status, second in summarize(runs, better, bounds):
         values = " ".join(f"{v:>10.4g}" for v in (*parent, *head))
-        lines.append(f"{name:<18} {values} {ratio:>7.3f}  {wins}/{n}  {'yes' if claimable else 'no':<9}  {status}")
+        lines.append(f"{name:<18} {values} {ratio:>7.3f}  {wins}/{n}  {second}/{n}"
+                     f"  {'yes' if claimable else 'no':<9}  {status}")
     return "\n".join(lines)
 
 
