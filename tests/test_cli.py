@@ -199,6 +199,14 @@ class TestCollapseCommands:
             "('3', '4'), ('4', '5'), ('4', '5', '6'), ('4', '6')]\n"
         ))
 
+    def test_verify_names_a_face_of_another_complex(self, capsys):
+        """The golden row of these steps on boundary2 pins exit 2 and no stdout; this pins stderr."""
+        argv = ("collapse", "verify", "--complex", "boundary2.complex", "--steps", "circle4_k_strict.steps")
+        assert (argv, 2, "") in GOLDEN
+        assert run(capsys, *resolve(argv)) == (
+            2, "", "error: step 0: face ('2', '3') is not free: it is not a face of the complex\n"
+        )
+
     @pytest.mark.parametrize(
         "steps, face",
         [

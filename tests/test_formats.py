@@ -145,6 +145,14 @@ class TestReports:
         seq = rc.CollapseSequence(boundary2, ())
         assert formats.write_report(seq) == '{"steps":[]}'
 
+    def test_steps_with_a_label_outside_the_universe(self, boundary2):
+        """Steps that name a label the complex lacks are written from their own labels."""
+        steps = [rc.CollapseStep(("a", "\u00e9"), ("a", "b", "\u00e9")), rc.CollapseStep(("b",), ("b", "c"))]
+        seq = rc.CollapseSequence(boundary2, steps)
+        text = '{"steps":[[["a","\\u00e9"],["a","b","\\u00e9"]],[["b"],["b","c"]]]}'
+        assert formats.write_report(seq) == text
+        assert formats.write_report({"z": 1, "seq": seq}) == '{"seq":' + text[9:-1] + ',"z":1}'
+
     def test_reports_have_no_floats(self, crown_relation):
         text = formats.write_report(rc.verify_closed_relation(crown_relation, "weak"))
         import json
