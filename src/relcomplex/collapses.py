@@ -19,21 +19,19 @@ lexicographic, so the greedy heap key, which orders as (-popcount, -mask),
 pops the face that (-dimension, tuple) names, and ``collapse_leq_to_strict``
 lists each level of a cone in lexicographic order.
 
-Every step is judged by one replay loop, ``_replay``, on (free, coface)
-mask pairs and one mutable mask set: the free face must be present and
-``coface`` must be its only codimension-1 coface.  ``verify_sequence``
-(and so ``apply_step``) feeds it an engine's own mask pairs, or else the
-steps' labels, turned into masks one step at a time.  ``greedy_collapse``
-keeps the count for every face and takes free faces from a heap, and
-``collapse_leq_to_strict`` lists the cone of every maximal element.  Each
-engine replays its pairs on a fresh copy of the initial masks as a
-self-check, compares the end state with the expected mask set, and returns
-a sequence that keeps the mask pairs: the labels of a step's faces are
-built on demand, each once, from its prefix's labels
-(``Universe._labeller``).  Results are built through the
-unchecked ``SimplicialComplex._trusted``, since collapsing a free face keeps
-a complex downward closed.  Only an error report scans the whole complex,
-to list every proper coface of a face that is not free.
+Every sequence holds its (free, coface) mask pairs, and every step is judged
+by one replay loop, ``_replay``, on them and one mutable mask set: the free
+face must be present and ``coface`` must be its only codimension-1 coface.
+``greedy_collapse`` keeps the count of every live face and takes free faces
+from a heap, and ``collapse_leq_to_strict`` lists the cone of every maximal
+element.  Each engine builds its sequence from its pairs, unchecked
+(``CollapseSequence._new``), replays it on a fresh copy of the initial masks
+as a self-check and compares the end state with the expected mask set.  The
+labels of its steps are built on demand, each once, from its prefix's labels
+(``Universe._labeller``), through ``CollapseStep._new``.  Results are built
+through the unchecked ``SimplicialComplex._trusted``, since collapsing a free
+face keeps a complex downward closed.  Only an error report scans the whole
+complex, to list every proper coface of a face that is not free.
 
 ``_coface_counts`` uses that f + {v} is a face exactly when v lies in a facet
 holding f (a face lies in a facet; a facet's subsets are faces).  It ORs each
@@ -82,33 +80,26 @@ class CollapseStep(_Frozen):
             )
         self._set(free_face=free, coface=coface)
 
-    @classmethod
-    def _trusted(cls, free_face: tuple, coface: tuple) -> "CollapseStep":
-        """A step without checks, for the labels of a replayed mask pair: a mask
-        decodes to increasing indices of a universe, whose labels are sorted, so
-        to sorted and distinct labels."""
-        step = object.__new__(cls)
-        step._set(free_face=free_face, coface=coface)
-        return step
-
 
 class CollapseSequence(_Frozen):
-    """An ordered list of collapse steps applied to an initial complex.  An engine's
-    sequence holds its mask pairs in ``_pairs`` instead, and labels them when
-    ``steps`` is first read; one built from steps has ``_pairs`` None."""
+    """An ordered list of collapse steps applied to an initial complex, and their
+    (free, coface) mask pairs, None for a face with a label outside the universe.
+    An engine's sequence is built from its pairs alone, with ``_steps`` None, and
+    labels them when ``steps`` is first read."""
 
-    __slots__ = ("initial", "steps", "_pairs")
+    __slots__ = ("initial", "_steps", "_pairs")
     _fields = ("initial", "steps")
 
     def __init__(self, initial: SimplicialComplex, steps: Iterable[CollapseStep]):
-        self._set(initial=initial, steps=tuple(steps), _pairs=None)
+        steps, mask = tuple(steps), initial.universe._mask
+        self._set(initial=initial, _steps=steps, _pairs=[(mask(s.free_face), mask(s.coface)) for s in steps])
 
-    def __getattr__(self, name):  # reached only for a name without a value
-        if name != "steps" or self._pairs is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        label = self.initial.universe._labeller()
-        self._set(steps=tuple(CollapseStep._trusted(label(f), label(c)) for f, c in self._pairs))
-        return self.steps
+    @property
+    def steps(self) -> tuple:
+        if self._steps is None:  # a mask's labels are sorted and distinct, so each step holds
+            label = self.initial.universe._labeller()
+            self._set(_steps=tuple(CollapseStep._new(label(f), label(c)) for f, c in self._pairs))
+        return self._steps
 
 
 def _cofaces(faces, f: int, full: int) -> list:
@@ -128,23 +119,23 @@ def _cofaces(faces, f: int, full: int) -> list:
     return found
 
 
-def _replay(universe, faces: set, pairs, steps=None) -> None:
-    """Remove each (free, coface) mask pair from ``faces``, in order.
+def _replay(seq: CollapseSequence, faces: set) -> None:
+    """Remove each (free, coface) mask pair of ``seq`` from ``faces``, in order.
 
     This is the one test of a step: the free face is in ``faces`` and
     ``coface`` is its only codimension-1 coface there.  The first step that
-    fails raises NotFreeError with its index.  A mask of None names a label
-    outside the universe.  The error names the free face by the labels of
-    ``steps[i]`` when the pairs were read from ``steps``.
+    fails raises NotFreeError with its index and its free face's labels.  A
+    mask of None names a label outside the universe.
     """
+    universe = seq.initial.universe
     full = (1 << len(universe)) - 1
-    for i, (free, coface) in enumerate(pairs):
+    for i, (free, coface) in enumerate(seq._pairs):
         found = _cofaces(faces, free, full) if free in faces else None
         if found == [coface]:
             faces.remove(free)
             faces.remove(coface)
             continue
-        face = universe._labels(free) if steps is None else steps[i].free_face
+        face = seq.steps[i].free_face
         if found is None:
             raise NotFreeError(face, None, index=i)
         if len(found) != 1:  # every proper coface, by a scan of all faces
@@ -162,12 +153,10 @@ def _certified(
     the end state must be the face set of ``final``; else AssertionError
     with ``message``.  No face is labelled until the steps are read.
     """
-    faces = set(initial._faces())
-    _replay(initial.universe, faces, pairs)
+    seq, faces = CollapseSequence._new(initial, None, pairs), set(initial._faces())
+    _replay(seq, faces)
     if faces != final._faces():
         raise AssertionError(message)
-    seq = object.__new__(CollapseSequence)
-    seq._set(initial=initial, _pairs=pairs)
     return seq
 
 
@@ -210,18 +199,13 @@ def apply_step(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
 def verify_sequence(seq: CollapseSequence) -> SimplicialComplex:
     """Replay every step, failing with the index of the first invalid one.
 
-    The steps are replayed on one mutable face set, so each costs
-    O(|universe|) rather than a rebuild of the complex.  An engine's
-    sequence is replayed on its mask pairs, and no step is labelled.
+    The mask pairs are replayed on one mutable face set, so each step costs
+    O(|universe|) rather than a rebuild of the complex, and no step is labelled
+    unless one fails.
     """
-    universe = seq.initial.universe
     faces = set(seq.initial._faces())
-    if seq._pairs is not None:
-        _replay(universe, faces, seq._pairs)
-    else:
-        mask = universe._mask
-        _replay(universe, faces, ((mask(s.free_face), mask(s.coface)) for s in seq.steps), seq.steps)
-    return SimplicialComplex._trusted(universe, faces)
+    _replay(seq, faces)
+    return SimplicialComplex._trusted(seq.initial.universe, faces)
 
 
 def collapse_leq_to_strict(p: Poset, side: str) -> CollapseSequence:
@@ -277,30 +261,30 @@ def greedy_collapse(k: SimplicialComplex) -> Tuple[SimplicialComplex, CollapseSe
     if k.is_empty:
         raise EmptyComplexError("cannot collapse the empty complex")
     n = len(k.universe)
-    faces = set(k._faces())
-    counts = _coface_counts(k)
+    k._faces()  # too many faces are refused here, before any count
+    counts = _coface_counts(k)  # the live faces, each with its coface count
     heap = [-(f.bit_count() << n | f) for f, c in counts.items() if c == 1]
     heapq.heapify(heap)
     full = (1 << n) - 1
     pairs = []
     while heap:
         f = -heapq.heappop(heap) & full
-        if f not in faces or counts[f] != 1:
+        if counts.get(f) != 1:
             continue
         rest = full & ~f  # f has one coface: the first vertex that makes a face
-        while (c := f | (rest & -rest)) not in faces:
+        while (c := f | (rest & -rest)) not in counts:
             rest &= rest - 1
         for gone in (f, c):
-            faces.remove(gone)
+            del counts[gone]
             rest = gone
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 sub = gone ^ bit
-                if sub in faces:
+                if sub in counts:
                     counts[sub] -= 1
                     if counts[sub] == 1:
                         heapq.heappush(heap, -(sub.bit_count() << n | sub))
         pairs.append((f, c))
-    core = SimplicialComplex._trusted(k.universe, faces)
+    core = SimplicialComplex._trusted(k.universe, counts.keys())
     return core, _certified(k, pairs, core, "greedy collapse emitted an invalid sequence")

@@ -14,8 +14,9 @@ and all operations are pure, so they can be shared freely across workers.
 
 ``SimplicialComplex(...)`` validates a face set of index tuples given from
 outside.  Builders whose face set is closed by construction skip the check,
-on masks, through ``_spanned`` or ``SimplicialComplex._trusted``; the
-labels they take in are checked by ``Universe``:
+on masks, through ``_spanned`` or ``SimplicialComplex._trusted``, both on
+``_Frozen._new``, the one unchecked builder of a value (this ``_trusted`` and
+``Poset._trusted`` derive a slot first); ``Universe`` checks their labels:
 
 - ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``, and
   ``posets.poset_dowker_complex``: a union of full simplices, one per facet
@@ -32,7 +33,7 @@ labels they take in are checked by ``Universe``:
 The first four give only their facets, through ``_spanned``, on index-set
 masks (index i at bit i), and ``_faces()`` walks their submasks on first use
 (``_walk``: the one face walk and the one refusal of too many faces).  The
-rest give their faces, through ``_trusted``, and ``_subfaces`` finds facets.
+rest give their faces, through ``_trusted``, whose ``_subfaces`` finds facets.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class _Frozen:
     of every value class of the package: ``_fields`` names its constructor's
     arguments in order, for ``repr`` and for copies and pickles, and ``==`` and
     ``hash`` read ``_key()``, all of them unless a class says otherwise (a class
-    whose equality reads a stored form overrides ``_key``).  A constructor, or a
-    trusted builder, sets its slots with one ``_set`` call, which returns the value;
-    a lazy field starts as None and is filled through ``_set`` too."""
+    whose equality reads a stored form overrides ``_key``).  A constructor, or a lazy
+    field that starts as None, sets slots by ``_set``, which returns the value; a value
+    that holds by construction is built by ``_new``, given each slot in order."""
 
     __slots__ = ()
 
@@ -72,6 +73,13 @@ class _Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         return self
+
+    @classmethod
+    def _new(cls, *stored):
+        value = object.__new__(cls)
+        for name, item in zip(cls.__slots__, stored, strict=True):
+            object.__setattr__(value, name, item)
+        return value
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} cannot be changed")
@@ -229,7 +237,7 @@ class SimplicialComplex(_Frozen):
     def _trusted(cls, universe: Universe, masks) -> "SimplicialComplex":
         """A complex over the face ``masks``, unchecked: only for face sets closed by construction."""
         masks = frozenset(masks)
-        return cls.__new__(cls)._set(universe=universe, _masks=masks, _facet_masks=masks - _subfaces(masks))
+        return cls._new(universe, masks, masks - _subfaces(masks))
 
     @property
     def faces(self) -> frozenset:
@@ -380,8 +388,7 @@ def _spanned(universe: Universe, tops) -> SimplicialComplex:
                 break
         else:
             kept.append(top)
-    k = SimplicialComplex.__new__(SimplicialComplex)
-    return k._set(universe=universe, _masks=None, _facet_masks=tuple(map(universe._mirror, kept)))
+    return SimplicialComplex._new(universe, None, tuple(map(universe._mirror, kept)))
 
 
 def complex_from_facets(universe, facets: Iterable[Iterable[str]]) -> SimplicialComplex:

@@ -4,14 +4,15 @@ Inputs are hand-authorable text ('#' starts a comment, labels are
 whitespace-free tokens, declarations precede use); outputs are JSON with
 sorted keys, compact separators and no floating point, so every report is
 byte-stable across runs.  Collapse steps are written as text straight from
-an engine's mask pairs, each face's from its prefix's, with no step object.
+a sequence's mask pairs, each face's from its prefix's, with no step object.
 
 Text is checked once, by ``parse``, in one pass over its lines: header,
-keywords, arity, declaration before use and distinct labels in a set.
-Records keep their file order, grouped by keyword, and are sorted only where
-order shows: in a document's canonical ``records``, in the ``open`` group,
-whose order picks the pair of opens an error names, and in the ``le`` group
-once it is known to close into a cycle, whose witness follows the edges.
+keywords, arity, declaration before use and distinct labels in a set, so it
+builds its ``Document`` unchecked, through ``_new``.  Records keep their file
+order, grouped by keyword, and are sorted only where order shows: in a
+document's canonical ``records``, in the ``open`` group, whose order picks
+the pair of opens an error names, and in the ``le`` group once it is known
+to close into a cycle, whose witness follows the edges.
 The converters hand the labels to the constructors that check values:
 ``Universe``, ``Relation``, ``FiniteTopology`` and ``complex_from_facets``,
 and ``poset_from_pairs``, which builds through the unchecked
@@ -67,14 +68,6 @@ class Document(_Frozen):
         if unknown := groups.keys() - _GRAMMAR[kind]:
             raise ValueError(f"unknown keyword {min(unknown)!r} in a {kind} document")
         self._set(kind=kind, name=name, header_line=header_line, _groups=groups, _records=None)
-
-    @classmethod
-    def _parsed(cls, kind: str, name: str, header_line: int, groups: dict) -> "Document":
-        """A document of groups (keywords of ``kind`` to their records) that
-        ``parse`` has checked."""
-        doc = cls.__new__(cls)
-        doc._set(kind=kind, name=name, header_line=header_line, _groups=groups, _records=None)
-        return doc
 
     @property
     def records(self) -> tuple:
@@ -147,7 +140,7 @@ def parse(text: str) -> Document:
         groups[keyword].append(tuple(tokens))
     if kind is None:
         raise ParseError(1, "empty document")
-    return Document._parsed(kind, name, header_line, groups)
+    return Document._new(kind, name, header_line, groups, None)
 
 
 def serialize(doc: Document) -> str:
@@ -226,11 +219,11 @@ def to_jsonable(value):
 
 
 def _steps_text(seq: CollapseSequence) -> str:
-    """The JSON text of a sequence's list of steps.  An engine's mask pairs are
-    named through one memo (``Universe._walker``): a face's text is its
-    prefix's, a comma and the JSON string of its last label."""
+    """The JSON text of a sequence's list of steps.  Its mask pairs are named
+    through one memo (``Universe._walker``): a face's text is its prefix's, a
+    comma and the JSON string of its last label."""
     pairs = seq._pairs
-    if pairs is None:  # steps given as labels
+    if any(None in pair for pair in pairs):  # a step names a label outside the universe
         return json.dumps([[list(s.free_face), list(s.coface)] for s in seq.steps], separators=(",", ":"))
     text = seq.initial.universe._walker("", json.dumps, "{},{}".format)
     return "[" + ",".join([f"[[{text(f)}],[{text(c)}]]" for f, c in pairs]) + "]"

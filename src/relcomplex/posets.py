@@ -21,13 +21,13 @@ topology, and only then:
 
 On a family that fails, the pairwise scan over its opens names the first
 pair whose union or intersection is missing.  ``order_to_topology`` is the
-one builder that skips the check, through ``FiniteTopology._trusted``: the
+one builder that skips the check, through ``FiniteTopology._new``: the
 unions of the down-sets are a topology by construction, with the down-sets
 as its minimal opens.
 
 ``Poset(elements, up)`` checks reflexivity, antisymmetry and transitivity.
 Builders whose order holds by construction skip that, through the unchecked
-``Poset._trusted``:
+``Poset._trusted``, which derives ``down`` unless given and calls ``_new``:
 
 - ``poset_from_pairs`` (so every parsed poset): a reflexive-transitive
   closure, once no two elements reach each other;
@@ -96,9 +96,7 @@ class Poset(_Frozen):
         """The partial order ``up``, known by construction; ``down`` is its
         transpose, computed when not given."""
         up = tuple(up)
-        p = cls.__new__(cls)
-        p._set(elements=elements, up=up, down=_transpose(up, len(up)) if down is None else tuple(down))
-        return p
+        return cls._new(elements, up, _transpose(up, len(up)) if down is None else tuple(down))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -114,7 +112,7 @@ class Poset(_Frozen):
 
     def pairs(self) -> frozenset:
         """All (a, b) with a <= b, as labels: the pairs of the relation <= itself."""
-        return Relation._trusted(self.elements, self.elements, self.down).pairs
+        return Relation._new(self.elements, self.elements, self.down).pairs
 
     def strict_pairs(self) -> frozenset:
         return frozenset((a, b) for a, b in self.pairs() if a != b)
@@ -409,13 +407,6 @@ class FiniteTopology(_Frozen):
                     raise InvalidTopologyError("open sets must be closed under intersection")
         self._set(points=points, opens=frozenset(masks), _mins=tuple(mins))
 
-    @classmethod
-    def _trusted(cls, points: Universe, masks, mins) -> "FiniteTopology":
-        """A topology over ``masks``, known by construction, with minimal opens ``mins``."""
-        t = cls.__new__(cls)
-        t._set(points=points, opens=frozenset(masks), _mins=tuple(mins))
-        return t
-
     def open_label_sets(self) -> tuple:
         """All opens as sorted label tuples, smallest first."""
         labels = self.points.labels
@@ -455,7 +446,7 @@ def order_to_topology(p: Poset) -> FiniteTopology:
             masks.add(m | d)
             if len(masks) > _MAX_FACES:
                 raise TooManyOpensError(len(masks), _MAX_FACES)
-    return FiniteTopology._trusted(p.elements, masks, p.down)
+    return FiniteTopology._new(p.elements, frozenset(masks), p.down)
 
 
 def topology_to_order(t: FiniteTopology) -> Poset:

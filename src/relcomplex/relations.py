@@ -11,7 +11,7 @@ per y in y index order, and derives ``pairs`` from them.  ``Relation(...)``
 reads each pair's supports straight off the universes' index dicts and
 names the first unknown label in input order, x before y.  Builders whose
 supports hold by construction skip even that, through the unchecked
-``Relation._trusted``:
+``Relation._new`` (``complexes._Frozen._new``):
 
 - ``transpose``: the supports of each x, by ``_transpose`` of the bit matrix;
 - ``canonical_relation`` and ``posets.membership_relation``: each face, or
@@ -78,14 +78,6 @@ class Relation(_Frozen):
             raise UnknownVertexError(x if x not in xi else y) from None
         self._set(x_universe=x_universe, y_universe=y_universe, _supports=tuple(supports))
 
-    @classmethod
-    def _trusted(cls, x_universe: Universe, y_universe: Universe, supports) -> "Relation":
-        """A relation over nonempty universes with ``supports`` known by
-        construction: one x index-set mask per y, in y index order."""
-        r = cls.__new__(cls)
-        r._set(x_universe=x_universe, y_universe=y_universe, _supports=tuple(supports))
-        return r
-
     @property
     def pairs(self) -> frozenset:
         """All (x, y) with x R y, as labels."""
@@ -122,7 +114,7 @@ def require_covered(rel: Relation) -> None:
 def transpose(rel: Relation) -> Relation:
     """Swap the roles of X and Y."""
     supports = _transpose(rel._supports, len(rel.x_universe))
-    return Relation._trusted(rel.y_universe, rel.x_universe, supports)
+    return Relation._new(rel.y_universe, rel.x_universe, supports)
 
 
 def k_complex(rel: Relation) -> SimplicialComplex:
@@ -155,7 +147,7 @@ def _membership(x_universe: Universe, faces, what: str) -> Relation:
         raise EmptyRelationError("relation universes must be nonempty")
     named = {",".join(map(labels.__getitem__, _bits(f))): f for f in faces}
     y_universe = Universe(named)
-    return Relation._trusted(x_universe, y_universe, map(named.__getitem__, y_universe.labels))
+    return Relation._new(x_universe, y_universe, tuple(map(named.__getitem__, y_universe.labels)))
 
 
 def canonical_relation(t: SimplicialComplex) -> Relation:

@@ -23,6 +23,8 @@ import relcomplex as rc
 from relcomplex import cli
 from relcomplex.complexes import _Frozen
 
+import oracles
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -300,6 +302,97 @@ def test_values_are_equal_exactly_where_the_compared_fields_are(name):
     for field, other in equal.items():
         assert getattr(other, field) != getattr(value, field), field
         assert value == other and hash(value) == hash(other), field
+
+
+def _stored(value) -> list:
+    """Every slot of ``value``, in ``__slots__`` order, read through its descriptor,
+    which raises AttributeError for a slot left unset and bypasses any ``__getattr__``."""
+    cls = type(value)
+    return [vars(cls)[slot].__get__(value, cls) for slot in cls.__slots__]
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_new_sets_every_slot_in_order(name):
+    value = VALUE_CLASSES[name][0]()
+    cls = type(value)
+    stored = _stored(value)
+    assert cls._new(*(getattr(value, slot) for slot in cls.__slots__)) == value
+    assert cls._new(*stored) == value and _stored(cls._new(*stored)) == stored
+    with pytest.raises(ValueError):
+        cls._new(*stored[:-1])
+    with pytest.raises(ValueError):
+        cls._new(*stored, None)
+
+
+def _engines():
+    """name -> a call of a public builder or engine, made afresh on each call."""
+    p = oracles.circle4_poset()
+    k = rc.poset_dowker_complex(p, False, "k")
+    r = rc.Relation(p.elements, p.elements, p.pairs())
+    closed = rc.ClosedRelation(p, p, [(x, y) for x in p.labels() for y in p.labels()])
+    step = rc.CollapseStep(("1", "3"), ("1", "2", "3"))
+    m = rc.VertexMap(k.universe, k.universe, {v: "1" for v in k.universe})
+    return {
+        "parse": lambda: rc.formats.parse("poset p\nelement b\nelement a\nle a b\n"),
+        "poset_from_pairs": lambda: rc.poset_from_pairs("ba", [("a", "b")]),
+        "dual_poset": lambda: rc.dual_poset(p),
+        "induced_subposet": lambda: rc.induced_subposet(p, "134"),
+        "product_poset": lambda: rc.product_poset(p, p),
+        "order_to_topology": lambda: rc.order_to_topology(p),
+        "topology_to_order": lambda: rc.topology_to_order(rc.order_to_topology(p)),
+        "realize_as_poset_k_complex": lambda: rc.realize_as_poset_k_complex(k),
+        "membership_relation": lambda: rc.membership_relation(rc.order_to_topology(p)),
+        "transpose": lambda: rc.transpose(r),
+        "canonical_relation": lambda: rc.canonical_relation(k),
+        "k_complex": lambda: rc.k_complex(r),
+        "l_complex": lambda: rc.l_complex(r),
+        "complex_from_facets": lambda: rc.complex_from_facets("abc", [("a", "b"), ("c",)]),
+        "poset_dowker_complex": lambda: rc.poset_dowker_complex(p, True, "l"),
+        "order_complex": lambda: rc.order_complex(p),
+        "apply_simplicial_map": lambda: rc.apply_simplicial_map(m, k, k),
+        "greedy_collapse": lambda: rc.greedy_collapse(k),
+        "collapse_leq_to_strict": lambda: rc.collapse_leq_to_strict(p, "l"),
+        "verify_sequence": lambda: rc.verify_sequence(rc.collapse_leq_to_strict(p, "k")),
+        "apply_step": lambda: rc.apply_step(rc.complex_from_facets("123", [("1", "2", "3")]), step),
+        "homology": lambda: rc.homology(k),
+        "boundary_matrices": lambda: rc.boundary_matrices(k),
+        "induced_l_map": lambda: rc.induced_l_map(rc.RelationMorphism(r, r, {y: y for y in r.y_universe})),
+        "fiber": lambda: rc.fiber(closed, "1", "x"),
+        "relation_poset": lambda: rc.relation_poset(closed),
+    }
+
+
+ENGINES = _engines()
+
+
+def _values(result):
+    """The values of the package in a result, through tuples, lists and dicts."""
+    if isinstance(result, _Frozen):
+        yield result
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from _values(item)
+    elif isinstance(result, dict):
+        for item in result.values():
+            yield from _values(item)
+
+
+@pytest.mark.parametrize("name", [*VALUE_CLASSES, *ENGINES])
+def test_every_slot_is_set_when_a_value_is_returned(name):
+    """Right after a public constructor or an engine returns, before any other read."""
+    values = list(_values(ENGINES[name]() if name in ENGINES else VALUE_CLASSES[name][0]()))
+    assert values, name
+    for value in values:
+        assert len(_stored(value)) == len(type(value).__slots__)
+
+
+def test_only_complexes_fills_a_slot():
+    """``_Frozen._set`` and ``_Frozen._new`` are the only ways to fill a slot: no other
+    module makes a bare instance or sets an attribute past ``_Frozen.__setattr__``."""
+    for path in sorted((ROOT / "src" / "relcomplex").glob("*.py")):
+        if path.name != "complexes.py":
+            found = re.findall(r"__new__|object\.__setattr__", path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name} names {found}"
 
 
 def test_every_slotted_class_is_frozen_and_only_frozen_defines_equality():

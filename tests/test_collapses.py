@@ -300,9 +300,9 @@ def _sabotage(monkeypatch, change):
     """Let ``change`` edit an engine's mask pair list just before its self-check replays it."""
     replay = collapses._replay
 
-    def sabotaged(universe, faces, pairs, steps=None):
-        change(pairs)
-        return replay(universe, faces, pairs, steps)
+    def sabotaged(seq, faces):
+        change(seq._pairs)
+        return replay(seq, faces)
 
     monkeypatch.setattr(collapses, "_replay", sabotaged)
 
@@ -468,12 +468,8 @@ class TestLazySteps:
 
     @staticmethod
     def _labelled(seq) -> bool:
-        """Whether the sequence's ``steps`` slot holds a value."""
-        try:
-            rc.CollapseSequence.steps.__get__(seq)
-        except AttributeError:
-            return False
-        return True
+        """Whether the sequence's ``_steps`` slot holds its steps."""
+        return seq._steps is not None
 
     @pytest.mark.parametrize("argv", [
         ("collapse", "greedy", "--complex", "c4chain3_k.complex"),
@@ -485,7 +481,7 @@ class TestLazySteps:
             raise AssertionError("a CollapseStep was built")
 
         monkeypatch.setattr(rc.CollapseStep, "__init__", refuse)
-        monkeypatch.setattr(rc.CollapseStep, "_trusted", refuse)
+        monkeypatch.setattr(rc.CollapseStep, "_new", refuse)
         argv = [str(DATA / a) if a.endswith((".complex", ".poset")) else a for a in argv]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.startswith("{")
