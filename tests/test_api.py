@@ -366,14 +366,11 @@ ENGINES = _engines()
 
 
 def _values(result):
-    """The values of the package in a result, through tuples, lists and dicts."""
+    """The values of the package in a result, through tuples and lists."""
     if isinstance(result, _Frozen):
         yield result
     elif isinstance(result, (tuple, list)):
         for item in result:
-            yield from _values(item)
-    elif isinstance(result, dict):
-        for item in result.values():
             yield from _values(item)
 
 
