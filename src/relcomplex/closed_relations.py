@@ -43,19 +43,16 @@ def closedness_witness(
 ) -> Optional[Tuple[Tuple[str, str], Tuple[str, str]]]:
     """A pair (lower, upper) violating up-closure, or None when closed; the
     first label outside its poset, in input order, raises UnknownVertexError."""
-    pairset = set()
-    for x, y in pairs:
-        x_poset.elements.index(x)
-        y_poset.elements.index(y)
-        pairset.add((x, y))
-    # each label's up-set as sorted labels, made once: index order is label order
-    x_ups, y_ups = ({lab: p.elements.face_labels(_bits(up)) for lab, up in zip(p.labels(), p.up)}
-                    for p in (x_poset, y_poset))
-    for x, y in sorted(pairset):
-        for x2 in x_ups[x]:
-            for y2 in y_ups[y]:
-                if (x2, y2) not in pairset:
-                    return ((x, y), (x2, y2))
+    xs, ys = x_poset.elements, y_poset.elements
+    rows = [0] * len(xs)  # rows[i]: the mask of the y related to x_i
+    for x, y in pairs:  # the subscript is evaluated first, so x's label is checked first
+        rows[xs.index(x)] |= 1 << ys.index(y)
+    # pairs, then the pairs above each, in index order, which is label order
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            for i2 in _bits(x_poset.up[i]):
+                if missing := y_poset.up[j] & ~rows[i2]:
+                    return ((xs.label(i), ys.label(j)), (xs.label(i2), ys.label(next(_bits(missing)))))
     return None
 
 
@@ -171,7 +168,7 @@ def _preimage_facets(rel, side, base_k) -> dict:
         related[here.elements.index(pair[at])] |= 1 << there.elements.index(pair[1 - at])
     facets = []
     for face in base_k.facets():
-        labels = base_k.face_labels(face)
+        labels = base_k.universe.face_labels(face)
         vertices = sorted(pair_label(*pair) for pair in rel.pairs if pair[at] in labels)
         own = [i for i in face if related[i]]  # the side's elements of the preimage
         full = False

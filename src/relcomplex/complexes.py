@@ -292,19 +292,9 @@ class SimplicialComplex(_Frozen):
     def facet_labels(self) -> tuple:
         return tuple(self.universe.face_labels(f) for f in self.facets())
 
-    def face_labels(self, face: Face) -> tuple:
-        return self.universe.face_labels(face)
-
-    def label_faces(self) -> frozenset:
-        """Faces as sorted label tuples (comparable across universes)."""
-        return frozenset(map(self.universe._labels, self._faces()))
-
     def has_face_labels(self, labels: Iterable[str]) -> bool:
         mask = self.universe._mask(labels)  # None for a label outside the universe
         return bool(mask) and any(mask & top == mask for top in self._tops())
-
-    def euler_characteristic(self) -> int:
-        return sum(1 if f.bit_count() % 2 else -1 for f in self._faces())
 
     def _key(self) -> tuple:  # equal face sets have equal facet sets
         return self.universe, frozenset(self._tops())

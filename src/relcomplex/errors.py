@@ -73,8 +73,7 @@ class NotT0Error(DomainError):
 
 
 class InvalidTopologyError(DomainError):
-    def __init__(self, message):
-        super().__init__(message)
+    """A family of sets that is not a topology: its message says which condition fails."""
 
 
 class EmptyResultError(DomainError):

@@ -107,28 +107,12 @@ class Poset(_Frozen):
     def leq(self, a: str, b: str) -> bool:
         return bool(self.up[self.elements.index(a)] >> self.elements.index(b) & 1)
 
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
-
     def pairs(self) -> frozenset:
         """All (a, b) with a <= b, as labels: the pairs of the relation <= itself."""
         return Relation._new(self.elements, self.elements, self.down).pairs
 
     def strict_pairs(self) -> frozenset:
         return frozenset((a, b) for a, b in self.pairs() if a != b)
-
-    def cover_pairs(self) -> tuple:
-        """The covering (Hasse) pairs, sorted; a minimal generating set."""
-        labs = self.elements.labels
-        covers = []
-        for i in range(len(labs)):
-            for j in _bits(self.up[i]):
-                if j == i:
-                    continue
-                between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    covers.append((labs[i], labs[j]))
-        return tuple(covers)  # in (i, j) order, which is label order
 
     def __repr__(self) -> str:
         strict = sum(map(int.bit_count, self.up)) - len(self)
@@ -314,7 +298,7 @@ def realize_as_poset_k_complex(t: SimplicialComplex) -> Poset:
     for s in facets:
         private = [v for v in s if count[v] == 1]
         if not private:
-            raise NotRealizableError(t.face_labels(s))
+            raise NotRealizableError(t.universe.face_labels(s))
         top = 1 << min(private)
         for x in s:
             up[x] |= top
@@ -412,12 +396,6 @@ class FiniteTopology(_Frozen):
         labels = self.points.labels
         outs = [tuple(labels[i] for i in _bits(mask)) for mask in self.opens]
         return tuple(sorted(outs, key=lambda t: (len(t), t)))
-
-    def minimal_open_mask(self, index: int) -> int:
-        return self._mins[index]
-
-    def minimal_open(self, label: str) -> frozenset:
-        return frozenset(self.points.face_labels(_bits(self._mins[self.points.index(label)])))
 
     def t0_witness(self) -> Optional[Tuple[str, str]]:
         mins = self._mins

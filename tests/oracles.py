@@ -264,6 +264,16 @@ def scan_facets(k: rc.SimplicialComplex) -> tuple:
     return tuple(sorted(maximal))
 
 
+def label_faces(k: rc.SimplicialComplex) -> frozenset:
+    """Faces as sorted label tuples (comparable across universes)."""
+    return frozenset(map(k.universe.face_labels, k.faces))
+
+
+def euler_characteristic(k: rc.SimplicialComplex) -> int:
+    """The alternating count of faces: +1 for each even dimension, -1 for each odd one."""
+    return sum(1 if len(face) % 2 else -1 for face in k.faces)
+
+
 # ---------------------------------------------------------------------------
 # combinatorial oracles
 
@@ -433,6 +443,22 @@ def rescan_minimal_open(t: rc.FiniteTopology, index: int) -> int:
         if o >> index & 1:
             mask &= o
     return mask
+
+
+def minimal_open(t: rc.FiniteTopology, label: str) -> frozenset:
+    """The minimal open U_x that ``t`` stores for point ``label``, as labels."""
+    mask = t._mins[t.points.index(label)]
+    return frozenset(lab for i, lab in enumerate(t.points.labels) if mask >> i & 1)
+
+
+def cover_pairs(p: rc.Poset) -> tuple:
+    """The covering (Hasse) pairs a < b, with no element strictly between, sorted:
+    a minimal generating set of the order, found by testing every triple."""
+    labels = p.labels()
+    return tuple(
+        (a, b) for a, b in itertools.product(labels, repeat=2)
+        if a != b and p.leq(a, b) and not any(p.leq(a, c) and p.leq(c, b) for c in labels if c not in (a, b))
+    )
 
 
 _POSET_CACHE: dict = {}
@@ -611,8 +637,8 @@ def rebuild_apply_step(k: rc.SimplicialComplex, step: rc.CollapseStep) -> rc.Sim
         raise NotFreeError(step.free_face, None)
     cofaces = _all_proper_cofaces(k, idx)
     if len(cofaces) != 1:
-        raise NotFreeError(step.free_face, [k.face_labels(c) for c in cofaces])
-    actual = k.face_labels(cofaces[0])
+        raise NotFreeError(step.free_face, [k.universe.face_labels(c) for c in cofaces])
+    actual = k.universe.face_labels(cofaces[0])
     if actual != step.coface:
         raise NotFreeError(step.free_face, [actual])
     return rc.SimplicialComplex(k.universe, k.faces - {idx, cofaces[0]})
@@ -621,7 +647,7 @@ def rebuild_apply_step(k: rc.SimplicialComplex, step: rc.CollapseStep) -> rc.Sim
 def rebuild_free_coface(k: rc.SimplicialComplex, labels) -> tuple:
     """The only proper coface of a face given by labels, or None."""
     cofaces = _all_proper_cofaces(k, k.universe.face_from_labels(labels))
-    return k.face_labels(cofaces[0]) if len(cofaces) == 1 else None
+    return k.universe.face_labels(cofaces[0]) if len(cofaces) == 1 else None
 
 
 def rebuild_verify_sequence(seq: rc.CollapseSequence) -> rc.SimplicialComplex:
@@ -673,7 +699,7 @@ def scan_greedy_collapse(k: rc.SimplicialComplex):
                 for sub in itertools.combinations(gone, r):
                     if sub in cofaces:
                         cofaces[sub] -= 1
-        steps.append((k.face_labels(f), k.face_labels(c)))
+        steps.append((k.universe.face_labels(f), k.universe.face_labels(c)))
     return rc.SimplicialComplex(k.universe, faces), steps
 
 
@@ -828,7 +854,7 @@ def complex_to_document(k: rc.SimplicialComplex, name: str) -> Document:
 
 def poset_to_document(p: rc.Poset, name: str) -> Document:
     records = [("element", lab) for lab in p.labels()]
-    records.extend(("le", a, b) for a, b in p.cover_pairs())
+    records.extend(("le", a, b) for a, b in cover_pairs(p))
     return Document("poset", name, tuple(records))
 
 

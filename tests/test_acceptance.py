@@ -39,12 +39,12 @@ def criterion(number, description):
 def _check_collapse_sequence(p, side):
     seq = rc.collapse_leq_to_strict(p, side)
     current = seq.initial
-    euler = current.euler_characteristic()
+    euler = oracles.euler_characteristic(current)
     profile = rc.homology(current)
     for i, step in enumerate(seq.steps):
         current = rc.apply_step(current, step)
         assert len(current.faces) == len(seq.initial.faces) - 2 * (i + 1)
-        assert current.euler_characteristic() == euler
+        assert oracles.euler_characteristic(current) == euler
         assert rc.homology(current).matches(profile)
     assert current == rc.poset_dowker_complex(p, True, side)
 
@@ -265,7 +265,7 @@ def test_criterion_09_homology_engine():
         for low, high in zip(mats, mats[1:]):
             assert oracles.is_zero(oracles.matrix_product(low, high))
         profile = rc.homology(k)
-        assert k.euler_characteristic() == sum(
+        assert oracles.euler_characteristic(k) == sum(
             (-1) ** n * b for n, b in enumerate(profile.betti)
         )
     rng = random.Random(20250809)

@@ -109,6 +109,27 @@ def test_readme_module_map_line_counts():
     assert int(total.replace(",", "")) == sum(counts.values())
 
 
+def test_every_public_view_of_a_value_class_has_a_reader_outside_the_tests():
+    """Each public method and property of a value class is named, as ``.name`` (or as the
+    string ``"name"`` that ``bench/spans.py`` wraps), by a ``src/`` line other than its
+    ``def`` or by a benchmark file, or is in the README's Library API as ``Class.name``:
+    a view that only tests read is an oracle in ``tests/oracles.py``."""
+    paths = [*sorted((ROOT / "src" / "relcomplex").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+    lines = [line for path in paths for line in path.read_text(encoding="utf-8").splitlines()]
+    api = _library_api_names()
+    unread = []
+    for cls in _package_classes():
+        for name, value in vars(cls).items() if issubclass(cls, _Frozen) else ():
+            if name.startswith("_") or not (callable(value) or isinstance(value, (property, classmethod))):
+                continue
+            named, definition = re.compile(rf'\.{name}\b|"{name}"'), re.compile(rf"\s*def {name}\b")
+            if f"{cls.__name__}.{name}" not in api and not any(
+                named.search(line) and not definition.match(line) for line in lines
+            ):
+                unread.append(f"{cls.__name__}.{name}")
+    assert unread == []
+
+
 def test_only_complexes_reads_the_stored_forms_of_a_complex():
     """Every complex holds its facet masks once built, and its face masks on first
     ``_faces()``: another module reads them through ``_tops()`` and ``_faces()``."""

@@ -6,6 +6,8 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 )
@@ -178,3 +180,14 @@ def test_every_run_writes_its_bytecode_under_one_fresh_prefix_removed_afterwards
     # a second invocation gets a new prefix
     assert bench_pairs.main(main) == 0
     assert runs[-1][1] != prefix
+
+
+def test_an_unknown_workload_exits_2_before_any_subprocess_starts(monkeypatch, capsys):
+    """A misspelt workload is refused by the option parser, before the parent
+    worktree is made or any run is started; on a stand-in for subprocess.run."""
+    started = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: started.append(args))
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(["--workload", "cli-file", "--pairs", "1"])
+    assert exited.value.code == 2 and started == []
+    assert "invalid choice: 'cli-file'" in capsys.readouterr().err

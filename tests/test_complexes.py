@@ -115,7 +115,7 @@ class TestConstruction:
 
     @given(oracles.complexes())
     def test_constructor_output_downward_closed(self, k):
-        assert oracles.is_downward_closed(k.label_faces())
+        assert oracles.is_downward_closed(oracles.label_faces(k))
 
     @given(oracles.complexes())
     def test_facet_round_trip(self, k):
@@ -134,7 +134,7 @@ class TestClosureCheck:
         if inner:  # a face with a coface: the least such coface is named
             gone = data.draw(st.sampled_from(inner))
             kept = k.faces - {gone}
-            assert not oracles.is_downward_closed(map(k.face_labels, kept))
+            assert not oracles.is_downward_closed(map(k.universe.face_labels, kept))
             coface = min(f for f in kept if set(gone) < set(f) and len(f) == len(gone) + 1)
             with pytest.raises(ValueError) as exc:
                 rc.SimplicialComplex(k.universe, kept)
@@ -293,7 +293,7 @@ class TestWideUniverses:
     def test_poset(self):
         p = _crown_70()
         order = rc.order_complex(p)
-        assert order.label_faces() == frozenset(oracles.naive_chain_faces(p))
+        assert oracles.label_faces(order) == frozenset(oracles.naive_chain_faces(p))
         self._check(order)
         self._check(rc.poset_dowker_complex(p, False, "k"))
 
@@ -305,14 +305,14 @@ class TestWideUniverses:
         pairs += [("v00", "w69"), ("v69", "w69"), ("v69", "w00")]
         rel = rc.Relation(WIDE, ys, pairs)
         k, l = rc.k_complex(rel), rc.l_complex(rel)
-        assert k.label_faces() == oracles.label_span(map(rel.support, ys))
-        assert l.label_faces() == oracles.label_span(
+        assert oracles.label_faces(k) == oracles.label_span(map(rel.support, ys))
+        assert oracles.label_faces(l) == oracles.label_span(
             {y for x2, y in pairs if x2 == x} for x in WIDE
         )
         self._check(k)
         self._check(l)
         assert rc.canonical_relation(k) == oracles.label_membership_relation(
-            k.universe, k.label_faces()
+            k.universe, oracles.label_faces(k)
         )
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -322,7 +322,7 @@ class TestWideUniverses:
         got = rc.poset_dowker_complex(p, strict, side)
         assert got == oracles.label_poset_dowker_complex(p, strict, side)
         reach = rc.down_set if side == "k" else rc.up_set
-        assert got.label_faces() == oracles.label_span(
+        assert oracles.label_faces(got) == oracles.label_span(
             reach(p, x) - ({x} if strict else set()) for x in WIDE
         )
         assert got.facets() == oracles.scan_facets(got)
@@ -409,7 +409,7 @@ class TestSubcomplex:
     def test_partial_order_on_corpus(self, corpus):
         for t, k in itertools.product(corpus, repeat=2):
             if rc.is_subcomplex(t, k) and rc.is_subcomplex(k, t):
-                assert t.label_faces() == k.label_faces()
+                assert oracles.label_faces(t) == oracles.label_faces(k)
         for a, b, c in itertools.combinations(corpus, 3):
             if rc.is_subcomplex(a, b) and rc.is_subcomplex(b, c):
                 assert rc.is_subcomplex(a, c)
@@ -432,8 +432,8 @@ class TestSimplicialMaps:
         )
         image = rc.apply_simplicial_map(fold, boundary2, edge)
         # oracle: every face of the boundary maps into a face of the edge
-        for labels in boundary2.label_faces():
-            assert tuple(sorted({fold[l] for l in labels})) in edge.label_faces()
+        for labels in oracles.label_faces(boundary2):
+            assert tuple(sorted({fold[l] for l in labels})) in oracles.label_faces(edge)
         assert image == edge
 
     def test_non_simplicial_image_reported(self):
@@ -524,4 +524,4 @@ class TestEuler:
         ],
     )
     def test_euler_characteristic(self, k, expected):
-        assert k.euler_characteristic() == expected
+        assert oracles.euler_characteristic(k) == expected

@@ -119,7 +119,7 @@ class TestHomology:
     @pytest.mark.parametrize("k", corpus_cases())
     def test_euler_consistency(self, k):
         profile = rc.homology(k)
-        assert k.euler_characteristic() == sum(
+        assert oracles.euler_characteristic(k) == sum(
             (-1) ** n * b for n, b in enumerate(profile.betti)
         )
 

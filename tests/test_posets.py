@@ -103,8 +103,8 @@ class TestTopologyDictionary:
 
     def test_circle4_minimal_opens(self, circle4):
         t = rc.order_to_topology(circle4)
-        assert t.minimal_open("3") == {"1", "2", "3"}
-        assert t.minimal_open("1") == {"1"}
+        assert oracles.minimal_open(t, "3") == {"1", "2", "3"}
+        assert oracles.minimal_open(t, "1") == {"1"}
         expected = {frozenset(), frozenset("1"), frozenset("2"), frozenset("12"),
                     frozenset("123"), frozenset("124"), frozenset("1234")}
         assert {frozenset(o) for o in t.open_label_sets()} == expected
@@ -112,7 +112,7 @@ class TestTopologyDictionary:
     def test_sierpinski_to_chain(self):
         t = rc.FiniteTopology(rc.Universe("12"), [frozenset("1"), frozenset("12")])
         p = rc.topology_to_order(t)
-        assert p.lt("1", "2")
+        assert "1" != "2" and p.leq("1", "2")
 
     def test_discrete_to_antichain(self):
         t = rc.FiniteTopology(
@@ -205,7 +205,7 @@ class TestTopologyCheck:
         else:
             t = rc.FiniteTopology(points, family)
             assert t.opens == expected
-            assert [t.minimal_open_mask(i) for i in range(len(points))] == [
+            assert list(t._mins) == [
                 oracles.rescan_minimal_open(t, i) for i in range(len(points))
             ]
 
@@ -213,7 +213,7 @@ class TestTopologyCheck:
     def test_order_topology_is_the_validated_one(self, p):
         t = rc.order_to_topology(p)
         assert t == rc.FiniteTopology(p.elements, t.open_label_sets())
-        assert [t.minimal_open_mask(i) for i in range(len(p))] == [
+        assert list(t._mins) == [
             oracles.rescan_minimal_open(t, i) for i in range(len(p))
         ]
 
@@ -242,7 +242,7 @@ class TestOrderComplex:
 
     @given(posets())
     def test_matches_subset_filter_oracle(self, p):
-        assert rc.order_complex(p).label_faces() == frozenset(
+        assert oracles.label_faces(rc.order_complex(p)) == frozenset(
             oracles.naive_chain_faces(p)
         )
 
@@ -588,7 +588,7 @@ class TestDualAndSubposet:
 
     def test_induced_subposet(self, circle6):
         sub = rc.induced_subposet(circle6, ["a", "d", "f"])
-        assert sub.lt("a", "d") and not sub.leq("a", "f") and not sub.leq("d", "f")
+        assert "a" != "d" and sub.leq("a", "d") and not sub.leq("a", "f") and not sub.leq("d", "f")
 
     def test_is_up_set(self, circle4):
         assert oracles.is_up_set(circle4, ["3", "4"])

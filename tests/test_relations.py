@@ -450,7 +450,7 @@ class TestOneRepresentation:
     def test_canonical_relation(self, t):
         r = rc.canonical_relation(t)
         assert rebuilt(r) == r
-        assert r == oracles.label_membership_relation(t.universe, t.label_faces())
+        assert r == oracles.label_membership_relation(t.universe, oracles.label_faces(t))
 
     def test_canonical_relation_decodes_no_faces(self, monkeypatch):
         t = rc.complex_from_facets("abcde", [("a", "b", "c"), ("c", "d"), ("e",)])

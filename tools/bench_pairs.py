@@ -19,7 +19,8 @@ median better by more than the distance between the parent's quartiles,
 and the no-regression verdict against the metric's ``bound`` in
 ``BENCHMARK.json`` (see ``verdict``).  ``--workload all``
 runs every workload ``BENCHMARK.json`` lists, one after another from the
-same first seed, and prints one table for each.  All runs of one
+same first seed, and prints one table for each; a name it does not list is
+refused with exit code 2 before anything is checked out or run.  All runs of one
 invocation write their bytecode under one fresh temporary directory, their
 ``PYTHONPYCACHEPREFIX``, removed afterwards, so neither tree loads bytecode
 left in its ``__pycache__`` (the prefix mirrors each source's absolute path,
@@ -150,7 +151,8 @@ def table(workload: str, runs: list, better: dict, bounds: dict, seed: int, seco
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, help="a workload's name, or all")
+    parser.add_argument("--workload", required=True, choices=[*(w["name"] for w in bench["workloads"]), "all"],
+                        help="a workload's name, or all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=None, help="first seed (default: a random one)")
