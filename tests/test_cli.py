@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,22 @@ def _capped(*argv):
     )
 
 
+def _grid_by_chain4(tmp_path) -> tuple:
+    """The paths of the 12x12 grid poset, with flat labels "iijj", and of the full
+    relation between it and chain4, which is closed, written to ``tmp_path``."""
+    cells = [f"{i:02d}{j:02d}" for i in range(12) for j in range(12)]
+    covers = [(a, b) for a in cells for b in cells
+              if (int(b[:2]) - int(a[:2]), int(b[2:]) - int(a[2:])) in ((0, 1), (1, 0))]
+    grid, rel = tmp_path / "grid12.poset", tmp_path / "grid12_chain4.relation"
+    grid.write_text("poset G\n" + "".join(f"element {c}\n" for c in cells)
+                    + "".join(f"le {a} {b}\n" for a, b in covers))
+    ys = ["y1", "y2", "y3", "y4"]
+    rel.write_text("relation R\n" + "".join(f"xelement {c}\n" for c in cells)
+                   + "".join(f"yelement {y}\n" for y in ys)
+                   + "".join(f"pair {c} {y}\n" for c in cells for y in ys))
+    return str(grid), str(rel)
+
+
 class TestExitCodes:
     def test_unparseable_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.poset"
@@ -435,6 +452,19 @@ class TestExitCodes:
         proc = _capped("collapse", "greedy", "--complex", str(big))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: the complex would have at least 1073741823 faces, more than the limit of 16777216\n"
+
+    @pytest.mark.parametrize("mode, faces", [("quillen", 184_511_361_023), ("weak", 2**144 - 1)])
+    def test_the_grid_by_chain4_is_refused_before_any_face_is_built(self, tmp_path, mode, faces):
+        # every fiber is a cone; the grid's order complex has 184,511,361,023
+        # chains, its faces, and its K-complex is the full simplex on 144 elements
+        grid, rel = _grid_by_chain4(tmp_path)
+        start = time.monotonic()
+        proc = _capped("closed", "verify", "--xposet", grid, "--yposet", str(DATA / "chain4.poset"),
+                       "--relation", rel, "--mode", mode)
+        elapsed = time.monotonic() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: the complex would have at least {faces} faces, more than the limit of {1 << 24}\n"
+        assert elapsed < 1.0
 
     def test_a_topology_past_the_open_limit_is_a_precondition_error(self, capsys, monkeypatch, tmp_path):
         # an antichain's opens are all 2^12 subsets; the build stops at the first past the limit
