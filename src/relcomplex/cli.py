@@ -148,7 +148,7 @@ def _cmd_closed_verify(args):
     rel = ClosedRelation(
         _load("poset", args.xposet),
         _load("poset", args.yposet),
-        sorted(_load("relation", args.relation).pairs),
+        formats._pairs_in_order(_load("relation", args.relation)),
     )
     return verify_closed_relation(rel, args.mode)
 

@@ -28,11 +28,11 @@ from operator import and_, or_
 from typing import Iterable, Optional, Tuple
 
 from .collapses import greedy_collapse
-from .complexes import _Frozen
-from .errors import EmptyFiberError, NotClosedError
+from .complexes import _MAX_FACES, SimplicialComplex, _Frozen
+from .errors import EmptyFiberError, NotClosedError, TooManyFacesError
 from .homology import homology
 from .posets import (
-    Poset, _require_pair_labels, induced_subposet, maximal_elements, maximum,
+    Poset, _chain_count, _require_pair_labels, induced_subposet, maximal_elements, maximum,
     order_complex, pair_label, poset_dowker_complex, product_poset,
 )
 from .relations import _bits
@@ -110,6 +110,13 @@ def weak_hypothesis(rel: ClosedRelation) -> dict:
     return {"hypothesis": "weak", "holds": holds, "fibers": fibers}
 
 
+def _chain_complex(p: Poset) -> SimplicialComplex:
+    """The order complex for a reader of its faces, its chains: refused past ``_MAX_FACES``."""
+    if (chains := _chain_count(p)) > _MAX_FACES:
+        raise TooManyFacesError(chains, _MAX_FACES)
+    return order_complex(p)
+
+
 def _certify_contractible(sub: Poset) -> dict:
     """The certificate of a fiber: its first element comparable to every
     other is the apex of its order complex, built only when there is none."""
@@ -117,7 +124,7 @@ def _certify_contractible(sub: Poset) -> dict:
     for i, (up, down) in enumerate(zip(sub.up, sub.down)):
         if up | down == whole:
             return {"certificate": "cone", "apex": sub.elements.label(i)}
-    core, _ = greedy_collapse(order_complex(sub))
+    core, _ = greedy_collapse(_chain_complex(sub))
     if core.is_point:
         return {"certificate": "collapsible"}
     return {"certificate": "unknown"}
@@ -183,7 +190,7 @@ def _preimage_facets(rel, side, base_k) -> dict:
 
 # mode: the hypothesis, the key of its verdict, each side's complex, the report's key prefix
 _MODES = {
-    "quillen": (quillen_hypothesis, "certified", order_complex, "c"),
+    "quillen": (quillen_hypothesis, "certified", _chain_complex, "c"),
     "weak": (weak_hypothesis, "holds", lambda p: poset_dowker_complex(p, False, "k"), "k"),
 }
 

@@ -21,19 +21,20 @@ on masks, through ``_spanned`` or ``SimplicialComplex._trusted``, both on
 - ``complex_from_facets``, ``relations.k_complex`` and ``l_complex``, and
   ``posets.poset_dowker_complex``: a union of full simplices, one per facet
   or support, each added with all of its subsets;
+- ``posets.order_complex``: the full simplices on the maximal chains, since
+  a subset of a chain is a chain;
 - ``apply_simplicial_map``: every subset of an image f(s) is the image of a
   subface of s;
-- ``posets.order_complex``: the set of all chains, and a subset of a chain
-  is a chain;
 - ``collapses.verify_sequence`` (so ``apply_step``) and
   ``greedy_collapse``: each elementary collapse removes a free face and its
   only proper coface, which is maximal, so no remaining face loses a
   subface.
 
-The first four give only their facets, through ``_spanned``, on index-set
-masks (index i at bit i), and ``_faces()`` walks their submasks on first use
-(``_walk``: the one face walk and the one refusal of too many faces).  The
-rest give their faces, through ``_trusted``, whose ``_subfaces`` finds facets.
+The first five give only their facets, four through ``_spanned`` on index-set
+masks (index i at bit i), the order complex through ``_new``, since maximal
+chains never nest; ``_faces()`` walks their submasks on first use (``_walk``:
+the one face walk and refusal of too many faces).  The rest give their faces,
+through ``_trusted``, whose ``_subfaces`` finds facets.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .complexes import SimplicialComplex, Universe, _Frozen, complex_from_facets
 from .errors import CycleDetectedError, ParseError
 from .homology import HomologyProfile
 from .posets import FiniteTopology, Poset, poset_from_pairs
-from .relations import Relation
+from .relations import Relation, _label_pairs, _transpose
 
 # kind -> keyword -> (min arity, max arity or None); keywords are listed in
 # canonical record order
@@ -196,26 +196,27 @@ def to_jsonable(value):
     if isinstance(value, SimplicialComplex):
         return {"facets": [list(labels) for labels in value.facet_labels()]}
     if isinstance(value, Poset):
-        return {
-            "elements": list(value.labels()),
-            "less_than": [list(p) for p in sorted(value.strict_pairs())],
-        }
+        return {"elements": list(value.labels()), "less_than": _pairs_in_order(value)}
     if isinstance(value, Relation):
-        return {
-            "xelements": list(value.x_universe),
-            "yelements": list(value.y_universe),
-            "pairs": [list(p) for p in sorted(value.pairs)],
-        }
+        xs, ys = value.x_universe, value.y_universe
+        return {"xelements": list(xs), "yelements": list(ys), "pairs": _pairs_in_order(value)}
     if isinstance(value, FiniteTopology):
-        return {
-            "points": list(value.points),
-            "opens": [list(o) for o in value.open_label_sets()],
-        }
+        return {"points": list(value.points), "opens": [list(o) for o in value.open_label_sets()]}
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _pairs_in_order(value) -> list:
+    """A relation's pairs, or a poset's pairs a < b, as sorted [x, y] label lists, read in
+    index order from the transposed supports or the up masks less x (``_label_pairs``)."""
+    if isinstance(value, Poset):
+        labels = value.elements.labels
+        return _label_pairs(labels, labels, [up ^ (1 << i) for i, up in enumerate(value.up)])
+    xs, ys = value.x_universe.labels, value.y_universe.labels
+    return _label_pairs(xs, ys, _transpose(value._supports, len(xs)))
 
 
 def _steps_text(seq: CollapseSequence) -> str:

@@ -107,13 +107,6 @@ class Poset(_Frozen):
     def leq(self, a: str, b: str) -> bool:
         return bool(self.up[self.elements.index(a)] >> self.elements.index(b) & 1)
 
-    def pairs(self) -> frozenset:
-        """All (a, b) with a <= b, as labels: the pairs of the relation <= itself."""
-        return Relation._new(self.elements, self.elements, self.down).pairs
-
-    def strict_pairs(self) -> frozenset:
-        return frozenset((a, b) for a, b in self.pairs() if a != b)
-
     def __repr__(self) -> str:
         strict = sum(map(int.bit_count, self.up)) - len(self)
         return f"Poset({list(self.elements.labels)!r}, {strict} strict pairs)"
@@ -210,37 +203,44 @@ def maximum(p: Poset) -> Optional[str]:
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
-    """The complex of nonempty chains of the order, each grown upward from its least element.
-
-    Raises :class:`TooManyFacesError` past ``_MAX_FACES`` chains,
-    counted first; that bounds the recursion too, since a d-chain has 2^d - 1 faces.
-    """
+    """The complex of nonempty chains of the order, by its facets, the maximal chains, each
+    walked upward through covers from a minimal element.  Raises :class:`TooManyFacesError`
+    past ``_MAX_FACES`` of them, counted first; a reader of faces checks ``_chain_count``."""
     if len(p) == 0:
         raise EmptyComplexError("the order complex needs a nonempty poset")
-    chains = _chain_count(p)
-    if chains > _MAX_FACES:
+    strict = [up ^ (1 << i) for i, up in enumerate(p.up)]
+    covers, counts = [0] * len(p), [0] * len(p)  # counts[i]: the maximal chains up from i
+    for i in sorted(range(len(p)), key=lambda i: strict[i].bit_count()):  # each j above i first
+        above, rest = 0, strict[i]
+        while rest:  # _bits, inlined here and below: a Quillen check builds many small ones
+            above |= strict[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        covers[i] = rest = strict[i] & ~above  # above i, and above nothing else above i
+        counts[i] = 0 if rest else 1
+        while rest:
+            counts[i] += counts[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+    bits, tops = p.elements._bits(), []
+    stack = [(i, bits[i]) for i in range(len(p)) if p.down[i] == 1 << i]
+    if (chains := sum(counts[i] for i, _ in stack)) > _MAX_FACES:
         raise TooManyFacesError(chains, _MAX_FACES)
-    bits = p.elements._bits()
-    faces = set()
-    for i in range(len(p)):  # not a closure: one that calls itself is a reference cycle
-        _extend_chains(p.up, bits, i, bits[i], faces)
-    return SimplicialComplex._trusted(p.elements, faces)
+    while stack:  # a chain and its greatest element i, grown through each cover of i
+        i, chain = stack.pop()
+        if not (rest := covers[i]):
+            tops.append(chain)
+        while rest:
+            stack.append((j := (rest & -rest).bit_length() - 1, chain | bits[j]))
+            rest &= rest - 1
+    return SimplicialComplex._new(p.elements, None, tuple(tops))
 
 
 def _chain_count(p: Poset) -> int:
-    """The nonempty chains, by least element: c(i) = 1 + the sum of c(j) over j
-    strictly above i, each j counted before i since its up-set is smaller."""
+    """The nonempty chains, the faces of the order complex, by least element: c(i) = 1 +
+    the sum of c(j) over j strictly above i, each j counted before i since its up-set is smaller."""
     counts = [0] * len(p)
     for i in sorted(range(len(p)), key=lambda i: p.up[i].bit_count()):
         counts[i] = 1 + sum(counts[j] for j in _bits(p.up[i] & ~(1 << i)))
     return sum(counts)
-
-
-def _extend_chains(up, bits, top: int, chain: int, faces: set):
-    """Add ``chain`` and every chain grown upward from its greatest element ``top``."""
-    faces.add(chain)
-    for j in _bits(up[top] & ~(1 << top)):
-        _extend_chains(up, bits, j, chain | bits[j], faces)
 
 
 def poset_dowker_complex(p: Poset, strict: bool, side: str) -> SimplicialComplex:

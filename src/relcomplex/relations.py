@@ -56,6 +56,16 @@ def _transpose(rows, width: int) -> tuple:
     return tuple(cols)
 
 
+def _label_pairs(xs, ys, rows) -> list:
+    """[x, y] for each bit y of ``rows[x]``, as labels, in index order: universes sort labels."""
+    out = []
+    for x, row in zip(xs, rows):
+        while row:  # _bits, inlined: reports decode every pair
+            out.append([x, ys[(row & -row).bit_length() - 1]])
+            row &= row - 1
+    return out
+
+
 class Relation(_Frozen):
     """An immutable subset of X x Y over two label universes."""
 
@@ -81,12 +91,8 @@ class Relation(_Frozen):
     @property
     def pairs(self) -> frozenset:
         """All (x, y) with x R y, as labels."""
-        xs, out = self.x_universe.labels, []
-        for y, s in zip(self.y_universe, self._supports):
-            while s:  # _bits, inlined: reports decode every pair
-                out.append((xs[(s & -s).bit_length() - 1], y))
-                s &= s - 1
-        return frozenset(out)
+        ys, xs = self.y_universe.labels, self.x_universe.labels
+        return frozenset((x, y) for y, x in _label_pairs(ys, xs, self._supports))
 
     def support(self, y: str) -> tuple:
         """Sorted labels of all x related to ``y`` (possibly empty)."""

@@ -29,6 +29,7 @@ from relcomplex.errors import (
     UnknownVertexError,
 )
 from relcomplex.formats import Document
+from relcomplex.relations import _bits
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles
@@ -339,6 +340,41 @@ def naive_chain_faces(p: rc.Poset) -> set:
     return out
 
 
+def walked_order_complex(p: rc.Poset) -> rc.SimplicialComplex:
+    """``order_complex`` by every chain: each grown upward from its least element
+    through every element above its greatest, then a subface scan for the facets."""
+    if len(p) == 0:
+        raise EmptyComplexError("the order complex needs a nonempty poset")
+    bits = p.elements._bits()
+    faces = set()
+    for i in range(len(p)):
+        _extend_chains(p.up, bits, i, bits[i], faces)
+    return rc.SimplicialComplex._trusted(p.elements, faces)
+
+
+def _extend_chains(up, bits, top: int, chain: int, faces: set):
+    """Add ``chain`` and every chain grown upward from its greatest element ``top``."""
+    faces.add(chain)
+    for j in _bits(up[top] & ~(1 << top)):
+        _extend_chains(up, bits, j, chain | bits[j], faces)
+
+
+def maximal_chain_count(p: rc.Poset) -> int:
+    """The maximal chains, as the chains of ``naive_chain_faces`` that no other holds."""
+    chains = [set(c) for c in naive_chain_faces(p)]
+    return sum(not any(c < d for d in chains) for c in chains)
+
+
+def poset_pairs(p: rc.Poset) -> frozenset:
+    """All (a, b) with a <= b, as labels, by ``leq`` on every pair."""
+    return frozenset((a, b) for a in p.labels() for b in p.labels() if p.leq(a, b))
+
+
+def strict_pairs(p: rc.Poset) -> frozenset:
+    """All (a, b) with a < b, as labels."""
+    return frozenset((a, b) for a, b in poset_pairs(p) if a != b)
+
+
 def is_downward_closed(label_faces) -> bool:
     faces = set(label_faces)
     for face in faces:
@@ -599,7 +635,7 @@ def label_poset_dowker_complex(p: rc.Poset, strict: bool, side: str) -> rc.Simpl
         raise ValueError(f"side must be 'k' or 'l', got {side!r}")
     if len(p) == 0:
         raise EmptyComplexError("the Dowker complexes need a nonempty poset")
-    pairs = p.strict_pairs() if strict else p.pairs()
+    pairs = strict_pairs(p) if strict else poset_pairs(p)
     if not pairs:
         raise EmptyResultError()
     rel = rc.Relation(p.elements, p.elements, pairs)
@@ -732,7 +768,7 @@ def _walking_value(value):
     if isinstance(value, rc.Poset):
         return {
             "elements": list(value.labels()),
-            "less_than": [list(p) for p in sorted(value.strict_pairs())],
+            "less_than": [list(p) for p in sorted(strict_pairs(value))],
         }
     if isinstance(value, rc.Relation):
         return {

@@ -349,7 +349,7 @@ def _engines():
     """name -> a call of a public builder or engine, made afresh on each call."""
     p = oracles.circle4_poset()
     k = rc.poset_dowker_complex(p, False, "k")
-    r = rc.Relation(p.elements, p.elements, p.pairs())
+    r = rc.Relation(p.elements, p.elements, oracles.poset_pairs(p))
     closed = rc.ClosedRelation(p, p, [(x, y) for x in p.labels() for y in p.labels()])
     step = rc.CollapseStep(("1", "3"), ("1", "2", "3"))
     m = rc.VertexMap(k.universe, k.universe, {v: "1" for v in k.universe})

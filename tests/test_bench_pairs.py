@@ -109,7 +109,8 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
 
     def fake_run(tree, workload, seed, seconds, pycache):
         calls.append((tree == bench_pairs.ROOT, workload, seed))
-        return {name: 2.0 if tree == bench_pairs.ROOT else 1.0 for name in metrics}
+        scale = 2.0 if tree == bench_pairs.ROOT else 1.0
+        return {name: scale for name in metrics}, {f"{workload} job": 3.0 * scale}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     assert bench_pairs.main(["--workload", "all", "--pairs", "2", "--seed", "5", "--parent-tree", str(tmp_path)]) == 0
@@ -118,10 +119,12 @@ def test_all_runs_every_workload_and_prints_a_table_each(monkeypatch, capsys, tm
     tables = capsys.readouterr().out.split("\n\n")
     assert [t.splitlines()[0] for t in tables] == [f"{w}: 2 pairs from seed 5, 8 s each" for w in names]
     # pair 0 ran this tree second, pair 1 the parent: the better value came second in one of them
-    for t in tables:
+    for name, t in zip(names, tables):
         rows = [r.split() for r in t.splitlines()[2:]]
-        assert rows == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "1/2", "no", held]
-                        for name, won, held in zip(metrics, wins, verdicts)]
+        assert rows[:len(metrics)] == [[name, "1", "1", "1", "2", "2", "2", "2.000", won, "1/2", "no", held]
+                                       for name, won, held in zip(metrics, wins, verdicts)]
+        assert rows[len(metrics):] == [["command", "parent", "ms", "this", "ms", "ratio"],
+                                       [*name.split(), "job", "3", "6", "2.000"]]
 
 
 def test_a_run_order_bias_shows_as_second_runs_that_read_better(monkeypatch, tmp_path):
@@ -133,10 +136,10 @@ def test_a_run_order_bias_shows_as_second_runs_that_read_better(monkeypatch, tmp
     def fake_run(tree, workload, seed, seconds, pycache):
         calls.append(tree)
         second = len(calls) % 2 == 0
-        return {"jobs_per_s": 110.0 if second else 100.0, "latency_p50_ms": 9.0 if second else 10.0}
+        return {"jobs_per_s": 110.0 if second else 100.0, "latency_p50_ms": 9.0 if second else 10.0}, {}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
-    runs = bench_pairs.measure(tmp_path, "cli-files", 10, 1, 8.0, tmp_path)
+    runs, _ = bench_pairs.measure(tmp_path, "cli-files", 10, 1, 8.0, tmp_path)
     assert calls == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path] * 5
     rows = bench_pairs.summarize(runs, better, BOUNDS)
     assert [(row[4], row[5], row[6], row[8]) for row in rows] == [(5, 10, False, 10), (5, 10, False, 10)]
@@ -149,7 +152,7 @@ def test_a_run_order_bias_shows_as_second_runs_that_read_better(monkeypatch, tmp
 
 
 def test_one_workload_prints_one_table(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, workload, seed, seconds, pycache: {"jobs_per_s": 1.0})
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, workload, seed, seconds, pycache: ({"jobs_per_s": 1.0}, {}))
     monkeypatch.setattr(bench_pairs, "summarize", lambda runs, better, bounds: [])
     bench_pairs.main(["--workload", "cli-files", "--pairs", "1", "--seed", "3", "--parent-tree", str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[0] == "cli-files: 1 pairs from seed 3, 8 s each"
@@ -169,6 +172,7 @@ def test_every_run_writes_its_bytecode_under_one_fresh_prefix_removed_afterwards
         return SimpleNamespace(stdout=line + "\n")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(bench_pairs, "_detail", lambda tree, workload, seed: {"command_median_ms": {}})
     main = ["--workload", "cli-files", "--pairs", "2", "--seed", "1", "--parent-tree", str(tmp_path)]
     assert bench_pairs.main(main) == 0
     assert [tree for tree, _, _ in runs] == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path]
@@ -191,3 +195,37 @@ def test_an_unknown_workload_exits_2_before_any_subprocess_starts(monkeypatch, c
         bench_pairs.main(["--workload", "cli-file", "--pairs", "1"])
     assert exited.value.code == 2 and started == []
     assert "invalid choice: 'cli-file'" in capsys.readouterr().err
+
+
+def test_each_commands_median_job_time_is_read_from_the_detail_files(monkeypatch, tmp_path):
+    """Stand-in runs that leave a detail file in their tree's bench/results/, as
+    bench/run.py does: each command's median over the pairs on both sides, and the
+    ratio, under the metrics; a command that not every run timed is left out."""
+    parent, head = tmp_path / "parent", tmp_path / "head"
+    monkeypatch.setattr(bench_pairs, "ROOT", head)
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {"jobs_per_s": {"value": 1.0}}})
+
+    def fake_subprocess_run(args, cwd, env, **kwargs):
+        workload, seed = args[args.index("--workload") + 1], int(args[args.index("--seed") + 1])
+        ms = {"closed verify": 2.0 * seed, "poset order-complex": seed * (1.0 if cwd == parent else 0.5)}
+        if seed == 2:
+            ms["homology"] = 1.0
+        results = cwd / "bench" / "results"
+        results.mkdir(parents=True, exist_ok=True)
+        (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps({"command_median_ms": ms}))
+        return SimpleNamespace(stdout=line + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    runs, commands = bench_pairs.measure(parent, "cli-files", 3, 1, 8.0, tmp_path)
+    assert runs == [({"jobs_per_s": 1.0}, {"jobs_per_s": 1.0})] * 3
+    assert commands[0] == ({"closed verify": 2.0, "poset order-complex": 1.0},
+                           {"closed verify": 2.0, "poset order-complex": 0.5})
+    assert bench_pairs.command_rows(commands) == [
+        ("closed verify", 4.0, 4.0, 1.0), ("poset order-complex", 2.0, 1.0, 0.5),
+    ]
+    text = bench_pairs.table("cli-files", runs, {"jobs_per_s": "higher"}, BOUNDS, 1, 8.0, commands)
+    header, *rows = text.splitlines()[3:]
+    assert header.split() == ["command", "parent", "ms", "this", "ms", "ratio"]
+    assert [row.rsplit(maxsplit=3) for row in rows] == [
+        ["closed verify", "4", "4", "1.000"], ["poset order-complex", "2", "1", "0.500"],
+    ]

@@ -333,13 +333,7 @@ class TestClosedAndVerify:
         assert report["k"] == {"betti": [1, 0, 0], "torsion": [[], [], []]}
 
 
-def _chain1200(tmp_path) -> str:
-    """The path of a 1,200-element chain, written to ``tmp_path``."""
-    chain = [f"c{i:04d}" for i in range(1200)]
-    big = tmp_path / "chain1200.poset"
-    big.write_text("poset P\n" + "".join(f"element {c}\n" for c in chain)
-                   + "".join(f"le {a} {b}\n" for a, b in zip(chain, chain[1:])))
-    return str(big)
+CHAIN1200 = str(DATA / "chain1200.poset")  # c0000 < c0001 < ... < c1199
 
 
 def _capped(*argv):
@@ -418,28 +412,32 @@ class TestExitCodes:
         assert (code, out) == (2, "") and "'a,b'" in err
 
     def test_an_order_complex_past_the_face_limit_is_a_precondition_error(self, capsys, tmp_path):
-        # 2^1200 - 1 chains: counted, not enumerated, and no recursion 1,200 deep
-        code, out, err = run(capsys, "poset", "order-complex", "--poset", _chain1200(tmp_path))
+        # 25 layers of two, each below the next: 2^25 maximal chains, its facets,
+        # counted, not listed; the 1,200-chain's one facet is a golden row
+        layers = [(f"a{i:02d}", f"b{i:02d}") for i in range(25)]
+        ladder = tmp_path / "ladder25.poset"
+        ladder.write_text("poset P\n" + "".join(f"element {e}\n" for layer in layers for e in layer) + "".join(
+            f"le {a} {b}\n" for low, high in zip(layers, layers[1:]) for a in low for b in high))
+        code, out, err = run(capsys, "poset", "order-complex", "--poset", str(ladder))
         assert (code, out) == (2, "")
-        assert err == f"error: the complex would have at least {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
+        assert err == f"error: the complex would have at least {2**25} faces, more than the limit of {1 << 24}\n"
 
-    def test_a_k_complex_past_the_face_limit_fails_before_building(self, tmp_path):
+    def test_a_k_complex_past_the_face_limit_fails_before_building(self):
         # the 1,200 down-sets of a chain span 2^1200 - 1 faces; under 1 GB of
         # address space its K-complex is one facet, and a command that needs
         # the faces is refused before any face is built
-        big = _chain1200(tmp_path)
-        proc = _capped("poset", "k", "--poset", big)
+        proc = _capped("poset", "k", "--poset", CHAIN1200)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout) == {"facets": [[f"c{i:04d}" for i in range(1200)]]}
-        proc = _capped("collapse", "leq-strict", "--poset", big, "--side", "l")
+        proc = _capped("collapse", "leq-strict", "--poset", CHAIN1200, "--side", "l")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: the complex would have at least {2**1200 - 1} faces, more than the limit of {1 << 24}\n"
 
     @pytest.mark.parametrize("name, faces", [("chain1200", 2**1200 - 1), ("c4cubed", 2**27 - 1)])
-    def test_a_collapse_past_the_face_limit_lists_no_cone(self, tmp_path, name, faces):
+    def test_a_collapse_past_the_face_limit_lists_no_cone(self, name, faces):
         # the cones of the maximal elements would be listed pair by pair: 2^1199
         # pairs on the chain, and 2^26 per maximal element of c4 cubed
-        poset = _chain1200(tmp_path) if name == "chain1200" else str(DATA / "c4cubed.poset")
+        poset = str(DATA / f"{name}.poset")
         proc = _capped("collapse", "leq-strict", "--poset", poset, "--side", "k")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: the complex would have at least {faces} faces, more than the limit of {1 << 24}\n"
@@ -722,8 +720,8 @@ def pinned(name):
 # K-complex, there the full simplex on all 20 pairs.  The c4cubed rows, each
 # eight facets of 26 or 27 vertices, were exit 2 while building a complex
 # built its faces, and are checked against the oracle below.  The 30-chain
-# and 1,200-chain order-complex rows are exit 2 while an order complex
-# builds every chain.
+# and 1,200-chain order-complex rows, each one facet, were exit 2 while an
+# order complex built every chain.
 GOLDEN = [
     (('homology', '--complex', 'boundary2.complex'), 0, '{"betti":[1,1],"torsion":[[],[]]}\n'),
     (('homology', '--complex', 'circle4_k.complex'), 0, '{"betti":[1,0,0],"torsion":[[],[],[]]}\n'),
@@ -764,8 +762,8 @@ GOLDEN = [
     (('dowker', 'canonical', '--complex', 'rp2.complex'), 0, '{"pairs":[["1","1"],["1","1,2"],["1","1,2,5"],["1","1,2,6"],["1","1,3"],["1","1,3,4"],["1","1,3,5"],["1","1,4"],["1","1,4,6"],["1","1,5"],["1","1,6"],["2","1,2"],["2","1,2,5"],["2","1,2,6"],["2","2"],["2","2,3"],["2","2,3,4"],["2","2,3,6"],["2","2,4"],["2","2,4,5"],["2","2,5"],["2","2,6"],["3","1,3"],["3","1,3,4"],["3","1,3,5"],["3","2,3"],["3","2,3,4"],["3","2,3,6"],["3","3"],["3","3,4"],["3","3,5"],["3","3,5,6"],["3","3,6"],["4","1,3,4"],["4","1,4"],["4","1,4,6"],["4","2,3,4"],["4","2,4"],["4","2,4,5"],["4","3,4"],["4","4"],["4","4,5"],["4","4,5,6"],["4","4,6"],["5","1,2,5"],["5","1,3,5"],["5","1,5"],["5","2,4,5"],["5","2,5"],["5","3,5"],["5","3,5,6"],["5","4,5"],["5","4,5,6"],["5","5"],["5","5,6"],["6","1,2,6"],["6","1,4,6"],["6","1,6"],["6","2,3,6"],["6","2,6"],["6","3,5,6"],["6","3,6"],["6","4,5,6"],["6","4,6"],["6","5,6"],["6","6"]],"xelements":["1","2","3","4","5","6"],"yelements":["1","1,2","1,2,5","1,2,6","1,3","1,3,4","1,3,5","1,4","1,4,6","1,5","1,6","2","2,3","2,3,4","2,3,6","2,4","2,4,5","2,5","2,6","3","3,4","3,5","3,5,6","3,6","4","4,5","4,5,6","4,6","5","5,6","6"]}\n'),
     (('poset', 'order-complex', '--poset', 'circle4.poset'), 0, '{"facets":[["1","3"],["1","4"],["2","3"],["2","4"]]}\n'),
     (('poset', 'order-complex', '--poset', 'circle6.poset'), 0, '{"facets":[["a","d"],["a","e"],["b","d"],["b","f"],["c","e"],["c","f"]]}\n'),
-    (('poset', 'order-complex', '--poset', 'chain30.poset'), 2, ''),
-    (('poset', 'order-complex', '--poset', 'chain1200.poset'), 2, ''),
+    (('poset', 'order-complex', '--poset', 'chain30.poset'), 0, '{"facets":[["c00","c01","c02","c03","c04","c05","c06","c07","c08","c09","c10","c11","c12","c13","c14","c15","c16","c17","c18","c19","c20","c21","c22","c23","c24","c25","c26","c27","c28","c29"]]}\n'),
+    (('poset', 'order-complex', '--poset', 'chain1200.poset'), 0, pinned('chain1200_order_complex.json')),
     (('poset', 'k', '--poset', 'circle4.poset'), 0, '{"facets":[["1","2","3"],["1","2","4"]]}\n'),
     (('poset', 'k', '--poset', 'circle6.poset'), 0, '{"facets":[["a","b","d"],["a","c","e"],["b","c","f"]]}\n'),
     (('poset', 'l', '--poset', 'circle4.poset'), 0, '{"facets":[["1","3","4"],["2","3","4"]]}\n'),
@@ -822,6 +820,13 @@ class TestGoldenOutputs:
         name = f"c4cubed_{side}{'_strict' if strict else ''}.json"
         assert json.loads(pinned(name)) == {"facets": oracles.c4cubed_dowker_facets(strict, side)}
 
+    @pytest.mark.parametrize("n", [30, 1200])
+    def test_a_chain_row_is_its_one_facet(self, n):
+        argv = ("poset", "order-complex", "--poset", f"chain{n}.poset")
+        code, out = next(row[1:] for row in GOLDEN if row[0] == argv)
+        width = len(str(n - 1))
+        assert (code, json.loads(out)) == (0, {"facets": [[f"c{i:0{width}d}" for i in range(n)]]})
+
 
 class TestFacetsOnly:
     """What reads only the facets builds no face: the one walk over submasks,
@@ -839,6 +844,7 @@ class TestFacetsOnly:
           for name in ("circle6.poset", "c4cubed.poset")),
         *(("dowker", side, "--relation", "crown_pairs.relation") for side in "kl"),
         ("poset", "realize", "--complex", "circle4_k.complex"),
+        *(("poset", "order-complex", "--poset", f"{name}.poset") for name in ("circle6", "chain30", "chain1200")),
     ], ids=" ".join)
     def test_commands_that_print_facets_or_read_them(self, capsys, argv):
         code, out = next(row[1:] for row in GOLDEN if row[0] == argv)

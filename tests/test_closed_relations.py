@@ -10,6 +10,7 @@ from relcomplex.errors import (
     DomainError,
     EmptyFiberError,
     NotClosedError,
+    TooManyFacesError,
     UnknownVertexError,
 )
 
@@ -271,6 +272,25 @@ class TestAgainstComplexOracles:
         rc.quillen_hypothesis(crown_relation)
         assert built == [("b", "c", "d", "e", "f")]  # the fiber of 3, certified by collapse
 
+    @pytest.mark.parametrize("limit, chains, listed", [
+        (8, 9, []), (9, 12, [("b", "c", "d", "e", "f"), ("1", "2", "3", "4")]),
+    ])
+    def test_a_reader_of_faces_is_refused_by_the_chain_count(self, crown_relation, monkeypatch, limit, chains, listed):
+        # the fiber of 3, without an apex, has 9 chains, circle4 8 and circle6 12;
+        # each is counted before its order complex is listed
+        built = []
+        real = closed_relations.order_complex
+
+        def order_complex(p):
+            assert posets._chain_count(p) <= limit, "an order complex was listed past the limit"
+            built.append(p.labels())
+            return real(p)
+
+        monkeypatch.setattr(closed_relations, "order_complex", order_complex)
+        monkeypatch.setattr(closed_relations, "_MAX_FACES", limit)
+        with pytest.raises(TooManyFacesError) as exc:
+            rc.verify_closed_relation(crown_relation, "quillen")
+        assert (exc.value.faces, exc.value.limit, built) == (chains, limit, listed)
 
 class TestVerify:
     def test_crown_relation_weak_mode(self, crown_relation):

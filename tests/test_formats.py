@@ -122,7 +122,7 @@ class TestRoundTrips:
         assert formats.to_complex(formats.parse(formats.serialize(doc))) == boundary2
 
     def test_relation_value_round_trip(self, circle4):
-        r = rc.Relation(circle4.elements, circle4.elements, circle4.pairs())
+        r = rc.Relation(circle4.elements, circle4.elements, oracles.poset_pairs(circle4))
         doc = oracles.relation_to_document(r, "R")
         assert formats.to_relation(formats.parse(formats.serialize(doc))) == r
 
@@ -233,6 +233,29 @@ def escaped_posets(draw):
     if any(len(c) == 1 for c in rc.connected_components(p)):
         p = rc.poset_from_pairs(labels, pairs + [(a, labels[-1]) for a in labels[:-1]])
     return p
+
+
+@st.composite
+def escaped_relations(draw):
+    """A relation between two sets of escaped labels, any pairs, covered or not."""
+    xs, ys = draw(ESCAPED_LABELS), draw(ESCAPED_LABELS)
+    return rc.Relation(xs, ys, draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(ys)))))
+
+
+class TestPairsInIndexOrder:
+    """Reports list pairs from the masks in index order, which is the sorted order
+    of the label pairs: a relation's from its transposed supports, a poset's
+    strict pairs from its up masks."""
+
+    @settings(max_examples=100, deadline=2000)
+    @given(escaped_relations())
+    def test_a_relations_pairs(self, rel):
+        assert formats._pairs_in_order(rel) == [list(pair) for pair in sorted(rel.pairs)]
+
+    @settings(max_examples=100, deadline=2000)
+    @given(oracles.posets(max_elements=7) | escaped_posets())
+    def test_a_posets_strict_pairs(self, p):
+        assert formats._pairs_in_order(p) == [list(pair) for pair in sorted(oracles.strict_pairs(p))]
 
 
 class TestReportsOfEscapedLabels:

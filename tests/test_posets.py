@@ -248,15 +248,36 @@ class TestOrderComplex:
 
     @given(posets(max_elements=6) | odd_posets())
     def test_face_limit_is_the_exact_chain_count(self, p):
-        faces = len(oracles.naive_chain_faces(p))
-        assert posets_module._chain_count(p) == faces
+        # the chains are the faces, which a reader of faces checks against the limit;
+        # the maximal chains are the facets, which the order complex checks
+        assert posets_module._chain_count(p) == len(oracles.naive_chain_faces(p))
+        facets = oracles.maximal_chain_count(p)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(posets_module, "_MAX_FACES", faces)
-            assert len(rc.order_complex(p)._masks) == faces
-            mp.setattr(posets_module, "_MAX_FACES", faces - 1)
+            mp.setattr(posets_module, "_MAX_FACES", facets)
+            assert len(rc.order_complex(p).facets()) == facets
+            mp.setattr(posets_module, "_MAX_FACES", facets - 1)
             with pytest.raises(TooManyFacesError) as exc:
                 rc.order_complex(p)
-        assert (exc.value.faces, exc.value.limit) == (faces, faces - 1)
+        assert (exc.value.faces, exc.value.limit) == (facets, facets - 1)
+
+    def test_maximal_chains_past_the_limit_are_refused_before_any_is_listed(self):
+        # 40 layers of two, each below the next: 2^40 maximal chains, which no
+        # listing could reach, and 3^40 - 1 chains
+        layers = [(f"a{i:02d}", f"b{i:02d}") for i in range(40)]
+        p = rc.poset_from_pairs([e for layer in layers for e in layer], [
+            (a, b) for low, high in zip(layers, layers[1:]) for a in low for b in high
+        ])
+        assert posets_module._chain_count(p) == 3**40 - 1
+        with pytest.raises(TooManyFacesError) as exc:
+            rc.order_complex(p)
+        assert (exc.value.faces, exc.value.limit) == (2**40, 1 << 24)
+
+    @settings(max_examples=200, deadline=2000)
+    @given(posets(max_elements=7) | odd_posets())
+    def test_matches_every_chain_walked(self, p):
+        got, walked = rc.order_complex(p), oracles.walked_order_complex(p)
+        assert got == walked and got.facets() == walked.facets() == oracles.scan_facets(got)
+        assert got._faces() == walked._faces()
 
 
 class TestDowkerComplexes:
@@ -474,7 +495,7 @@ class TestProductAndComponents:
         p = formats.to_poset(formats.parse((data_dir / "c4cubed.poset").read_text(encoding="utf-8")))
         assert p == oracles.c4cubed_poset()
         le = lambda a, b: a == b or (a in "12" and b in "34")
-        assert p.pairs() == frozenset(
+        assert oracles.poset_pairs(p) == frozenset(
             (x, y) for x in oracles.C4CUBED for y in oracles.C4CUBED if all(map(le, x, y))
         )
 

@@ -17,7 +17,11 @@ the pairs says the readings track run order), whether the gain is
 claimable: won in at least 9 of every 10 pairs, of at least 10, with the
 median better by more than the distance between the parent's quartiles,
 and the no-regression verdict against the metric's ``bound`` in
-``BENCHMARK.json`` (see ``verdict``).  ``--workload all``
+``BENCHMARK.json`` (see ``verdict``).  Under the metrics it prints each
+command's median job time on both sides, the median over the pairs of
+``command_median_ms`` in each run's detail file, which ``bench/run.py``
+leaves in that tree's ``bench/results/``, and their ratio: that shows which
+commands a gain or a slowdown sits in.  ``--workload all``
 runs every workload ``BENCHMARK.json`` lists, one after another from the
 same first seed, and prints one table for each; a name it does not list is
 refused with exit code 2 before anything is checked out or run.  All runs of one
@@ -108,9 +112,26 @@ def summarize(pairs, better: dict, bounds: dict) -> list:
     return rows
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+def command_rows(commands) -> list:
+    """One row per command that every run timed, by name: (name, the parent's median
+    job time in ms, this tree's, ratio).  ``commands`` is a list of (the parent's
+    command times, this tree's), each a dict of command -> ms; each side's time is
+    the median over the list."""
+    rows = []
+    for name in sorted(set.intersection(*(set(side) for pair in commands for side in pair))):
+        parent, head = (statistics.median(side[name] for side in sides) for sides in zip(*commands))
+        rows.append((name, parent, head, head / parent if parent else float("nan")))
+    return rows
+
+
+def _detail(tree: Path, workload: str, seed: int) -> dict:
+    """The detail file that ``bench/run.py --trace 0`` leaves in ``tree``'s ``bench/results/``."""
+    return json.loads((tree / "bench" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, pycache: Path) -> tuple:
     """One ``bench/run.py --trace 0`` run in ``tree``, with its bytecode under ``pycache``:
-    its metrics, name -> value."""
+    its metrics, name -> value, and each command's median job time in ms, from its detail file."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -120,24 +141,27 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, pycache: Pat
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{tree}: seed {seed} ran incorrectly: {result}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return metrics, _detail(tree, workload, seed)["command_median_ms"]
 
 
-def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float, pycache: Path) -> list:
-    runs = []
+def measure(parent: Path, workload: str, pairs: int, seed: int, seconds: float, pycache: Path) -> tuple:
+    """The pairs' metrics and command times, each a list of (the parent's, this tree's)."""
+    runs, commands = [], []
     for i in range(pairs):
         order = [("parent", parent), ("head", ROOT)]
         if i % 2:
             order.reverse()
         got = {side: run_bench(tree, workload, seed + i, seconds, pycache) for side, tree in order}
-        runs.append((got["parent"], got["head"]))
+        (before, before_ms), (after, after_ms) = got["parent"], got["head"]
+        runs.append((before, after))
+        commands.append((before_ms, after_ms))
         print(f"pair {i + 1}/{pairs} (seed {seed + i}, {order[0][0]} first): "
-              + ", ".join(f"{n} {got['parent'][n]:.4g} -> {got['head'][n]:.4g}" for n in got["head"]),
-              file=sys.stderr)
-    return runs
+              + ", ".join(f"{n} {before[n]:.4g} -> {after[n]:.4g}" for n in after), file=sys.stderr)
+    return runs, commands
 
 
-def table(workload: str, runs: list, better: dict, bounds: dict, seed: int, seconds: float) -> str:
+def table(workload: str, runs: list, better: dict, bounds: dict, seed: int, seconds: float, commands=()) -> str:
     lines = [f"{workload}: {len(runs)} pairs from seed {seed}, {seconds:g} s each",
              f"{'metric':<18} {'parent q1':>10} {'median':>10} {'q3':>10} {'this q1':>10} {'median':>10}"
              f" {'q3':>10} {'ratio':>7}  wins  second  claimable  verdict"]
@@ -145,6 +169,10 @@ def table(workload: str, runs: list, better: dict, bounds: dict, seed: int, seco
         values = " ".join(f"{v:>10.4g}" for v in (*parent, *head))
         lines.append(f"{name:<18} {values} {ratio:>7.3f}  {wins}/{n}  {second}/{n}"
                      f"  {'yes' if claimable else 'no':<9}  {status}")
+    if commands:
+        lines.append(f"{'command':<30} {'parent ms':>10} {'this ms':>10} {'ratio':>7}")
+        lines += [f"{name:<30} {parent:>10.4g} {head:>10.4g} {ratio:>7.3f}"
+                  for name, parent, head, ratio in command_rows(commands)]
     return "\n".join(lines)
 
 
@@ -167,8 +195,9 @@ def main(argv=None) -> int:
     def compare(parent: Path) -> None:
         with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
             for i, name in enumerate(names):
-                runs = measure(parent, name, args.pairs, seed, args.seconds, Path(pycache))
-                print(("\n" if i else "") + table(name, runs, better, bounds, seed, args.seconds), flush=True)
+                runs, commands = measure(parent, name, args.pairs, seed, args.seconds, Path(pycache))
+                text = table(name, runs, better, bounds, seed, args.seconds, commands)
+                print(("\n" if i else "") + text, flush=True)
 
     if args.parent_tree is not None:
         compare(args.parent_tree.resolve())
