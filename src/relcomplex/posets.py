@@ -206,11 +206,11 @@ def order_complex(p: Poset) -> SimplicialComplex:
     """The complex of nonempty chains of the order, by its facets, the maximal chains, each
     walked upward through covers from a minimal element.  Raises :class:`TooManyFacesError`
     past ``_MAX_FACES`` of them, counted first; a reader of faces checks ``_chain_count``."""
-    if len(p) == 0:
+    if (n := len(p)) == 0:
         raise EmptyComplexError("the order complex needs a nonempty poset")
     strict = [up ^ (1 << i) for i, up in enumerate(p.up)]
-    covers, counts = [0] * len(p), [0] * len(p)  # counts[i]: the maximal chains up from i
-    for i in sorted(range(len(p)), key=lambda i: strict[i].bit_count()):  # each j above i first
+    covers, counts = [0] * n, [0] * n  # counts[i]: the maximal chains up from i
+    for i in sorted(range(n), key=[*map(int.bit_count, strict)].__getitem__):  # each j above i first
         above, rest = 0, strict[i]
         while rest:  # _bits, inlined here and below: a Quillen check builds many small ones
             above |= strict[(rest & -rest).bit_length() - 1]
@@ -221,7 +221,7 @@ def order_complex(p: Poset) -> SimplicialComplex:
             counts[i] += counts[(rest & -rest).bit_length() - 1]
             rest &= rest - 1
     bits, tops = p.elements._bits(), []
-    stack = [(i, bits[i]) for i in range(len(p)) if p.down[i] == 1 << i]
+    stack = [(i, bits[i]) for i, down in enumerate(p.down) if down == 1 << i]
     if (chains := sum(counts[i] for i, _ in stack)) > _MAX_FACES:
         raise TooManyFacesError(chains, _MAX_FACES)
     while stack:  # a chain and its greatest element i, grown through each cover of i
@@ -238,8 +238,8 @@ def _chain_count(p: Poset) -> int:
     """The nonempty chains, the faces of the order complex, by least element: c(i) = 1 +
     the sum of c(j) over j strictly above i, each j counted before i since its up-set is smaller."""
     counts = [0] * len(p)
-    for i in sorted(range(len(p)), key=lambda i: p.up[i].bit_count()):
-        counts[i] = 1 + sum(counts[j] for j in _bits(p.up[i] & ~(1 << i)))
+    for i in sorted(range(len(p)), key=[*map(int.bit_count, p.up)].__getitem__):
+        counts[i] = 1 + sum(map(counts.__getitem__, _bits(p.up[i] ^ (1 << i))))
     return sum(counts)
 
 
